@@ -64,11 +64,12 @@ serve-soak:
 	$(GO) run ./cmd/chaos -serve -plans 300
 
 # Short race-mode smoke over the simd service stack (the CI leg): the
-# full simsrv suite exercises cancellation, panic quarantine, admission,
-# the footprint scheduler and template pool, and cross-process single-flight
-# on the shared disk cache — all under the race detector.
+# full simsrv suite exercises cancellation, panic quarantine, the admission
+# scheduler (worker slots and footprint budget), the template pool, and
+# cross-process single-flight on the shared disk cache — all under the race
+# detector. internal/par is batch-harness code; check and race cover it.
 simd-smoke:
-	$(GO) test -race -count=1 ./internal/simsrv/ ./internal/par/ ./internal/memo/...
+	$(GO) test -race -count=1 ./internal/simsrv/ ./internal/memo/...
 
 # Service-scale throughput floors: a mixed load on a warm-restarted server
 # over a populated shared disk cache must beat the no-disk-cache

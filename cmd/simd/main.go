@@ -7,15 +7,20 @@
 //	simd -addr :8080 -workers 4 -queue 8 -max-deadline 1m \
 //	     -cache-dir /var/cache/hugeomp -mem-budget 512MB -template-budget 2GB
 //
+// A request that misses every cache layer is admitted by one scheduler: it
+// runs once one of -workers slots is free and its estimated footprint fits
+// -mem-budget (the summed estimate over running sessions), waiting FIFO
+// meanwhile on its own deadline budget. A request arriving at a queue that
+// already holds -queue waiters gets 429 with a Retry-After.
+//
 // With -cache-dir, results persist across restarts in a crash-safe shared
 // store (internal/memo/diskcache) that any number of simd, sweep and chaos
-// processes may point at concurrently; -mem-budget bounds the summed
-// estimated footprint of concurrently running sessions and -template-budget
-// bounds the warmed-template pool (LRU beyond it rebuild cold).
+// processes may point at concurrently; -template-budget bounds the
+// warmed-template pool (LRU beyond it rebuild cold).
 //
 // On SIGINT/SIGTERM the server drains: new requests get 503 with a
-// Retry-After, in-flight sessions finish (or hit their deadlines), then the
-// process exits 0.
+// Retry-After, queued and in-flight sessions finish (or hit their
+// deadlines), then the process exits 0.
 package main
 
 import (
@@ -36,7 +41,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission queue depth (0 = 2x workers)")
+	queue := flag.Int("queue", 0, "sessions that may wait for admission before 429 (0 = 2x workers)")
 	defaultDeadline := flag.Duration("default-deadline", 30*time.Second, "deadline for requests that name none")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "cap on any request's deadline budget")
 	memoCap := flag.Int("memo-capacity", 4096, "result cache entries (0 = unbounded)")

@@ -2,11 +2,11 @@
 // (no wall clocks, no global rand, no scheduler queries, no order-sensitive
 // map iteration in simulator packages), dettaint (interprocedural
 // determinism taint from host-state sources into profile counters and memo
-// keys), lockdiscipline (no defer-unlock on hot paths), lockorder
-// (interprocedural lock-acquisition ordering against the documented
-// hierarchy, with cycle detection), ctxflow (loops issuing omp regions must
-// reach rt.Checkpoint or carry //simlint:nocheckpoint), atomicfield
-// (//simlint:atomic fields only touched through sync/atomic), cowshared
+// keys), lockorder (interprocedural lock-acquisition ordering against the
+// documented hierarchy, with cycle detection, and no defer-unlock on hot
+// paths), ctxflow (loops issuing omp regions must reach rt.Checkpoint or
+// carry //simlint:nocheckpoint), atomicfield (//simlint:atomic fields only
+// touched through sync/atomic), cowshared
 // (//simlint:cowshared snapshot-shared arrays only written inside
 // //simlint:cowbarrier functions — the copy-on-write write barrier) and
 // padding (//simlint:padded layout and //simlint:writer false-sharing

@@ -19,7 +19,6 @@ import (
 	"hugeomp/internal/lint/determinism"
 	"hugeomp/internal/lint/dettaint"
 	"hugeomp/internal/lint/directive"
-	"hugeomp/internal/lint/lockdiscipline"
 	"hugeomp/internal/lint/lockorder"
 	"hugeomp/internal/lint/padding"
 	"hugeomp/internal/lint/panicboundary"
@@ -32,7 +31,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
 		dettaint.Analyzer,
-		lockdiscipline.Analyzer,
 		lockorder.Analyzer,
 		ctxflow.Analyzer,
 		atomicfield.Analyzer,

@@ -1,7 +1,5 @@
 // Package lockorder infers held-lock sets across call edges and checks the
-// simulator's documented lock hierarchy interprocedurally. It replaces the
-// old syntactic "no mutex held across Bus.Access*" rule of lockdiscipline
-// with a real acquisition-graph detector:
+// simulator's documented lock hierarchy interprocedurally:
 //
 //   - Every function gets a summary of the lock classes it may acquire
 //     (directly or through calls), with a representative call chain per
@@ -20,23 +18,28 @@
 //     a cycle assembled from acquisitions in different packages (A → B
 //     here, B → A there) is detected even when every package looks locally
 //     consistent.
+//   - Functions marked //simlint:hotpath must not `defer mu.Unlock()`:
+//     defer costs tens of nanoseconds per call on the per-access path, which
+//     is why the hot functions unlock explicitly. Unlike the rank rules,
+//     which report only in Packages, this one reports in every package.
 //
 // The lock identity model matches the simulator's: a lock's class is
 // "OwnerType.field" for a mutex stored in a named struct (Context.l2Mu,
 // busShard.mu, Cache.mu), and rank lookup falls back from the qualified
 // name to the bare owner type, so Order may rank whole types or single
-// fields. The shared-L2 serialisation mutex, which previously needed a
-// //simlint:ignore on the bus rule, is now simply ranked above the bus
+// fields. The shared-L2 serialisation mutex is simply ranked above the bus
 // (Context.l2Mu comes first in Order) — the analyzer proves the hierarchy
 // instead of suppressing it.
 //
-// Held-set tracking inside a function is the same source-order walk the
-// old lockdiscipline used (exactly enough for the simulator's straight-line
-// locking idioms); function literals are analyzed with an empty held set
-// (they may run on another goroutine) but their acquisitions fold into the
-// enclosing function's summary, which is the conservative direction.
-// Calls through function-typed values are invisible to the graph; the
-// simulator's locking never passes lock-taking closures across packages.
+// Held-set tracking inside a function is a source-order walk (exactly
+// enough for the simulator's straight-line locking idioms); function
+// literals are analyzed with an empty held set (they may run on another
+// goroutine) but their acquisitions fold into the enclosing function's
+// summary, which is the conservative direction. A literal inside a hotpath
+// function is not itself hot: it is typically a slow-path closure handed
+// elsewhere, so its deferred unlocks are allowed. Calls through
+// function-typed values are invisible to the graph; the simulator's locking
+// never passes lock-taking closures across packages.
 package lockorder
 
 import (
@@ -50,6 +53,7 @@ import (
 
 	"hugeomp/internal/lint/analysis"
 	"hugeomp/internal/lint/callgraph"
+	"hugeomp/internal/lint/directive"
 	"hugeomp/internal/lint/interproc"
 )
 
@@ -59,7 +63,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "interprocedural lock-order checking: infer acquired-lock summaries over the call graph, " +
 		"report rank inversions, same-class double acquisitions, unranked locks held across ranked " +
-		"acquisitions, and cross-package acquisition cycles, each with its full call chain",
+		"acquisitions, and cross-package acquisition cycles, each with its full call chain; " +
+		"forbid deferred mutex unlocks in //simlint:hotpath functions",
 	Run: run,
 }
 
@@ -151,6 +156,8 @@ func run(pass *analysis.Pass) (any, error) {
 		seenEdge[key] = true
 		edges = append(edges, localEdge{factEdge{From: from, To: to, Pos: pos, Chain: chain}, at})
 	}
+	// Transfer may walk a function more than once; key by position.
+	hotDefers := map[token.Pos]string{}
 
 	an := &interproc.Analysis[Summary]{
 		Facts:  name,
@@ -163,6 +170,9 @@ func run(pass *analysis.Pass) (any, error) {
 				addEdge: addEdge,
 				sum:     Summary{Acquires: map[string][]string{}},
 			}
+			if directive.Has(directive.Func(n.Decl), "hotpath") {
+				w.hotDefers = hotDefers
+			}
 			w.block(n.Decl.Body.List)
 			if len(w.sum.Acquires) == 0 {
 				return Summary{}
@@ -172,6 +182,7 @@ func run(pass *analysis.Pass) (any, error) {
 		Equal: equalSummary,
 	}
 	interproc.Solve(pass, g, an)
+	reportHotDefers(pass, hotDefers)
 
 	if !inScope(pass.Pkg.Path()) {
 		// Out-of-scope packages contribute summaries and edges (exported
@@ -206,6 +217,20 @@ func exportEdges(pass *analysis.Pass, edges []localEdge) {
 		return out[i].Pos < out[j].Pos
 	})
 	pass.Facts.Set(name, "edges/"+pass.Pkg.Path(), out)
+}
+
+// reportHotDefers reports each deferred unlock found in a hotpath function,
+// in position order.
+func reportHotDefers(pass *analysis.Pass, hotDefers map[token.Pos]string) {
+	at := make([]token.Pos, 0, len(hotDefers))
+	for pos := range hotDefers {
+		at = append(at, pos)
+	}
+	sort.Slice(at, func(i, j int) bool { return at[i] < at[j] })
+	for _, pos := range at {
+		pass.Reportf(pos,
+			"defer %s() in a //simlint:hotpath function: hot-path functions unlock explicitly (defer costs on every simulated access)", hotDefers[pos])
+	}
 }
 
 // checkEdge applies the rank rules to one locally observed edge.
@@ -391,6 +416,9 @@ type walker struct {
 	addEdge func(from, to string, at token.Pos, chain []string)
 	sum     Summary
 	held    []held
+	// hotDefers, set only for the body of a //simlint:hotpath function
+	// (never for its literals), collects each `defer mu.Unlock()`.
+	hotDefers map[token.Pos]string
 }
 
 func (w *walker) block(stmts []ast.Stmt) {
@@ -406,6 +434,9 @@ func (w *walker) stmt(s ast.Stmt) {
 	case *ast.DeferStmt:
 		if _, kind := w.mutexCall(s.Call); kind == "unlock" {
 			// The lock is held to function end; the held set keeps it.
+			if w.hotDefers != nil {
+				w.hotDefers[s.Pos()] = renderExpr(s.Call.Fun)
+			}
 			return
 		}
 		w.funcLits(s.Call)

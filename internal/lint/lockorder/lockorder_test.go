@@ -16,3 +16,12 @@ func TestLockOrder(t *testing.T) {
 
 	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "a")
 }
+
+// TestHotpathDefer: deferred unlocks in //simlint:hotpath functions are
+// reported even in a package outside lockorder.Packages.
+func TestHotpathDefer(t *testing.T) {
+	defer func(pkgs []string) { lockorder.Packages = pkgs }(lockorder.Packages)
+	lockorder.Packages = []string{"a"}
+
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "hot")
+}

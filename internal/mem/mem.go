@@ -56,18 +56,30 @@ func New(bytes int64) *PhysMem {
 // TotalBytes returns the configured physical size.
 func (p *PhysMem) TotalBytes() int64 { return p.totalBytes }
 
-// Alloc4K allocates one 4 KB frame and returns its PFN.
+// Alloc4K allocates one 4 KB frame and returns its PFN. When the small free
+// list and the bump region are both exhausted, it splits a freed 2 MB frame
+// into 4 KB frames — the frames a rolled-back hugetlbfs preallocation handed
+// back — so a 4 KB fallback can still use them.
 func (p *PhysMem) Alloc4K() (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if len(p.free4K) == 0 && p.next4K+1 > p.next2M {
+		n := len(p.free2M)
+		if n == 0 {
+			return 0, ErrOutOfMemory
+		}
+		big := p.free2M[n-1]
+		p.free2M = p.free2M[:n-1]
+		// Descending, so the pops below hand out big, big+1, ... in order.
+		for i := uint64(FramesPer2M); i > 0; i-- {
+			p.free4K = append(p.free4K, big+i-1)
+		}
+	}
 	if n := len(p.free4K); n > 0 {
 		pfn := p.free4K[n-1]
 		p.free4K = p.free4K[:n-1]
 		p.used4K++
 		return pfn, nil
-	}
-	if p.next4K+1 > p.next2M {
-		return 0, ErrOutOfMemory
 	}
 	pfn := p.next4K
 	p.next4K++

@@ -73,6 +73,36 @@ func TestExhaustion(t *testing.T) {
 	}
 }
 
+// TestAlloc4KSplitsFreed2M: with the bump region gone, a freed 2 MB frame
+// (as a rolled-back hugetlbfs preallocation leaves) is split into 4 KB
+// frames, in ascending order, before Alloc4K reports exhaustion.
+func TestAlloc4KSplitsFreed2M(t *testing.T) {
+	p := New(4 * units.MB)
+	a, _ := p.Alloc2M()
+	if _, err := p.Alloc2M(); err != nil {
+		t.Fatal(err)
+	}
+	p.Free2M(a)
+	for i := 0; i < FramesPer2M; i++ {
+		pfn, err := p.Alloc4K()
+		if err != nil {
+			t.Fatalf("4K frame %d: %v", i, err)
+		}
+		if pfn != a+uint64(i) {
+			t.Fatalf("4K frame %d = PFN %d, want %d", i, pfn, a+uint64(i))
+		}
+	}
+	if _, err := p.Alloc4K(); err != ErrOutOfMemory {
+		t.Errorf("after the split frame: %v, want ErrOutOfMemory", err)
+	}
+	if _, err := p.Alloc2M(); err != ErrOutOfMemory {
+		t.Errorf("split frame reallocated as 2MB: %v", err)
+	}
+	if p.Used4K() != FramesPer2M || p.Used2M() != 1 {
+		t.Errorf("usage = %d,%d want %d,1", p.Used4K(), p.Used2M(), FramesPer2M)
+	}
+}
+
 func TestFreeAndReuse(t *testing.T) {
 	p := New(4 * units.MB)
 	a, _ := p.Alloc2M()

@@ -44,7 +44,9 @@ func TestDegradedRunMatchesGoldenChecksums(t *testing.T) {
 // TestUndersizedPoolDegradesWholeRegion: a pool that exists but cannot back
 // the whole shared region degrades exactly like an empty one (whole-region
 // fallback, not a partial mix), with identical numerics and a costlier TLB
-// profile than the healthy 2 MB run.
+// profile than the healthy 2 MB run. So does a pool larger than physical
+// memory: its preallocation fails part-way and rolls back, and the 4 KB
+// fallback must find the returned frames.
 func TestUndersizedPoolDegradesWholeRegion(t *testing.T) {
 	run := func(hugePages int) (Result, float64) {
 		k, err := New("CG")
@@ -64,15 +66,18 @@ func TestUndersizedPoolDegradesWholeRegion(t *testing.T) {
 	if healthy.Degraded {
 		t.Fatal("full pool degraded")
 	}
-	degraded, degradedSum := run(1) // class T needs 4 pages; give it 1
-	if !degraded.Degraded {
-		t.Fatal("one-page pool did not degrade")
-	}
-	if degradedSum != healthySum {
-		t.Errorf("degradation changed the numerics: %v != %v", degradedSum, healthySum)
-	}
-	if degraded.Counters.DTLBWalks() <= healthy.Counters.DTLBWalks() {
-		t.Errorf("degraded walks %d not above healthy walks %d",
-			degraded.Counters.DTLBWalks(), healthy.Counters.DTLBWalks())
+	// Class T needs 4 pages: give it 1, or 64 (128 MB) on a 32 MB host.
+	for _, pages := range []int{1, 64} {
+		degraded, degradedSum := run(pages)
+		if !degraded.Degraded {
+			t.Fatalf("%d-page pool did not degrade", pages)
+		}
+		if degradedSum != healthySum {
+			t.Errorf("%d-page pool: degradation changed the numerics: %v != %v", pages, degradedSum, healthySum)
+		}
+		if degraded.Counters.DTLBWalks() <= healthy.Counters.DTLBWalks() {
+			t.Errorf("%d-page pool: degraded walks %d not above healthy walks %d",
+				pages, degraded.Counters.DTLBWalks(), healthy.Counters.DTLBWalks())
+		}
 	}
 }

@@ -33,7 +33,6 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//simlint:ignore panicboundary batch harness cells crash loudly by design; only the service Pool quarantines panics
 		go func() {
 			defer wg.Done()
 			for {

@@ -120,16 +120,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Gauges   Gauges   `json:"gauges"`
 		Workers  int      `json:"workers"`
 		QueueCap int      `json:"queue_cap"`
-		Queued   int      `json:"queued"`
 		MemoLen  int      `json:"memo_len"`
 		MemoCap  int      `json:"memo_cap"`
 	}
 	writeJSON(w, http.StatusOK, stats{
 		Counters: s.Counters(),
 		Gauges:   s.Gauges(),
-		Workers:  s.pool.Workers(),
-		QueueCap: s.pool.QueueCap(),
-		Queued:   s.pool.Queued(),
+		Workers:  s.cfg.Workers,
+		QueueCap: s.cfg.Queue,
 		MemoLen:  s.memo.Len(),
 		MemoCap:  s.memo.Capacity(),
 	})

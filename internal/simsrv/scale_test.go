@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,10 +16,10 @@ import (
 	"hugeomp/internal/units"
 )
 
-// TestSchedPacking: the footprint scheduler admits sessions up to the budget,
-// queues the overflow FIFO, and admits waiters as charges release.
+// TestSchedPacking: the scheduler admits sessions up to the footprint
+// budget, queues the overflow FIFO, and admits waiters as charges release.
 func TestSchedPacking(t *testing.T) {
-	s := newSched(100, 4)
+	s := newSched(8, 100, 4)
 	ctx := context.Background()
 	if err := s.acquire(ctx, 60); err != nil {
 		t.Fatal(err)
@@ -44,8 +45,42 @@ func TestSchedPacking(t *testing.T) {
 	if q, r, c := s.snapshot(); q != 0 || r != 2 || c != 90 {
 		t.Fatalf("after release: queued %d, running %d, charged %d", q, r, c)
 	}
-	if s.budgetWaits.Load() != 1 {
-		t.Errorf("budget waits = %d, want 1", s.budgetWaits.Load())
+	if s.waits.Load() != 1 {
+		t.Errorf("waits = %d, want 1", s.waits.Load())
+	}
+}
+
+// TestSchedWorkerSlots: with an unbounded byte budget the worker slots alone
+// bound concurrency; every session still runs, never more than workers at
+// once.
+func TestSchedWorkerSlots(t *testing.T) {
+	const workers, sessions = 3, 40
+	s := newSched(workers, 0, sessions)
+	var running, ran atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.acquire(context.Background(), 1); err != nil {
+				t.Error(err)
+				return
+			}
+			if n := running.Add(1); n > workers {
+				t.Errorf("%d sessions running on %d worker slots", n, workers)
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			ran.Add(1)
+			s.release(1)
+		}()
+	}
+	wg.Wait()
+	if ran.Load() != sessions {
+		t.Errorf("ran %d sessions, want %d", ran.Load(), sessions)
+	}
+	if q, r, c := s.snapshot(); q != 0 || r != 0 || c != 0 {
+		t.Fatalf("slots leaked: queued %d, running %d, charged %d", q, r, c)
 	}
 }
 
@@ -53,7 +88,7 @@ func TestSchedPacking(t *testing.T) {
 // when nothing is charged — the budget bounds packing, it must not make a
 // class unservable.
 func TestSchedIdleOverride(t *testing.T) {
-	s := newSched(100, 4)
+	s := newSched(1, 100, 4)
 	if err := s.acquire(context.Background(), 1000); err != nil {
 		t.Fatalf("idle oversized acquire: %v", err)
 	}
@@ -64,7 +99,7 @@ func TestSchedIdleOverride(t *testing.T) {
 // a waiter whose context dies leaves with an omp.ErrAborted-wrapping error
 // and no leaked charge.
 func TestSchedSaturationAndAbort(t *testing.T) {
-	s := newSched(100, 1)
+	s := newSched(8, 100, 1)
 	ctx := context.Background()
 	if err := s.acquire(ctx, 100); err != nil {
 		t.Fatal(err)
@@ -72,17 +107,9 @@ func TestSchedSaturationAndAbort(t *testing.T) {
 	dead, cancel := context.WithCancel(ctx)
 	waiter := make(chan error, 1)
 	go func() { waiter <- s.acquire(dead, 10) }()
-	for {
-		if q, _, _ := s.snapshot(); q == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, 1)
 	if err := s.acquire(ctx, 10); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("full queue acquire = %v, want ErrSaturated", err)
-	}
-	if s.budgetRejects.Load() != 1 {
-		t.Errorf("budget rejects = %d, want 1", s.budgetRejects.Load())
 	}
 	cancel()
 	if err := <-waiter; !errors.Is(err, omp.ErrAborted) {
@@ -91,6 +118,71 @@ func TestSchedSaturationAndAbort(t *testing.T) {
 	s.release(100)
 	if q, r, c := s.snapshot(); q != 0 || r != 0 || c != 0 {
 		t.Fatalf("charge leaked: queued %d, running %d, charged %d", q, r, c)
+	}
+}
+
+// TestSchedFIFO: a small session that would fit does not overtake a large
+// one queued ahead of it, and is admitted as soon as the large one leaves.
+func TestSchedFIFO(t *testing.T) {
+	s := newSched(8, 100, 4)
+	ctx := context.Background()
+	if err := s.acquire(ctx, 60); err != nil {
+		t.Fatal(err)
+	}
+	bigCtx, cancelBig := context.WithCancel(ctx)
+	big := make(chan error, 1)
+	go func() { big <- s.acquire(bigCtx, 50) }()
+	waitQueued(t, s, 1)
+	small := make(chan error, 1)
+	go func() { small <- s.acquire(ctx, 30) }()
+	waitQueued(t, s, 2)
+	cancelBig()
+	if err := <-big; !errors.Is(err, omp.ErrAborted) {
+		t.Fatalf("cancelled head = %v, want omp.ErrAborted", err)
+	}
+	select {
+	case err := <-small:
+		if err != nil {
+			t.Fatalf("waiter behind the cancelled head: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter behind the cancelled head not admitted when the head left")
+	}
+	if q, r, c := s.snapshot(); q != 0 || r != 2 || c != 90 {
+		t.Fatalf("after the head left: queued %d, running %d, charged %d", q, r, c)
+	}
+}
+
+// waitClosed polls until close has begun on s.
+func waitClosed(t *testing.T, s *sched) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("close never began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitQueued polls until n sessions wait in s.
+func waitQueued(t *testing.T, s *sched, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if q, _, _ := s.snapshot(); q == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %d queued sessions", n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -163,7 +255,7 @@ func TestServerTemplateBudget(t *testing.T) {
 // fork at a time; concurrent distinct requests all complete and the waits
 // show up in the gauges.
 func TestServerMemBudget(t *testing.T) {
-	s, ts := newTestServer(t, Config{MemBudget: npb.ForkBytes(npb.ClassT), SchedQueue: 8})
+	s, ts := newTestServer(t, Config{MemBudget: npb.ForkBytes(npb.ClassT), Queue: 8})
 	reqs := []Request{
 		{Kernel: "CG", Class: "T", Model: "Opteron270", Threads: 1, Policy: "4KB"},
 		{Kernel: "CG", Class: "T", Model: "Opteron270", Threads: 1, Policy: "2MB"},

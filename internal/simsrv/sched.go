@@ -9,23 +9,24 @@ import (
 	"hugeomp/internal/omp"
 )
 
-// sched is the footprint-aware admission layer in front of the worker pool:
-// where par.Pool hands out first-come slots, sched packs sessions under a
-// global memory budget. Every session is charged an estimated fork footprint
-// (npb.ForkBytes: class-dependent mutable-array bytes plus metadata) before
-// it may occupy a worker; sessions that would overflow the budget wait in
-// FIFO order — spending their own deadline budget, never the server's — and
-// a bounded number of waiters turns further arrivals into ErrSaturated
-// (429). Requests answerable from a cache layer never reach the scheduler at
-// all: the memo and disk lookups run before dispatch, so under saturation
-// the service keeps serving exactly the cache-hit-likely traffic while
-// compute-bound requests queue.
+// sched is simd's one admission path. A session needs two resources before
+// it may run: one of the worker slots, and its estimated fork footprint
+// (npb.ForkBytes: class-dependent mutable-array bytes plus metadata) under
+// the global memory budget. Sessions that cannot have both at once wait in
+// one FIFO — a small request does not overtake a large one — each on its own
+// context, so queue time spends the request's deadline budget, never the
+// server's. A session arriving at a queue that already holds maxQueue
+// waiters is refused with ErrSaturated (429). Requests answerable from a
+// cache layer never reach the scheduler at all: the memo and disk lookups
+// run before dispatch, so under saturation the service keeps serving exactly
+// the cache-hit-likely traffic while compute-bound requests queue.
 //
 // One deliberate asymmetry: a request whose footprint alone exceeds the
 // budget is admitted when the scheduler is idle (nothing charged). The
 // budget bounds concurrent packing; it must not make a large class
 // permanently unservable.
 type sched struct {
+	workers  int   // concurrent session slots
 	budget   int64 // bytes; 0 = unbounded
 	maxQueue int   // bound on waiting sessions
 
@@ -33,27 +34,29 @@ type sched struct {
 	charged int64
 	running int
 	waiters []*schedWaiter
+	closed  bool
+	active  sync.WaitGroup // queued and running sessions, awaited by close
 
-	budgetWaits   atomic.Uint64
-	budgetRejects atomic.Uint64
-	peakCharged   atomic.Int64
+	waits       atomic.Uint64
+	peakCharged atomic.Int64
 }
 
 type schedWaiter struct {
 	est   int64
-	ready chan struct{} // closed by release once the waiter's charge is applied
+	ready chan struct{} // closed once the waiter's slot and charge are applied
 }
 
-func newSched(budget int64, maxQueue int) *sched {
-	if maxQueue <= 0 {
-		maxQueue = 16
-	}
-	return &sched{budget: budget, maxQueue: maxQueue}
+func newSched(workers int, budget int64, maxQueue int) *sched {
+	return &sched{workers: workers, budget: budget, maxQueue: maxQueue}
 }
 
-// fitsLocked reports whether charging est more bytes respects the budget.
-// An idle scheduler always fits (see the type comment).
+// fitsLocked reports whether a session charging est more bytes may start
+// now: a worker slot is free and the charge respects the budget. An idle
+// scheduler always fits the budget (see the type comment).
 func (s *sched) fitsLocked(est int64) bool {
+	if s.running >= s.workers {
+		return false
+	}
 	if s.budget <= 0 || s.charged == 0 {
 		return true
 	}
@@ -68,42 +71,60 @@ func (s *sched) chargeLocked(est int64) {
 	}
 }
 
-// acquire charges est bytes against the budget, waiting — under ctx's
-// deadline — for running sessions to release enough. FIFO: a small request
-// does not overtake a large one (no starvation of big classes). Returns
+// admitLocked starts, in FIFO order, every waiter that now fits.
+func (s *sched) admitLocked() {
+	for len(s.waiters) > 0 && s.fitsLocked(s.waiters[0].est) {
+		w := s.waiters[0]
+		s.waiters = s.waiters[1:]
+		s.chargeLocked(w.est)
+		close(w.ready)
+	}
+}
+
+// acquire takes a worker slot and charges est bytes, waiting FIFO under
+// ctx's deadline while either is short. It returns ErrDraining after close,
 // ErrSaturated when the waiter queue is full, and an omp.ErrAborted-wrapping
-// error when ctx dies first, so the HTTP layer maps the outcome onto the
-// same 429/504 vocabulary as the worker pool.
+// error when ctx dies first, so the HTTP layer answers 503, 429 and 504.
+// Every nil return must be paired with one release(est).
 func (s *sched) acquire(ctx context.Context, est int64) error {
 	s.mu.Lock()
-	if s.fitsLocked(est) {
+	switch {
+	case s.closed:
+		s.mu.Unlock()
+		return ErrDraining
+	case len(s.waiters) == 0 && s.fitsLocked(est):
 		s.chargeLocked(est)
+		s.active.Add(1)
 		s.mu.Unlock()
 		return nil
-	}
-	if len(s.waiters) >= s.maxQueue {
+	case len(s.waiters) >= s.maxQueue:
 		s.mu.Unlock()
-		s.budgetRejects.Add(1)
 		return ErrSaturated
 	}
 	w := &schedWaiter{est: est, ready: make(chan struct{})}
 	s.waiters = append(s.waiters, w)
+	s.active.Add(1)
 	s.mu.Unlock()
-	s.budgetWaits.Add(1)
+	s.waits.Add(1)
 
 	select {
 	case <-w.ready:
-		return nil // release already charged us
+		return nil // admitLocked already charged us
 	case <-ctx.Done():
 		s.mu.Lock()
 		removed := s.removeWaiterLocked(w)
+		if removed {
+			s.admitLocked() // we may have been the head blocking smaller waiters
+		}
 		s.mu.Unlock()
-		if !removed {
-			// Granted concurrently with the abort: we own a charge we will
-			// never use. Hand it back (this also wakes the next waiter).
+		if removed {
+			s.active.Done()
+		} else {
+			// Granted concurrently with the abort: we own a slot we will
+			// never use. Hand it back (this also admits the next waiter).
 			s.release(est)
 		}
-		return fmt.Errorf("%w: deadline spent waiting for footprint budget: %v", omp.ErrAborted, ctx.Err())
+		return fmt.Errorf("%w: deadline spent waiting for admission: %v", omp.ErrAborted, ctx.Err())
 	}
 }
 
@@ -117,22 +138,25 @@ func (s *sched) removeWaiterLocked(w *schedWaiter) bool {
 	return false
 }
 
-// release returns est charged bytes and admits, in FIFO order, every waiter
-// the freed budget now fits.
+// release returns a session's slot and est charged bytes, and admits every
+// waiter that now fits.
 func (s *sched) release(est int64) {
 	s.mu.Lock()
 	s.charged -= est
 	s.running--
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		if !s.fitsLocked(w.est) {
-			break
-		}
-		s.chargeLocked(w.est)
-		s.waiters = s.waiters[1:]
-		close(w.ready)
-	}
+	s.admitLocked()
 	s.mu.Unlock()
+	s.active.Done()
+}
+
+// close refuses new sessions with ErrDraining, then waits for every queued
+// and running one to release. Queued sessions are still admitted as slots
+// free. Idempotent.
+func (s *sched) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.active.Wait()
 }
 
 // snapshot returns the scheduler's gauges.

@@ -2,7 +2,9 @@ package simsrv
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -201,9 +203,6 @@ func TestServerPanicQuarantine(t *testing.T) {
 	if ctr.Quarantined != 0 {
 		t.Errorf("quarantined = %d, want 0 (the snapshot was not poisoned)", ctr.Quarantined)
 	}
-	if ctr.PoolPanics != 0 {
-		t.Errorf("pool backstop caught %d panics; the session boundary must recover first", ctr.PoolPanics)
-	}
 
 	// Post-panic sibling fork vs a cold run of the same config: threads=4
 	// forces a fresh simulation (new content key) from the surviving
@@ -238,27 +237,18 @@ func TestServerPanicQuarantine(t *testing.T) {
 	}
 }
 
-// TestServerAdmissionRefuses: with the pool saturated, /run answers 429 with
-// a Retry-After instead of queueing, and recovers once capacity returns.
+// TestServerAdmissionRefuses: with the worker slot taken and the admission
+// queue full, /run answers 429 with a Retry-After instead of queueing, and
+// recovers once capacity returns.
 func TestServerAdmissionRefuses(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Queue: 1})
-	block := make(chan struct{})
-	var once sync.Once
-	t.Cleanup(func() { once.Do(func() { close(block) }) })
-	var wg sync.WaitGroup
-	// Saturate: one running task (wait until the worker holds it), then one
-	// queued — otherwise both could land in the queue and the second Submit
-	// would race the worker for the only slot.
-	started := make(chan struct{})
-	wg.Add(1)
-	if err := s.pool.Submit(func() { defer wg.Done(); close(started); <-block }); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	wg.Add(1)
-	if err := s.pool.Submit(func() { defer wg.Done(); <-block }); err != nil {
-		t.Fatal(err)
-	}
+	// Saturate: one running session holding the only slot, one queued.
+	release := holdSlot(t, s.sched)
+	queuedReq := baseReq
+	queuedReq.Threads = 1
+	queued := postAsync(ts, queuedReq)
+	waitQueued(t, s.sched, 1)
+
 	resp, body := postRun(t, ts, baseReq)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated run: %d %s, want 429", resp.StatusCode, body)
@@ -272,10 +262,147 @@ func TestServerAdmissionRefuses(t *testing.T) {
 	if got := s.Counters().Rejected; got != 1 {
 		t.Errorf("rejected = %d, want 1", got)
 	}
-	once.Do(func() { close(block) })
-	wg.Wait()
+	release()
+	if code := <-queued; code != http.StatusOK {
+		t.Fatalf("queued run: %d, want 200", code)
+	}
 	if resp, body := postRun(t, ts, baseReq); resp.StatusCode != http.StatusOK {
 		t.Fatalf("run after capacity returned: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestServerQueueWaitSpendsDeadline: time spent waiting for a worker slot
+// comes out of the request's own deadline budget. With the only slot held
+// for far longer than the budget, the request is answered 504 shortly after
+// its deadline, and it never builds a template it cannot use.
+func TestServerQueueWaitSpendsDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	// Hold the slot for 1.5 s, or until the test ends if that is sooner.
+	time.AfterFunc(1500*time.Millisecond, holdSlot(t, s.sched))
+	builds := s.Gauges().TemplateBuilds
+
+	req := baseReq
+	req.DeadlineMS = 50
+	start := time.Now()
+	resp, body := postRun(t, ts, req)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("queued run: %d %s, want 504", resp.StatusCode, body)
+	}
+	if k := errKind(t, body); k != kindAborted {
+		t.Errorf("kind = %s, want %s", k, kindAborted)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("answered after %s: the wait did not spend the 50ms budget", elapsed)
+	}
+	if got := s.Gauges().TemplateBuilds; got != builds {
+		t.Errorf("template builds %d -> %d for a request that never ran", builds, got)
+	}
+	if got := s.Counters().Aborted; got != 1 {
+		t.Errorf("aborted = %d, want 1", got)
+	}
+}
+
+// TestServerCloseWaitsForSessions: Close refuses new sessions — a later
+// cache-missing /run gets 503 draining — but returns only once the running
+// session and the one queued behind it have both finished.
+func TestServerCloseWaitsForSessions(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	release := holdSlot(t, s.sched)
+	queued := postAsync(ts, baseReq)
+	waitQueued(t, s.sched, 1)
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitClosed(t, s.sched)
+	later := baseReq
+	later.Threads = 1
+	later.DeadlineMS = 1000 // bounds the wait should Close fail to refuse it
+	resp, body := postRun(t, ts, later)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("run while closing: %d %s, want 503", resp.StatusCode, body)
+	}
+	if k := errKind(t, body); k != kindDraining {
+		t.Errorf("kind = %s, want %s", k, kindDraining)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a session held the worker slot")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	release()
+	if code := <-queued; code != http.StatusOK {
+		t.Fatalf("session queued before Close: %d, want 200", code)
+	}
+	<-closed
+	if got := s.Counters().Drained; got != 1 {
+		t.Errorf("drained = %d, want 1", got)
+	}
+}
+
+// postAsync posts req from another goroutine and delivers its status code
+// (0 when the request could not be sent).
+func postAsync(ts *httptest.Server, req Request) <-chan int {
+	code := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	return code
+}
+
+// holdSlot takes one worker slot as a running session would and returns its
+// release, which is idempotent and also runs at cleanup: a test that fails
+// early must not leave the server's Close waiting on the slot.
+func holdSlot(t *testing.T, s *sched) (release func()) {
+	t.Helper()
+	if err := s.acquire(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { s.release(1) }) }
+	t.Cleanup(release)
+	return release
+}
+
+// TestSessionBuildPanicDropsSlot: a panic inside the template build is
+// recovered at the session boundary like any other, and the boundary drops
+// the slot, so the next session on that key builds afresh instead of
+// inheriting a dead sync.Once.
+func TestSessionBuildPanicDropsSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// No wire request compiles to an unknown policy; its build panics.
+	cfg := npb.RunConfig{Model: machine.Opteron270(), Threads: 1, Class: npb.ClassT, Policy: core.PagePolicy(99)}
+	key := tmplKey{Kernel: "CG", Class: cfg.Class, Policy: cfg.Policy}
+	for i := 1; i <= 2; i++ {
+		e := s.tmpls.get(key)
+		if _, err := s.session(context.Background(), cfg, key, e, ""); !errors.Is(err, ErrSessionPanic) {
+			t.Fatalf("session %d with a panicking build = %v, want ErrSessionPanic", i, err)
+		}
+		if s.tmpls.lookup(key) != nil {
+			t.Fatalf("session %d: panicked build left its template slot in the pool", i)
+		}
+		// A session that waited on the same sync.Once gets a typed error,
+		// not a nil template.
+		if _, err := s.template(key, e, cfg); !errors.Is(err, errBuildPanicked) {
+			t.Errorf("template from the panicked slot = %v, want errBuildPanicked", err)
+		}
+	}
+	if resp, body := postRun(t, ts, baseReq); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after the panicked builds: %d %s", resp.StatusCode, body)
+	}
+	if ctr := s.Counters(); ctr.Panicked != 2 || ctr.Quarantined != 0 {
+		t.Errorf("panicked = %d, quarantined = %d; want 2, 0", ctr.Panicked, ctr.Quarantined)
+	}
+	if g := s.Gauges(); g.TemplateBuilds != 1 || g.TemplateResidents != 1 {
+		t.Errorf("builds = %d, residents = %d; want 1, 1", g.TemplateBuilds, g.TemplateResidents)
 	}
 }
 
@@ -370,9 +497,6 @@ func TestServerSmoke(t *testing.T) {
 	}
 	if stats.Counters.Completed+stats.Counters.Rejected == 0 {
 		t.Error("smoke produced no outcomes")
-	}
-	if stats.Counters.PoolPanics != 0 {
-		t.Errorf("pool panics = %d", stats.Counters.PoolPanics)
 	}
 }
 

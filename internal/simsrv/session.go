@@ -8,11 +8,10 @@ import (
 	"hugeomp/internal/check"
 	"hugeomp/internal/npb"
 	"hugeomp/internal/omp"
-	"hugeomp/internal/par"
 )
 
-// run answers one compiled request: memoized, single-flighted, executed on
-// the admission-controlled pool under ctx's deadline budget.
+// run answers one compiled request: memoized, single-flighted, admitted by
+// the scheduler and executed under ctx's deadline budget.
 //
 // The memo collapses concurrent identical requests onto one flight. When
 // that flight's leader is cancelled, its abort error is reported to every
@@ -39,73 +38,60 @@ func (s *Server) run(ctx context.Context, cfg npb.RunConfig, kernel, key string)
 	}
 }
 
-// dispatch submits one session to the worker pool and waits for it. The
-// admission decision is made here — a full queue refuses immediately with
-// ErrSaturated, it never blocks — and the session itself always runs to a
-// conclusion once admitted: a cancelled request's session observes the dead
+// dispatch admits one session through the scheduler and runs it on the
+// caller's goroutine. Admission is the only place a request waits: it queues
+// FIFO on its own deadline budget, a full queue refuses with ErrSaturated,
+// and a closed scheduler with ErrDraining. Once admitted, the session always
+// runs to a conclusion: a cancelled request's session observes the dead
 // context at its first checkpoint and returns within one checkpoint
-// interval, freeing the worker.
+// interval, freeing the worker slot.
 func (s *Server) dispatch(ctx context.Context, cfg npb.RunConfig, kernel, inject string) (npb.Result, error) {
-	type outcome struct {
-		res npb.Result
-		err error
-	}
-	// Charge the session's estimated footprint before it may occupy a
-	// worker: the scheduler packs concurrent sessions under the global
-	// memory budget, blocking on the request's own deadline budget when the
-	// server is footprint-saturated. Cache hits never reach this point.
 	est := npb.ForkBytes(cfg.Class)
 	if err := s.sched.acquire(ctx, est); err != nil {
 		return npb.Result{}, err
 	}
 	defer s.sched.release(est)
-
-	done := make(chan outcome, 1)
-	err := s.pool.Submit(func() {
-		res, err := s.session(ctx, cfg, kernel, inject)
-		done <- outcome{res, err}
-	})
-	switch {
-	case errors.Is(err, par.ErrSaturated):
-		return npb.Result{}, ErrSaturated
-	case errors.Is(err, par.ErrClosed):
-		return npb.Result{}, ErrDraining
-	case err != nil:
-		return npb.Result{}, err
-	}
-	o := <-done
-	return o.res, o.err
+	key := tmplKey{Kernel: kernel, Class: cfg.Class, Policy: cfg.Policy, HugePages: cfg.HugePages}
+	return s.session(ctx, cfg, key, s.tmpls.get(key), inject)
 }
 
-// session is one simulation and the panic boundary around it: a panic
-// anywhere inside — kernel, runtime, machine model, or an injected fault —
-// is recovered here, counted, and converted into a typed error for this
-// request only. The poisoned fork is simply abandoned (its COW pagetables
-// share nothing writable with the snapshot), and the shared template is
-// audited before being trusted again.
-func (s *Server) session(ctx context.Context, cfg npb.RunConfig, kernel, inject string) (res npb.Result, err error) {
-	w, key, terr := s.template(cfg, kernel)
-	if terr != nil {
-		return npb.Result{}, terr
-	}
-	e := s.tmplEntryFor(key)
+// session is one simulation on template slot e, and the service's one panic
+// boundary: a panic anywhere inside — template build, kernel, runtime,
+// machine model, or an injected fault — is recovered here, counted, and
+// converted into a typed error for this request only. A panicked build drops
+// its slot, so the next session rebuilds instead of inheriting a dead
+// sync.Once. A panicked run abandons its fork (its COW pagetables share
+// nothing writable with the snapshot), and the shared template is audited
+// before being trusted again.
+//
+//simlint:panicboundary
+func (s *Server) session(ctx context.Context, cfg npb.RunConfig, key tmplKey, e *tmplEntry, inject string) (res npb.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.ctr.panicked.Add(1)
-			if !s.auditTemplate(w, cfg) {
+			// e.w is written only inside e.once, which has returned or
+			// panicked on this goroutine before any panic reaches here.
+			switch {
+			case e.w == nil:
+				s.tmpls.drop(key, e)
+			case !s.auditTemplate(e.w, cfg):
 				s.evictTemplate(key, e)
 			}
 			err = fmt.Errorf("%w: %v", ErrSessionPanic, r)
 		}
 	}()
+	w, err := s.template(key, e, cfg)
+	if err != nil {
+		return npb.Result{}, err
+	}
 	if inject == "panic" {
 		panic("simsrv: injected session panic")
 	}
 	run := cfg
 	run.Ctx = ctx
-	result, _, _, rerr := w.RunOn(run)
-	if rerr != nil {
-		return npb.Result{}, rerr
+	result, _, _, err := w.RunOn(run)
+	if err != nil {
+		return npb.Result{}, err
 	}
 	return result, nil
 }

@@ -1,25 +1,28 @@
 // Package simsrv is the fault-tolerant simulator service behind cmd/simd: an
 // HTTP/JSON front end that accepts (machine config, workload, params)
 // requests, runs them on warmed snapshot forks, and returns the run's
-// counters. The batch drivers (cmd/hugeomp, cmd/sweep, cmd/chaos) build one
-// System per cell and crash loudly on any error; the service inverts every
-// one of those assumptions:
+// counters. The batch drivers (cmd/experiments, cmd/sweep, cmd/chaos) build
+// one System per cell and crash loudly on any error; the service inverts
+// every one of those assumptions:
 //
 //   - Cancellation. Each request carries a deadline budget; the run context
 //     is threaded through the OpenMP runtime (omp.RT.Bind) so an abandoned
-//     request stops at its next checkpoint, frees its worker, and leaves an
-//     aborted fork that still passes the full check.All audit.
+//     request stops at its next checkpoint, frees its worker slot, and leaves
+//     an aborted fork that still passes the full check.All audit.
 //
-//   - Admission control. A bounded worker pool (internal/par.Pool) with a
-//     bounded queue refuses work it cannot start promptly — 429 with a
+//   - Admission control. One scheduler admits sessions from one FIFO once a
+//     worker slot is free and the session's estimated footprint fits the
+//     memory budget. A waiting request spends its own deadline budget (504
+//     when it runs out); a full queue refuses at once — 429 with a
 //     Retry-After — instead of queueing unboundedly; a draining server
 //     answers 503.
 //
-//   - Panic quarantine. A panic inside a session is recovered at the session
-//     boundary, turned into a typed error for that request alone, and the
-//     poisoned fork is abandoned. The shared warm snapshot is then audited
-//     through a sibling fork; only if the audit fails is the template itself
-//     quarantined (evicted). The server never dies with a session.
+//   - Panic quarantine. A panic inside a session — template build included —
+//     is recovered at the session boundary, turned into a typed error for
+//     that request alone, and the poisoned fork is abandoned. The shared warm
+//     snapshot is then audited through a sibling fork; only if the audit
+//     fails is the template itself quarantined (evicted). The server never
+//     dies with a session.
 //
 //   - Idempotent retries. Results are memoized under the canonical content
 //     key of the simulated configuration (internal/memo), so a client retry
@@ -32,6 +35,7 @@ package simsrv
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -39,7 +43,6 @@ import (
 	"hugeomp/internal/memo"
 	"hugeomp/internal/memo/diskcache"
 	"hugeomp/internal/npb"
-	"hugeomp/internal/par"
 )
 
 // Typed session errors: every failure a request can observe is classified,
@@ -47,17 +50,20 @@ import (
 var (
 	// ErrSessionPanic wraps a panic recovered at a session boundary.
 	ErrSessionPanic = errors.New("simsrv: session panicked")
-	// ErrSaturated mirrors par.ErrSaturated at the admission layer.
+	// ErrSaturated reports a full admission queue.
 	ErrSaturated = errors.New("simsrv: admission queue full")
 	// ErrDraining reports a server that is shutting down.
 	ErrDraining = errors.New("simsrv: draining")
+
+	errBuildPanicked = errors.New("simsrv: template build panicked in a concurrent session")
 )
 
 // Config sizes the service.
 type Config struct {
 	// Workers bounds concurrent simulations; 0 = GOMAXPROCS.
 	Workers int
-	// Queue bounds admitted-but-not-started simulations; 0 = 2×workers.
+	// Queue bounds sessions waiting for admission (a worker slot or
+	// footprint budget); further arrivals get 429. 0 = 2×workers.
 	Queue int
 	// DefaultDeadline applies when a request names none.
 	DefaultDeadline time.Duration
@@ -84,12 +90,15 @@ type Config struct {
 	// (npb.TemplateBytes per template); 0 = unbounded. Least-recently-used
 	// templates beyond it are evicted and rebuilt cold on next use.
 	TemplateBudget int64
-	// SchedQueue bounds sessions waiting on the footprint budget;
-	// 0 = 2×workers (mirroring the worker pool's queue default).
-	SchedQueue int
 }
 
 func (c Config) withDefaults() Config {
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0) // one simulation saturates one host core
+	}
+	if c.Queue <= 0 {
+		c.Queue = 2 * c.Workers
+	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
 	}
@@ -116,7 +125,6 @@ type Counters struct {
 	Invalid     uint64 `json:"invalid"`      // malformed or oversized requests (4xx)
 	Failed      uint64 `json:"failed"`       // other run failures (500)
 	Retries     uint64 `json:"retries"`      // single-flight retries after a leader abort
-	PoolPanics  uint64 `json:"pool_panics"`  // backstop catches (should stay 0)
 	MemoMisses  uint64 `json:"memo_misses"`  // simulations actually run
 	MemoEvicted uint64 `json:"memo_evicted"` // results dropped by the capacity bound
 }
@@ -131,7 +139,6 @@ type counters struct {
 // Server is the simulator service. Create with NewServer; serve its Handler.
 type Server struct {
 	cfg   Config
-	pool  *par.Pool
 	sched *sched
 	memo  *memo.Cache
 	disk  *diskcache.Store // nil when CacheDir is unset
@@ -157,22 +164,15 @@ type tmplKey struct {
 // unusable CacheDir — a server without a disk cache never errors.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	pool := par.NewPool(cfg.Workers, cfg.Queue)
-	schedQueue := cfg.SchedQueue
-	if schedQueue <= 0 {
-		schedQueue = 2 * pool.Workers()
-	}
 	s := &Server{
 		cfg:   cfg,
-		pool:  pool,
-		sched: newSched(cfg.MemBudget, schedQueue),
+		sched: newSched(cfg.Workers, cfg.MemBudget, cfg.Queue),
 		memo:  memo.NewBounded(cfg.MemoCapacity),
 		tmpls: newTmplPool(cfg.TemplateBudget),
 	}
 	if cfg.CacheDir != "" {
 		disk, err := diskcache.Open(cfg.CacheDir)
 		if err != nil {
-			pool.Close()
 			return nil, err
 		}
 		s.disk = disk
@@ -186,9 +186,10 @@ func NewServer(cfg Config) (*Server, error) {
 // deadlines). Idempotent.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Close drains the worker pool, waiting for queued sessions. Call after
-// Drain and after the HTTP listener has shut down.
-func (s *Server) Close() { s.pool.Close() }
+// Close stops admission — a later cache-missing request gets 503 — and
+// returns once every queued and running session has finished. Call after
+// Drain and after the HTTP listener has shut down. Idempotent.
+func (s *Server) Close() { s.sched.close() }
 
 // Counters snapshots the typed event counts.
 func (s *Server) Counters() Counters {
@@ -205,24 +206,24 @@ func (s *Server) Counters() Counters {
 		Invalid:     s.ctr.invalid.Load(),
 		Failed:      s.ctr.failed.Load(),
 		Retries:     s.ctr.retries.Load(),
-		PoolPanics:  s.pool.Panics(),
 		MemoMisses:  misses,
 		MemoEvicted: s.memo.Evictions(),
 	}
 }
 
-// template returns the warm template for cfg's construction-shaping fields,
-// building it once and settling it into the budget-bounded pool. A
-// quarantined or capacity-evicted template is simply gone from the pool, so
-// the next session rebuilds from scratch — cold construction cannot be
-// poisoned by a dead fork.
-func (s *Server) template(cfg npb.RunConfig, kernel string) (*npb.Warm, tmplKey, error) {
-	key := tmplKey{Kernel: kernel, Class: cfg.Class, Policy: cfg.Policy, HugePages: cfg.HugePages}
-	e := s.tmpls.get(key)
+// template returns e's warm template, building it on first use and
+// settling it into the budget-bounded pool. A quarantined or
+// capacity-evicted template is simply gone from the pool, so the next session
+// rebuilds from scratch — cold construction cannot be poisoned by a dead
+// fork.
+func (s *Server) template(key tmplKey, e *tmplEntry, cfg npb.RunConfig) (*npb.Warm, error) {
 	e.once.Do(func() {
+		// A panicking build leaves this error for the sessions that waited
+		// on the same once; the builder's own session boundary drops e.
+		e.err = errBuildPanicked
 		base := cfg
 		base.Ctx = nil // templates outlive any request
-		e.w, e.err = npb.NewWarm(kernel, base)
+		e.w, e.err = npb.NewWarm(key.Kernel, base)
 		if e.err == nil {
 			e.bytes = npb.TemplateBytes(cfg.Class)
 		}
@@ -231,10 +232,10 @@ func (s *Server) template(cfg npb.RunConfig, kernel string) (*npb.Warm, tmplKey,
 		// Failed construction is not cached: drop the slot so a later
 		// request retries (the failure may have been load-dependent).
 		s.tmpls.drop(key, e)
-		return nil, key, e.err
+		return nil, e.err
 	}
 	s.tmpls.settle(key, e)
-	return e.w, key, nil
+	return e.w, nil
 }
 
 // evictTemplate quarantines one template: future sessions rebuild cold.
@@ -243,24 +244,20 @@ func (s *Server) evictTemplate(key tmplKey, e *tmplEntry) {
 	s.ctr.quarantined.Add(1)
 }
 
-func (s *Server) tmplEntryFor(key tmplKey) *tmplEntry {
-	return s.tmpls.lookup(key)
-}
-
 // Gauges are the service's point-in-time readings — scheduler occupancy,
 // template-pool residency, disk-cache traffic — exposed by /stats next to
 // the monotone Counters.
 type Gauges struct {
-	// Footprint scheduler: sessions waiting on the budget, sessions charged
-	// against it, bytes charged now / at peak, and the configured budget
-	// (0 = unbounded). Waits and rejects are monotone.
-	SchedQueued        int    `json:"sched_queued"`
-	SchedRunning       int    `json:"sched_running"`
-	SchedChargedBytes  int64  `json:"sched_charged_bytes"`
-	SchedPeakBytes     int64  `json:"sched_peak_bytes"`
-	SchedBudgetBytes   int64  `json:"sched_budget_bytes"`
-	SchedBudgetWaits   uint64 `json:"sched_budget_waits"`
-	SchedBudgetRejects uint64 `json:"sched_budget_rejects"`
+	// Admission scheduler: sessions waiting for a worker slot or the
+	// footprint budget, sessions running, bytes charged now / at peak, the
+	// configured budget (0 = unbounded), and the monotone count of sessions
+	// that had to wait. Refusals are Counters.Rejected.
+	SchedQueued       int    `json:"sched_queued"`
+	SchedRunning      int    `json:"sched_running"`
+	SchedChargedBytes int64  `json:"sched_charged_bytes"`
+	SchedPeakBytes    int64  `json:"sched_peak_bytes"`
+	SchedBudgetBytes  int64  `json:"sched_budget_bytes"`
+	SchedBudgetWaits  uint64 `json:"sched_budget_waits"`
 	// Warmed-template pool: settled residents, their estimated bytes, the
 	// budget (0 = unbounded), capacity evictions and cold builds.
 	TemplateResidents   int    `json:"template_residents"`
@@ -289,8 +286,7 @@ func (s *Server) Gauges() Gauges {
 		SchedChargedBytes:   charged,
 		SchedPeakBytes:      s.sched.peakCharged.Load(),
 		SchedBudgetBytes:    s.cfg.MemBudget,
-		SchedBudgetWaits:    s.sched.budgetWaits.Load(),
-		SchedBudgetRejects:  s.sched.budgetRejects.Load(),
+		SchedBudgetWaits:    s.sched.waits.Load(),
 		TemplateResidents:   residents,
 		TemplateBytes:       bytes,
 		TemplateBudgetBytes: s.cfg.TemplateBudget,
