@@ -19,6 +19,10 @@ type equivCfg struct {
 	threads int
 	sharing SharingMode
 	ps      units.PageSize
+	// demand maps nothing up front: an OnFault handler maps each 4 KB page
+	// on its first touch, so translations fault mid-engine the way they do
+	// under the transparent policy.
+	demand bool
 }
 
 func coherentOpteron() Model {
@@ -29,21 +33,24 @@ func coherentOpteron() Model {
 
 func equivConfigs() []equivCfg {
 	return []equivCfg{
-		{"opteron/1thr/partition/4K", Opteron270(), 1, SharePartition, units.Size4K},
-		{"opteron/1thr/partition/2M", Opteron270(), 1, SharePartition, units.Size2M},
-		{"xeon/8thr/partition/4K", XeonHT(), 8, SharePartition, units.Size4K},
-		{"xeon/8thr/sharetrue/2M", XeonHT(), 8, ShareTrue, units.Size2M},
+		{"opteron/1thr/partition/4K", Opteron270(), 1, SharePartition, units.Size4K, false},
+		{"opteron/1thr/partition/2M", Opteron270(), 1, SharePartition, units.Size2M, false},
+		{"xeon/8thr/partition/4K", XeonHT(), 8, SharePartition, units.Size4K, false},
+		{"xeon/8thr/sharetrue/2M", XeonHT(), 8, ShareTrue, units.Size2M, false},
 		// Coherent Opteron: the run-level bus transactions (AccessLines) and
 		// the private-line fast path must be counter-identical to the scalar
 		// per-line protocol. 4 threads so every transaction snoops 3 peers.
-		{"opteron-coherent/4thr/partition/4K", coherentOpteron(), 4, SharePartition, units.Size4K},
-		{"opteron-coherent/4thr/partition/2M", coherentOpteron(), 4, SharePartition, units.Size2M},
+		{"opteron-coherent/4thr/partition/4K", coherentOpteron(), 4, SharePartition, units.Size4K, false},
+		{"opteron-coherent/4thr/partition/2M", coherentOpteron(), 4, SharePartition, units.Size2M, false},
+		{"opteron/1thr/demand/4K", Opteron270(), 1, SharePartition, units.Size4K, true},
 	}
 }
 
 func (cfg equivCfg) mk(t testing.TB) *Context {
 	pt := pagetable.New()
-	mapRange(t, pt, 0, 4*units.MB, cfg.ps)
+	if !cfg.demand {
+		mapRange(t, pt, 0, 4*units.MB, cfg.ps)
+	}
 	m := New(cfg.model)
 	m.Sharing = cfg.sharing
 	m.AttachProcess(pt)
@@ -53,7 +60,19 @@ func (cfg equivCfg) mk(t testing.TB) *Context {
 	}
 	c := ctxs[0]
 	c.SetPageHint(cfg.ps)
+	if cfg.demand {
+		c.OnFault = demandPager(pt)
+	}
 	return c
+}
+
+// demandPager returns an OnFault handler that maps the touched 4 KB page
+// read-write with the frame mapRange(pt, 0, …, Size4K) would give it.
+func demandPager(pt *pagetable.Table) FaultHandler {
+	return func(va units.Addr, write bool) error {
+		page := va &^ units.Addr(units.PageSize4K-1)
+		return pt.Map(page, units.Size4K, uint64(int64(page)/units.PageSize4K), pagetable.ProtRW)
+	}
 }
 
 // TestAccessRangeEquivalenceProperty: for arbitrary (start, count, stride,

@@ -118,6 +118,23 @@ func mkFuzzWorld(t testing.TB, ps units.PageSize) fuzzWorld {
 	return fuzzWorld{c: ctxs[0], pt: pt}
 }
 
+// mkDemandWorld is a fuzz world that maps nothing up front: demandPager maps
+// each 4 KB page on its first touch, so every engine runs with a fault
+// handler installed.
+func mkDemandWorld(t testing.TB) fuzzWorld {
+	pt := pagetable.New()
+	m := New(Opteron270())
+	m.AttachProcess(pt)
+	ctxs, err := m.Configure(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ctxs[0]
+	c.SetPageHint(units.Size4K)
+	c.OnFault = demandPager(pt)
+	return fuzzWorld{c: c, pt: pt}
+}
+
 // demoteChunk mirrors thp.Manager.Demote's degradation recipe on one world:
 // unmap the 2MB chunk, queue the shootdown, and re-map the same physical
 // frames as 512 4KB pages. Reports whether the chunk was actually demoted
@@ -154,14 +171,18 @@ func FuzzScalarFastPath(f *testing.F) {
 		if len(data) < 3 {
 			t.Skip()
 		}
-		// Byte 0 picks the initial page-size policy; 2MB policies give the
-		// degradation op something to demote.
-		ps := units.Size4K
-		if data[0]&1 == 1 {
-			ps = units.Size2M
+		// Byte 0 picks the world: 4KB or 2MB pages mapped up front (2MB
+		// gives the degradation op something to demote), or demand-paged
+		// 4KB pages mapped by a fault handler on first touch.
+		var com, ref fuzzWorld // committed engines, per-element reference
+		switch data[0] % 3 {
+		case 0:
+			com, ref = mkFuzzWorld(t, units.Size4K), mkFuzzWorld(t, units.Size4K)
+		case 1:
+			com, ref = mkFuzzWorld(t, units.Size2M), mkFuzzWorld(t, units.Size2M)
+		default:
+			com, ref = mkDemandWorld(t), mkDemandWorld(t)
 		}
-		com := mkFuzzWorld(t, ps) // committed fast path
-		ref := mkFuzzWorld(t, ps) // per-element reference
 
 		const span = 4 * units.MB
 		for i := 1; i+2 < len(data); i += 3 {
@@ -227,4 +248,52 @@ func FuzzScalarFastPath(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFaultShootdownDrainsAtWindow pins where a shootdown that a fault
+// handler queues on its own context lands: the handler maps the one page of
+// a 512-element, stride-8 range on its first touch and queues a shootdown of
+// it, so the page must be walked twice — once at the fault, and again where
+// the next drain poll applies the shootdown. The reference polls every
+// element; the committed engine polls every drainWindow elements from the
+// call's start, so its re-walk lands at element 64. A rule that polled only
+// at page-segment starts would never re-walk inside the page.
+func TestFaultShootdownDrainsAtWindow(t *testing.T) {
+	run := func(ref bool) *Context {
+		pt := pagetable.New()
+		m := New(Opteron270())
+		m.AttachProcess(pt)
+		ctxs, err := m.Configure(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ctxs[0]
+		c.SetPageHint(units.Size4K)
+		pager := demandPager(pt)
+		c.OnFault = func(va units.Addr, write bool) error {
+			if err := pager(va, write); err != nil {
+				return err
+			}
+			c.InvalidatePage(va&^units.Addr(units.PageSize4K-1), units.Size4K)
+			return nil
+		}
+		if ref {
+			c.AccessRangeScalar(0, 512, 8, false)
+		} else {
+			c.AccessRange(0, 512, 8, false)
+		}
+		return c
+	}
+	com, ref := run(false), run(true)
+	for _, c := range []*Context{com, ref} {
+		if got := walks(c); got != 2 {
+			t.Errorf("walks = %d, want 2 (the fault's walk and the re-walk after the drain)", got)
+		}
+		if c.Ctr.SoftFaults != 1 {
+			t.Errorf("soft faults = %d, want 1", c.Ctr.SoftFaults)
+		}
+	}
+	if com.Ctr != ref.Ctr {
+		t.Errorf("counters diverge:\ncommitted: %+v\nreference: %+v", com.Ctr, ref.Ctr)
+	}
 }
