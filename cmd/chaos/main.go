@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -146,12 +147,22 @@ func main() {
 	if *cacheDir != "" {
 		log.Fatal("-cache-dir requires -serve")
 	}
-
-	class, err := npb.ParseClass(*classFlag)
-	if err != nil {
+	if err := faultSoak(os.Stdout, *plans, strings.Split(*kernels, ","), *classFlag, *threads, *seed, *verbose); err != nil {
 		log.Fatal(err)
 	}
-	names := strings.Split(*kernels, ",")
+	os.Exit(0)
+}
+
+// faultSoak is chaos's fault-plan campaign: plans seeded fault plans (plan i
+// uses seed+i) over each of names at the given class, every run verified
+// against the fault-free numerics, audited by internal/check and replayed
+// to bit-identical counters, then a degradation report. It writes its
+// report to w and returns the first violation.
+func faultSoak(w io.Writer, plans int, names []string, className string, threads int, seed uint64, verbose bool) error {
+	class, err := npb.ParseClass(className)
+	if err != nil {
+		return err
+	}
 	model := machine.Opteron270()
 
 	// Fault-free baselines: the numerics every fault run must reproduce and
@@ -171,13 +182,13 @@ func main() {
 	cache := memo.New()
 	warm4K := make(map[string]*npb.Warm, len(names))
 	for _, name := range names {
-		w, err := npb.NewWarm(name, npb.RunConfig{
-			Model: model, Threads: *threads, Policy: core.Policy4K, Class: class,
+		wt, err := npb.NewWarm(name, npb.RunConfig{
+			Model: model, Threads: threads, Policy: core.Policy4K, Class: class,
 		})
 		if err != nil {
-			log.Fatalf("baseline template %s: %v", name, err)
+			return fmt.Errorf("baseline template %s: %w", name, err)
 		}
-		warm4K[name] = w
+		warm4K[name] = wt
 	}
 	type baseKey struct {
 		kernel  string
@@ -186,7 +197,7 @@ func main() {
 	baseSum := make(map[baseKey]float64)
 	baseRes := make(map[baseKey]npb.Result)
 	for _, name := range names {
-		for _, th := range []int{1, *threads} {
+		for _, th := range []int{1, threads} {
 			key := baseKey{name, th}
 			if _, ok := baseSum[key]; ok {
 				continue
@@ -203,7 +214,7 @@ func main() {
 					}
 					return baseline{Res: res, Sum: sum}, nil
 				}, &b); err != nil {
-				log.Fatalf("baseline %s: %v", name, err)
+				return fmt.Errorf("baseline %s: %w", name, err)
 			}
 			baseSum[key] = b.Sum
 			baseRes[key] = b.Res
@@ -215,9 +226,9 @@ func main() {
 	cells := make([]struct {
 		c      campaign
 		kernel string
-	}, 0, *plans*len(names))
-	for i := 0; i < *plans; i++ {
-		c := newCampaign(*seed, i, *threads)
+	}, 0, plans*len(names))
+	for i := 0; i < plans; i++ {
+		c := newCampaign(seed, i, threads)
 		for _, name := range names {
 			cells = append(cells, struct {
 				c      campaign
@@ -270,7 +281,7 @@ func main() {
 		}, nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var degradedRuns, faultedRuns int
@@ -281,37 +292,37 @@ func main() {
 		if o.injected > 0 {
 			faultedRuns++
 		}
-		if *verbose {
+		if verbose {
 			base := baseRes[baseKey{o.kernel, o.campaign.threads}]
-			fmt.Printf("  %-2s %-44s busy %s  os[%s]  %s\n",
+			fmt.Fprintf(w, "  %-2s %-44s busy %s  os[%s]  %s\n",
 				o.kernel, o.campaign.desc,
 				stats.FormatFactor(stats.Factor(base.Counters.Busy, o.res.Counters.Busy)),
 				o.res.OS, o.planDesc)
 		}
 	}
 
-	fmt.Printf("chaos: %d plans × %d kernels (class %s): all runs verified, invariants held, replays identical\n",
-		*plans, len(names), *classFlag)
-	fmt.Printf("chaos: %d/%d cells injected at least one fault; %d ran degraded (4 KB fallback)\n",
+	fmt.Fprintf(w, "chaos: %d plans × %d kernels (class %s): all runs verified, invariants held, replays identical\n",
+		plans, len(names), className)
+	fmt.Fprintf(w, "chaos: %d/%d cells injected at least one fault; %d ran degraded (4 KB fallback)\n",
 		faultedRuns, len(outcomes), degradedRuns)
 
 	// Degradation report: healthy 2 MB backing vs. the forced 4 KB fallback.
 	// The healthy rows fork a warmed 2 MB snapshot per kernel (and memoize);
 	// the empty-pool rows must construct cold — the fallback they measure
 	// happens during construction.
-	fmt.Println("\ndegradation report (2MB pool vs vm.nr_hugepages=0, same binary, same numerics):")
-	fmt.Printf("  %-3s %14s %14s %10s %10s %10s\n", "app", "walks(2M)", "walks(0)", "walks", "busy", "fallback")
+	fmt.Fprintln(w, "\ndegradation report (2MB pool vs vm.nr_hugepages=0, same binary, same numerics):")
+	fmt.Fprintf(w, "  %-3s %14s %14s %10s %10s %10s\n", "app", "walks(2M)", "walks(0)", "walks", "busy", "fallback")
 	for _, name := range names {
 		w2M, err := npb.NewWarm(name, npb.RunConfig{
-			Model: model, Threads: *threads, Policy: core.Policy2M, Class: class,
+			Model: model, Threads: threads, Policy: core.Policy2M, Class: class,
 		})
 		if err != nil {
-			log.Fatalf("degradation template %s: %v", name, err)
+			return fmt.Errorf("degradation template %s: %w", name, err)
 		}
 		healthy, degraded := npb.Result{}, npb.Result{}
 		for _, hp := range []int{0, core.NoHugePages} {
 			cfg := npb.RunConfig{
-				Model: model, Threads: *threads, Policy: core.Policy2M,
+				Model: model, Threads: threads, Policy: core.Policy2M,
 				Class: class, HugePages: hp,
 			}
 			var b baseline
@@ -334,10 +345,10 @@ func main() {
 					}
 					return baseline{Res: res, Sum: npb.Checksum(k)}, nil
 				}, &b); err != nil {
-				log.Fatalf("degradation report %s: %v", name, err)
+				return fmt.Errorf("degradation report %s: %w", name, err)
 			}
-			if b.Sum != baseSum[baseKey{name, *threads}] {
-				log.Fatalf("degradation report %s: numerics changed", name)
+			if b.Sum != baseSum[baseKey{name, threads}] {
+				return fmt.Errorf("degradation report %s: numerics changed", name)
 			}
 			if hp == 0 {
 				healthy = b.Res
@@ -346,16 +357,16 @@ func main() {
 			}
 		}
 		if !degraded.Degraded || healthy.Degraded {
-			log.Fatalf("degradation report %s: fallback flags wrong (healthy=%v degraded=%v)",
+			return fmt.Errorf("degradation report %s: fallback flags wrong (healthy=%v degraded=%v)",
 				name, healthy.Degraded, degraded.Degraded)
 		}
-		fmt.Printf("  %-3s %14d %14d %10s %10s %10d\n", name,
+		fmt.Fprintf(w, "  %-3s %14d %14d %10s %10s %10d\n", name,
 			healthy.Counters.DTLBWalks(), degraded.Counters.DTLBWalks(),
 			stats.FormatFactor(stats.Factor(healthy.Counters.DTLBWalks(), degraded.Counters.DTLBWalks())),
 			stats.FormatFactor(stats.Factor(healthy.Counters.Busy, degraded.Counters.Busy)),
 			degraded.OS.HugePageFallbacks)
 	}
 	hits, misses := cache.Stats()
-	fmt.Printf("\nmemo: %d reference simulations, %d reuses served from cache\n", misses, hits)
-	os.Exit(0)
+	fmt.Fprintf(w, "\nmemo: %d reference simulations, %d reuses served from cache\n", misses, hits)
+	return nil
 }

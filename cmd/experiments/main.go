@@ -6,7 +6,6 @@
 //
 //	experiments -class A            # everything (minutes)
 //	experiments -class W -only fig5 # one experiment
-//	experiments -bench              # measure simulator perf -> BENCH_simulator.json
 package main
 
 import (
@@ -24,71 +23,11 @@ func main() {
 	class := flag.String("class", "W", "problem class: T, S, W or A")
 	only := flag.String("only", "", "run one experiment: table1, table2, fig3, fig4, fig5 or extensions")
 	plot := flag.Bool("plot", false, "render fig4/fig5 as ASCII bar charts instead of tables")
-	doBench := flag.Bool("bench", false, "measure simulator host-side performance and write -bench-out")
-	benchOut := flag.String("bench-out", "BENCH_simulator.json", "output path for -bench")
-	baseline := flag.Bool("bench-baseline", false, "re-measure the dense and gather fast paths and fail if either regressed >2x vs -bench-out")
-	serveBench := flag.Bool("serve-bench", false, "measure only the service-scale throughput section and enforce its floors")
 	flag.Parse()
 
 	cl, err := npb.ParseClass(*class)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *serveBench {
-		svc, err := bench.MeasureServiceThroughput()
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("service: %d mixed requests (%d unique): warm-restart %.2fs (%.0f req/s, %.0f%% cache-answered, %d disk hits, %d disk misses) vs no-disk-cache single-template baseline %.2fs (%.0f req/s) = %.1fx",
-			svc.Requests, svc.UniqueConfigs,
-			svc.ServiceSeconds, svc.ServiceRPS, svc.WarmRestartHitPct, svc.DiskHits, svc.DiskMisses,
-			svc.BaselineSeconds, svc.BaselineRPS, svc.SpeedupX)
-		if svc.SpeedupX < 3.0 {
-			log.Fatalf("service throughput %.2fx < 3.0x floor", svc.SpeedupX)
-		}
-		if svc.WarmRestartHitPct < 90 {
-			log.Fatalf("warm restart answered only %.0f%% of requests from cache, floor 90%%", svc.WarmRestartHitPct)
-		}
-		log.Print("service-scale floors hold (>=3x over baseline, >=90% warm-restart cache share)")
-		return
-	}
-	if *baseline {
-		report, err := bench.RegressionCheck(*benchOut)
-		if report != "" {
-			log.Print(report)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Print("fast paths within 2x of committed baseline")
-		return
-	}
-	if *doBench {
-		perf, err := bench.MeasureSimPerf(cl, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := bench.WriteSimPerf(f, perf); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Print(bench.FormatSimPerf(perf))
-		for _, sweep := range [][]bench.MulticorePoint{perf.Multicore, perf.MulticoreMG} {
-			for _, m := range sweep {
-				if m.Capped {
-					log.Printf("note: %d simulated threads time-sliced over %d host procs (host has %d); speedup understated",
-						m.Threads, m.GOMAXPROCS, perf.HostProcs)
-				}
-			}
-		}
-		log.Printf("wrote %s", *benchOut)
-		return
 	}
 	w := os.Stdout
 	switch *only {

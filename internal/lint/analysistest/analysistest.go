@@ -48,7 +48,7 @@ func TestData() string {
 // mismatch between its diagnostics and the corpus's want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgname string) {
 	t.Helper()
-	pass, err := loadPackage(testdata, pkgname)
+	pass, err := Load(testdata, pkgname)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,10 @@ func splitLits(t *testing.T, pos, s string) []string {
 	return out
 }
 
-func loadPackage(testdata, pkgname string) (*analysis.Pass, error) {
+// Load type-checks testdata/src/<pkgname> as Run does and returns its pass
+// with no analyzer, reporter or fact store attached — the input of the
+// interprocedural infrastructure's own tests.
+func Load(testdata, pkgname string) (*analysis.Pass, error) {
 	dir := filepath.Join(testdata, "src", pkgname)
 	entries, err := os.ReadDir(dir)
 	if err != nil {

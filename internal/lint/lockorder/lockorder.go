@@ -71,11 +71,10 @@ var Analyzer = &analysis.Analyzer{
 // Order is the documented lock hierarchy, outermost first: "<" separates
 // rank levels, "," separates classes sharing a level. A class is either a
 // qualified mutex field ("Context.l2Mu") or a bare owner type ("Cache",
-// matching any mutex field it owns). Snapshot (fork template freeze) and
-// SpinLock (simulated lock word) sit above the memory system: both hold
-// their mutex while driving cache traffic, never the reverse. The driver
-// exposes it as -lockorder.order.
-var Order = "Snapshot, SpinLock < Context.l2Mu < busShard < Cache, cacheFields"
+// matching any mutex field it owns). Snapshot (fork template freeze) sits
+// above the memory system: it holds its mutex while driving cache traffic,
+// never the reverse. The driver exposes it as -lockorder.order.
+var Order = "Snapshot < Context.l2Mu < busShard < Cache, cacheFields"
 
 // Packages limits *reporting* to the packages that participate in the
 // simulator's lock hierarchy (summaries and edges are still computed

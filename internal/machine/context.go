@@ -3,7 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,19 +57,6 @@ type Context struct {
 	dataHint  units.PageSize
 	fetchHint units.PageSize
 
-	// Address-pattern memo: the line of the last committed single access and
-	// whether that probe was a write. A repeat touch of the same line is an
-	// L1 hit by construction (the line is resident and MRU, and this context
-	// is the only mutator of its L1), so spinlock spins, reduction cells and
-	// barrier-flag polls fold into bulk-accounted hit cycles without
-	// re-probing — the same trick the bulk paths' runExtra plays for line
-	// runs. Valid only while no drain, flush or range/gather engine has run
-	// since the probe; never armed in true-sharing mode (coreMu != nil),
-	// where a sibling can evict the line.
-	foldLine uint64
-	foldMod  bool
-	foldOK   bool
-
 	// Fetch micro-TLB: the translation of the last code page touched.
 	// Consecutive same-page fetches are ITLB hits by construction, so
 	// skipping the probe is behaviour-preserving.
@@ -82,25 +69,19 @@ type Context struct {
 	lastMissLine  uint64
 	lastMissValid bool
 
-	// Translation cache: a direct-mapped host-side cache covering every
-	// scalar translation. Each slot packs two independently valid facts
-	// about one 4 KB-granule VPN: the page-walk result (generation-stamped
-	// via xlatGen, so repeat walks to an unchanged table never take the
-	// table's RWMutex) and a DTLB L1 way handle (validated against the live
-	// TLB on every use, so scalar accesses that stay TLB-resident skip the
-	// whole probe cascade). Purely a simulator fast path — simulated costs
-	// are charged identically either way. Only the owning goroutine touches
-	// it; see walk and translateScalar for the validity protocols.
+	// Translation cache: a direct-mapped host-side cache of page-walk
+	// results, generation-stamped via xlatGen so repeat walks to an
+	// unchanged table never take the table's RWMutex. Purely a simulator
+	// fast path — simulated costs are charged identically either way. Only
+	// the owning goroutine touches it; see walk for the validity protocol.
 	xlat []xlatSlot
-	// xlatGen is the pagetable generation the walk halves of xlat were
-	// filled under; a mismatch with pt.Gen() lazily wipes the cache (the
-	// epoch sweep that replaced per-slot generation stamps).
+	// xlatGen is the pagetable generation xlat was filled under; a mismatch
+	// with pt.Gen() lazily wipes the cache.
 	xlatGen uint64
 
 	// Scratch buffers for GatherRange/ScatterRange index sorting, reused
 	// across calls so steady-state gathers are allocation-free.
 	idxSort []int64
-	idxTmp  []int64
 	idxCnt  []int32
 
 	// Run-batch scratch for the coherent-bus bulk paths (see flushRuns),
@@ -135,24 +116,12 @@ type shootReq struct {
 // in 64 KB per context; conflicts merely fall back to a locked walk.
 const xlatSlots = 4096
 
-// xlatSlot key bits. The key is vpn<<2 with two validity bits: xlatWay marks
-// the TLB way handle (low byte of val) valid, xlatWalk the packed page-walk
-// result (upper bits of val). The zero key carries neither bit, so a zeroed
-// cache is empty.
-const (
-	xlatWalk = 1 << 0
-	xlatWay  = 1 << 1
-)
-
-// xlatSlot caches what the simulator knows about one 4 KB-granule VPN in 16
-// bytes: val's low byte holds the DTLB L1 way (7 bits) and page-size class
-// (1 bit) for the scalar fast path, and its upper bits a
-// pagetable.WalkResult packed by pagetable.Pack. Either half may be valid
-// without the other (ITLB walks install no way; TLB-hit memoisation installs
-// no walk result).
+// xlatSlot caches the page-walk result of one 4 KB-granule VPN in 16 bytes:
+// key is vpn<<1|1, so a zeroed slot is empty, and wr the result packed by
+// pagetable.Pack.
 type xlatSlot struct {
 	key uint64
-	val uint64
+	wr  uint64
 }
 
 // HasSibling reports whether an SMT sibling is co-scheduled on this core.
@@ -166,11 +135,6 @@ func (c *Context) DTLB() *tlb.Hierarchy { return c.dtlb }
 
 // ITLB exposes the instruction-TLB stack.
 func (c *Context) ITLB() *tlb.Hierarchy { return c.itlb }
-
-func (c *Context) resetPageCache() {
-	c.foldOK = false
-	c.fetchCacheOK = false
-}
 
 // SetPageHint primes the page-size probe order (the core layer sets it from
 // the allocation policy so the common class is probed first).
@@ -235,49 +199,6 @@ func (c *Context) countL1Miss(s units.PageSize) {
 	}
 }
 
-// translateScalar resolves va for the scalar access paths, returning the
-// page mask, the writability the page state may assume, and the cycle cost
-// beyond a first-level TLB hit. It fronts translateData with the xlat way
-// memo: a slot whose page-size class matches the probe hint and whose
-// memoised DTLB L1 way still holds the VPN (L1HitAt — which performs exactly
-// the recency refresh and hit accounting a Lookup hit would) resolves in one
-// validated probe, skipping the filter load and scan of the full cascade.
-// The size gate is what makes the memo hit byte-identical to translateData:
-// it proves the full path's first-probed class would have hit L1, so the
-// outcome, the zero cycle cost and the unchanged probe hint all coincide. A
-// failed validation has no effect and falls through to the full path, which
-// re-memoises: every translation resolved by translateData sits at its L1
-// set's MRU position, so the handle is O(1) to capture. Caller holds the
-// core lock in true-sharing mode.
-//
-//simlint:hotpath
-func (c *Context) translateScalar(va units.Addr, write bool) (units.Addr, bool, uint64) {
-	vpn := uint64(va) >> units.PageShift4K
-	slot := &c.xlat[vpn&(xlatSlots-1)]
-	if slot.key>>2 == vpn && slot.key&xlatWay != 0 {
-		size := units.PageSize(slot.val >> 7 & 1)
-		if size == c.dataHint &&
-			c.dtlb.L1HitAt(size, int(slot.val&0x7f), size.VPN(va), write) {
-			return size.Mask(), write, 0
-		}
-	}
-	size, writable, cyc := c.translateData(va, write)
-	if w := c.dtlb.L1MRUWay(size, size.VPN(va)); w >= 0 {
-		memo := uint64(w) | uint64(size)<<7
-		if slot.key>>2 == vpn {
-			slot.key |= xlatWay
-			slot.val = slot.val&^0xff | memo
-		} else {
-			// Direct-mapped conflict: the way memo displaces the slot's
-			// previous VPN entirely (a half-valid mix of two pages would be
-			// unsound).
-			slot.key = vpn<<2 | xlatWay
-			slot.val = memo
-		}
-	}
-	return size.Mask(), writable, cyc
-}
-
 // walk resolves va through the page table, retrying after serviced faults.
 // Repeat walks are served from the per-context translation cache: the cache
 // as a whole is stamped with the table generation its walk results were
@@ -297,8 +218,8 @@ func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
 		c.xlatGen = gen
 	}
 	slot := &c.xlat[vpn&(xlatSlots-1)]
-	if slot.key>>2 == vpn && slot.key&xlatWalk != 0 {
-		wr := pagetable.UnpackWalk(slot.val >> 8)
+	if slot.key == vpn<<1|1 {
+		wr := pagetable.UnpackWalk(slot.wr)
 		need := pagetable.ProtRead
 		if write {
 			need = pagetable.ProtWrite
@@ -311,13 +232,7 @@ func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
 		wr, err := c.pt.Access(va, write)
 		if err == nil {
 			if packed, ok := wr.Pack(); ok {
-				if slot.key>>2 == vpn {
-					slot.key |= xlatWalk
-					slot.val = slot.val&0xff | packed<<8
-				} else {
-					slot.key = vpn<<2 | xlatWalk
-					slot.val = packed << 8
-				}
+				*slot = xlatSlot{key: vpn<<1 | 1, wr: packed}
 			}
 			return wr
 		}
@@ -457,8 +372,8 @@ func (c *Context) pushRun(line uint64, extra int32) {
 //     run's outcome is known).
 //
 // The per-line counter updates and cache-state evolution are exactly those
-// of the per-line path; the equivalence is property-tested against
-// AccessRangeScalar/GatherRangeScalar on coherent machines.
+// of the per-line path; the equivalence is property-tested against the
+// per-element reference engines on coherent machines.
 //
 //simlint:hotpath
 func (c *Context) flushRuns(write bool) uint64 {
@@ -566,12 +481,8 @@ func (c *Context) flushRuns(write bool) uint64 {
 	return busy
 }
 
-// dataAccess commits one scalar data access. The fast path is the
-// address-pattern fold: a repeat touch of the last line charges one
-// bulk-accounted L1 hit without translating or probing (see the foldLine
-// field docs for the equivalence argument — a write only folds onto a
-// previous write, whose probe left the line Modified). Everything else
-// resolves through the translation memo and the cache hierarchy.
+// dataAccess commits one scalar data access through the full
+// translate→TLB→L1→L2 cascade.
 //
 //simlint:hotpath
 func (c *Context) dataAccess(va units.Addr, write bool) {
@@ -584,20 +495,8 @@ func (c *Context) dataAccess(va units.Addr, write bool) {
 	if c.shootFlag.Load() {
 		c.drainShootdowns()
 	}
-	line := uint64(va) >> lineShift
-	if c.foldOK && line == c.foldLine && (!write || c.foldMod) {
-		c.Ctr.L1Hits++
-		c.unlockCore()
-		c.Ctr.Busy += c.costs.ExecCyc + c.costs.L1HitCyc
-		return
-	}
-	cyc := c.costs.ExecCyc
-	_, _, tcyc := c.translateScalar(va, write)
-	cyc += tcyc
-	cyc += c.cacheAccess(line, write)
-	if c.coreMu == nil {
-		c.foldLine, c.foldMod, c.foldOK = line, write, true
-	}
+	_, _, cyc := c.translateData(va, write)
+	cyc += c.costs.ExecCyc + c.cacheAccess(uint64(va)>>lineShift, write)
 	c.unlockCore()
 	c.Ctr.Busy += cyc
 }
@@ -609,15 +508,8 @@ func (c *Context) Load(va units.Addr) { c.dataAccess(va, false) }
 func (c *Context) Store(va units.Addr) { c.dataAccess(va, true) }
 
 // AccessRange simulates n accesses at base, base+stride, base+2·stride, …
-// with exact TLB/cache behaviour. Non-zero-stride runs take the bulk fast
-// path, which computes the identical counter updates in O(pages·lines)
-// instead of O(elements): one translation per page segment and, for stride
-// magnitudes below the cache-line size, one cache lookup per line run with
-// the remaining same-line accesses bulk-accounted as the L1 hits they are by
-// construction (negative strides walk the segments in descending address
-// order). Zero strides and contexts with a fault handler installed (SCASH
-// coherence, transparent huge pages — where a walk can change the mapping
-// mid-run) fall back to the scalar reference path.
+// with exact TLB/cache behaviour, in O(pages·lines) rather than O(elements)
+// (see rangeBulk). Strides may be negative or zero.
 func (c *Context) AccessRange(base units.Addr, n int, stride int64, write bool) {
 	if n <= 0 {
 		return
@@ -628,222 +520,111 @@ func (c *Context) AccessRange(base units.Addr, n int, stride int64, write bool) 
 		c.Ctr.Loads += uint64(n)
 	}
 	c.lockCore()
-	c.foldOK = false
-	var busy uint64
-	if stride != 0 && c.OnFault == nil {
-		busy = c.rangeBulk(base, n, stride, write)
-	} else {
-		busy = c.rangeScalar(base, n, stride, write)
-	}
+	busy := c.rangeBulk(base, n, stride, write)
 	c.unlockCore()
 	c.Ctr.Busy += busy
 }
 
-// AccessRangeScalar is the O(elements) reference implementation of
-// AccessRange: every element is translated and cache-probed individually
-// through the pristine cascade (no translation memo, no fold, per-element
-// drain polls). The committed paths are property-tested to produce
-// byte-identical counters (TestAccessRangeEquivalenceProperty,
-// FuzzScalarFastPath); this entry point exists for those tests and for the
-// before/after micro-benchmarks.
-func (c *Context) AccessRangeScalar(base units.Addr, n int, stride int64, write bool) {
-	if n <= 0 {
-		return
-	}
-	if write {
-		c.Ctr.Stores += uint64(n)
-	} else {
-		c.Ctr.Loads += uint64(n)
-	}
-	c.lockCore()
-	c.foldOK = false
-	busy := c.rangeScalarRef(base, n, stride, write)
-	c.unlockCore()
-	c.Ctr.Busy += busy
-}
-
-// AccessScalarRef is the pristine single-access reference: one element of
-// rangeScalarRef. It is what Load/Store commit to being equivalent with —
-// the fuzz harness replays committed op streams through it and compares
-// counters byte-for-byte.
-func (c *Context) AccessScalarRef(va units.Addr, write bool) {
-	if write {
-		c.Ctr.Stores++
-	} else {
-		c.Ctr.Loads++
-	}
-	c.lockCore()
-	c.foldOK = false
-	busy := c.rangeScalarRef(va, 1, 0, write)
-	c.unlockCore()
-	c.Ctr.Busy += busy
-}
-
-// drainWindow is the element interval at which the scalar range/gather
-// engines poll shootFlag. The mailbox contract is "applied at a subsequent
-// access of the owning context", which any polling interval satisfies; the
-// window turns n atomic loads into n/64 without changing where quiescent
-// runs drain (a stream with no shootdown in flight drains nowhere, and one
-// with a shootdown pending at entry drains at element 0 either way — the
-// property test in scalar_ref_test.go pins both). Must be a power of two.
+// drainWindow is the element interval at which the range and gather engines
+// poll shootFlag: at elements 0, drainWindow, 2·drainWindow, … of each call.
+// The mailbox contract is "applied at a subsequent access of the owning
+// context", which any polling interval satisfies. A shootdown pending at
+// entry drains at element 0, exactly where the per-element reference drains
+// it; one a fault handler queues on its own context mid-call drains at the
+// next window boundary; a quiescent stream drains nowhere. The tests in
+// scalar_ref_test.go pin all three. Must be a power of two.
 const drainWindow = 64
 
-// rangeScalar is the committed per-element engine behind the scalar range
-// entry points (zero strides, fault-handler contexts). It keeps the page
-// translation and the single-line fold in loop locals: one translation per
-// page run and one cache probe per line run, with repeat touches
-// bulk-accounted as the L1 hits they are by construction — byte-identical
-// counters to rangeScalarRef's element-at-a-time cascade. Shootdowns drain
-// at drainWindow boundaries, resetting both memos. Caller holds the core
-// lock.
-//
-//simlint:hotpath
-func (c *Context) rangeScalar(base units.Addr, n int, stride int64, write bool) uint64 {
-	var busy uint64
-	var pageBase, pageMask units.Addr
-	var pageW, pageOK bool
-	var foldLine uint64
-	foldOK := false
-	canFold := c.coreMu == nil
-	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
-	for i := 0; i < n; i++ {
-		if i&(drainWindow-1) == 0 && c.shootFlag.Load() {
-			c.drainShootdowns()
-			pageOK, foldOK = false, false
-		}
-		va := base + units.Addr(int64(i)*stride)
-		line := uint64(va) >> lineShift
-		if foldOK && line == foldLine {
-			c.Ctr.L1Hits++
-			busy += hitCyc
-			continue
-		}
-		cyc := c.costs.ExecCyc
-		if !pageOK || va&^pageMask != pageBase || (write && !pageW) {
-			mask, w, tcyc := c.translateScalar(va, write)
-			cyc += tcyc
-			pageMask, pageBase, pageW, pageOK = mask, va&^mask, w, true
-		}
-		cyc += c.cacheAccess(line, write)
-		if canFold {
-			foldLine, foldOK = line, true
-		}
-		busy += cyc
-	}
-	return busy
-}
-
-// rangeScalarRef is the pristine per-element reference engine: every element
-// runs the full translate→TLB→L1→L2 cascade with no memo, no fold and a
-// per-element drain poll. The committed engines (rangeScalar, rangeBulk) are
-// property- and fuzz-tested to produce byte-identical counters. Caller holds
-// the core lock.
-func (c *Context) rangeScalarRef(base units.Addr, n int, stride int64, write bool) uint64 {
-	var busy uint64
-	for i := 0; i < n; i++ {
-		va := base + units.Addr(int64(i)*stride)
-		cyc := c.costs.ExecCyc
-		if c.shootFlag.Load() {
-			c.drainShootdowns()
-		}
-		_, _, tcyc := c.translateData(va, write)
-		cyc += tcyc
-		cyc += c.cacheAccess(uint64(va)>>lineShift, write)
-		busy += cyc
-	}
-	return busy
-}
-
-// rangeBulk is the O(pages·lines) fast path. The range is decomposed into
-// page segments (one translation each — exactly what the per-element
-// micro-TLB check would do, since the write-upgrade re-probe can only fire
-// on a segment's first element) and each segment into cache-line runs: after
-// a run's head access the line is resident, so the remaining same-line
-// accesses are L1 hits by construction and are accounted in bulk. Skipping
-// their individual probes also skips LRU stamp refreshes, but a skip only
-// happens inside a run of accesses to one line, so the relative recency of
-// distinct lines — all that LRU replacement observes — is unchanged.
-// Shootdowns are drained at page-segment granularity (the mailbox contract
-// is "applied at the next access", which this satisfies). Negative strides
-// walk the same decomposition in descending address order: a segment ends
-// when the address drops below the page base, a run when it drops below the
-// line base. Caller holds the core lock; stride must be non-zero and OnFault
-// nil.
+// rangeBulk is the range engine. The range is decomposed into segments —
+// a segment ends at a page edge or a drain-window boundary — with one
+// translation per page (exactly what the per-element micro-TLB check would
+// do, since the write-upgrade re-probe can only fire on a page's first
+// element) and each segment into cache-line runs: after a run's head access
+// the line is resident, so the remaining same-line accesses are L1 hits by
+// construction and are accounted in bulk. Skipping their individual probes
+// also skips LRU stamp refreshes, but a skip only happens inside a run of
+// accesses to one line, so the relative recency of distinct lines — all
+// that LRU replacement observes — is unchanged. A drain re-translates and
+// re-probes the element it lands on. Negative strides walk the same
+// decomposition in descending address order: a segment ends when the
+// address drops below the page base, a run when it drops below the line
+// base. A zero stride is one run per segment. Fault-handler contexts (SCASH
+// coherence, transparent huge pages) take the same path: a fault is served
+// inside the segment's translation, and any shootdown it queues drains at
+// the next window boundary. Caller holds the core lock.
 func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) uint64 {
 	var busy uint64
 	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
 	batched := c.batchRuns()
 	var pageBase, pageMask units.Addr
 	var pageW, pageOK bool
+	pageEnd := 0 // index one past the last element on the translated page
 	abs := stride
 	if abs < 0 {
 		abs = -abs
 	}
+	// When a positive stride divides the line size, every line-aligned run
+	// holds exactly lineSize/stride elements, so the run-length division is
+	// needed only for partial (unaligned) runs.
+	kFull := 0
+	if stride > 0 && units.CacheLineSize%stride == 0 {
+		kFull = int(units.CacheLineSize / stride)
+	}
 	for i := 0; i < n; {
-		if c.shootFlag.Load() {
+		if i&(drainWindow-1) == 0 && c.shootFlag.Load() {
 			c.drainShootdowns()
 			pageOK = false
 		}
 		va := base + units.Addr(int64(i)*stride)
 		if !pageOK || va&^pageMask != pageBase || (write && !pageW) {
-			mask, w, tcyc := c.translateScalar(va, write)
+			size, w, tcyc := c.translateData(va, write)
 			busy += tcyc
-			pageMask, pageBase, pageW, pageOK = mask, va&^mask, w, true
+			pageMask = size.Mask()
+			pageBase, pageW, pageOK = va&^pageMask, w, true
+			// Elements landing on this page: ascending,
+			// ceil((pageEnd−va)/stride); descending, those down to the page
+			// base inclusive; zero stride, all of them.
+			switch {
+			case stride > 0:
+				end := int64(pageBase) + int64(pageMask) + 1
+				pageEnd = i + int((end-int64(va)+stride-1)/stride)
+			case stride < 0:
+				pageEnd = i + int((int64(va)-int64(pageBase))/abs) + 1
+			default:
+				pageEnd = n
+			}
 		}
-		// Elements landing on this page: ascending, ceil((pageEnd−va)/stride);
-		// descending, those down to the page base inclusive.
-		var segN int
-		if stride > 0 {
-			pageEnd := int64(pageBase) + int64(pageMask) + 1
-			segN = int((pageEnd - int64(va) + stride - 1) / stride)
-		} else {
-			segN = int((int64(va)-int64(pageBase))/abs) + 1
-		}
-		if segN > n-i {
-			segN = n - i
-		}
+		segN := min(pageEnd, n, (i|(drainWindow-1))+1) - i
 		if abs >= units.CacheLineSize {
 			// At most one element per line: the translation is amortised
 			// but every element still probes the cache hierarchy.
-			if batched {
-				for j := 0; j < segN; j++ {
-					eva := va + units.Addr(int64(j)*stride)
-					c.pushRun(uint64(eva)>>lineShift, 0)
-				}
-				busy += c.flushRuns(write)
-			} else {
-				for j := 0; j < segN; j++ {
-					eva := va + units.Addr(int64(j)*stride)
-					busy += c.costs.ExecCyc + c.cacheAccess(uint64(eva)>>lineShift, write)
+			for j := 0; j < segN; j++ {
+				line := uint64(va+units.Addr(int64(j)*stride)) >> lineShift
+				if batched {
+					c.pushRun(line, 0)
+				} else {
+					busy += c.costs.ExecCyc + c.cacheAccess(line, write)
 				}
 			}
 		} else {
-			// When a positive stride divides the line size, every
-			// line-aligned run holds exactly lineSize/stride elements, so the
-			// run-length division is needed only for partial (unaligned)
-			// runs. Descending runs always compute their length down to the
-			// line base.
-			kFull := 0
-			if stride > 0 && units.CacheLineSize%stride == 0 {
-				kFull = int(units.CacheLineSize / stride)
-			}
 			for j := 0; j < segN; {
 				eva := va + units.Addr(int64(j)*stride)
 				line := uint64(eva) >> lineShift
 				var k int
-				if stride > 0 {
+				switch {
+				case stride > 0:
 					k = kFull
 					if k == 0 || int64(eva)&(units.CacheLineSize-1) != 0 {
 						lineEnd := int64(line+1) << lineShift
 						k = int((lineEnd - int64(eva) + stride - 1) / stride)
 					}
-				} else {
+				case stride < 0:
 					lineBase := int64(line) << lineShift
 					k = int((int64(eva)-lineBase)/abs) + 1
+				default:
+					k = segN
 				}
-				if k > segN-j {
-					k = segN - j
-				}
+				k = min(k, segN-j)
 				if batched {
 					c.pushRun(line, int32(k-1))
 				} else {
@@ -855,9 +636,9 @@ func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) ui
 				}
 				j += k
 			}
-			if batched {
-				busy += c.flushRuns(write)
-			}
+		}
+		if batched {
+			busy += c.flushRuns(write)
 		}
 		i += segN
 	}
@@ -865,39 +646,23 @@ func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) ui
 }
 
 // GatherRange simulates len(idx) loads at base + idx[j]·elemSize — the
-// indexed access pattern of sparse kernels (CG's a[colidx[k]] gather). The
-// accesses are issued in ascending index order: the list is copied into a
-// per-context scratch buffer and sorted (the caller's slice is never
-// mutated), then decomposed into page segments and cache-line runs exactly
-// like rangeBulk — one translation per touched page, one cache probe per
-// line run, with the remaining same-line accesses (duplicates included;
-// every index counts) bulk-accounted as the L1 hits they are by
-// construction. GatherRangeScalar is the per-element reference for the same
-// sorted order and is property-tested to produce byte-identical counters.
-// Non-positive element sizes and contexts with a fault handler installed
-// take the scalar path (still in sorted index order).
+// indexed access pattern of sparse kernels (CG's a[colidx[k]] gather).
+// elemSize must be positive. The accesses are issued in ascending index
+// order: the list is copied into a per-context scratch buffer and sorted
+// (the caller's slice is never mutated), then decomposed into page segments
+// and cache-line runs exactly like rangeBulk — one translation per touched
+// page, one cache probe per line run, with the remaining same-line accesses
+// (duplicates included; every index counts) bulk-accounted as the L1 hits
+// they are by construction.
 func (c *Context) GatherRange(base units.Addr, elemSize int64, idx []int64) {
 	c.indexedRange(base, elemSize, idx, false)
 }
 
 // ScatterRange simulates len(idx) stores at base + idx[j]·elemSize — the
-// write-side dual of GatherRange (e.g. x[perm[i]] = …). Same issue order and
-// decomposition as GatherRange.
+// write-side dual of GatherRange (e.g. x[perm[i]] = …). Same precondition,
+// issue order and decomposition as GatherRange.
 func (c *Context) ScatterRange(base units.Addr, elemSize int64, idx []int64) {
 	c.indexedRange(base, elemSize, idx, true)
-}
-
-// GatherRangeScalar is the O(elements) reference implementation of
-// GatherRange: the identical sorted issue order, but every element
-// translated and cache-probed individually. Exists for the equivalence
-// property tests and the before/after micro-benchmarks.
-func (c *Context) GatherRangeScalar(base units.Addr, elemSize int64, idx []int64) {
-	c.indexedRangeScalar(base, elemSize, idx, false)
-}
-
-// ScatterRangeScalar is the scalar reference for ScatterRange.
-func (c *Context) ScatterRangeScalar(base units.Addr, elemSize int64, idx []int64) {
-	c.indexedRangeScalar(base, elemSize, idx, true)
 }
 
 func (c *Context) indexedRange(base units.Addr, elemSize int64, idx []int64, write bool) {
@@ -912,105 +677,21 @@ func (c *Context) indexedRange(base units.Addr, elemSize int64, idx []int64, wri
 	}
 	sorted := c.sortedIndices(idx)
 	c.lockCore()
-	c.foldOK = false
-	var busy uint64
-	if elemSize > 0 && c.OnFault == nil {
-		busy = c.gatherBulk(base, elemSize, sorted, write)
-	} else {
-		busy = c.gatherScalar(base, elemSize, sorted, write)
-	}
+	busy := c.gatherBulk(base, elemSize, sorted, write)
 	c.unlockCore()
 	c.Ctr.Busy += busy
 }
 
-func (c *Context) indexedRangeScalar(base units.Addr, elemSize int64, idx []int64, write bool) {
-	n := len(idx)
-	if n == 0 {
-		return
-	}
-	if write {
-		c.Ctr.Stores += uint64(n)
-	} else {
-		c.Ctr.Loads += uint64(n)
-	}
-	sorted := c.sortedIndices(idx)
-	c.lockCore()
-	c.foldOK = false
-	busy := c.gatherScalarRef(base, elemSize, sorted, write)
-	c.unlockCore()
-	c.Ctr.Busy += busy
-}
-
-// gatherScalar is the committed per-element engine over an already-sorted
-// index list (fault-handler contexts, non-positive element sizes). Same
-// loop-local page and fold memos and windowed drain polls as rangeScalar;
-// byte-identical counters to gatherScalarRef. Caller holds the core lock.
-//
-//simlint:hotpath
-func (c *Context) gatherScalar(base units.Addr, elemSize int64, sorted []int64, write bool) uint64 {
-	var busy uint64
-	var pageBase, pageMask units.Addr
-	var pageW, pageOK bool
-	var foldLine uint64
-	foldOK := false
-	canFold := c.coreMu == nil
-	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
-	for i, ix := range sorted {
-		if i&(drainWindow-1) == 0 && c.shootFlag.Load() {
-			c.drainShootdowns()
-			pageOK, foldOK = false, false
-		}
-		va := base + units.Addr(ix*elemSize)
-		line := uint64(va) >> lineShift
-		if foldOK && line == foldLine {
-			c.Ctr.L1Hits++
-			busy += hitCyc
-			continue
-		}
-		cyc := c.costs.ExecCyc
-		if !pageOK || va&^pageMask != pageBase || (write && !pageW) {
-			mask, w, tcyc := c.translateScalar(va, write)
-			cyc += tcyc
-			pageMask, pageBase, pageW, pageOK = mask, va&^mask, w, true
-		}
-		cyc += c.cacheAccess(line, write)
-		if canFold {
-			foldLine, foldOK = line, true
-		}
-		busy += cyc
-	}
-	return busy
-}
-
-// gatherScalarRef is the pristine per-element reference for the gather
-// paths: the full cascade per element, like rangeScalarRef. Caller holds the
-// core lock.
-func (c *Context) gatherScalarRef(base units.Addr, elemSize int64, sorted []int64, write bool) uint64 {
-	var busy uint64
-	for _, ix := range sorted {
-		va := base + units.Addr(ix*elemSize)
-		cyc := c.costs.ExecCyc
-		if c.shootFlag.Load() {
-			c.drainShootdowns()
-		}
-		_, _, tcyc := c.translateData(va, write)
-		cyc += tcyc
-		cyc += c.cacheAccess(uint64(va)>>lineShift, write)
-		busy += cyc
-	}
-	return busy
-}
-
-// gatherBulk is the O(pages·lines) indexed fast path over an already-sorted
-// index list. Ascending order makes the rangeBulk argument carry over
-// unchanged: all elements on one page are consecutive, so the write-upgrade
-// re-probe can only fire on a page's first element and one translation per
-// page matches the per-element micro-TLB behaviour; all elements on one line
-// are consecutive, so after the run head's probe the rest are L1 hits by
+// gatherBulk is the indexed engine over an already-sorted index list.
+// Ascending order makes the rangeBulk argument carry over unchanged: all
+// elements on one page are consecutive, so the write-upgrade re-probe can
+// only fire on a page's first element and one translation per page matches
+// the per-element micro-TLB behaviour; all elements on one line are
+// consecutive, so after the run head's probe the rest are L1 hits by
 // construction (skipped LRU refreshes stay within a single line's run, so
-// the relative recency of distinct lines is unchanged). Shootdowns drain at
-// page-segment granularity, like rangeBulk. Caller holds the core lock;
-// elemSize must be positive and OnFault nil.
+// the relative recency of distinct lines is unchanged). Drain polls, fault
+// handling and segment ends at drain-window boundaries are those of
+// rangeBulk. Caller holds the core lock; elemSize must be positive.
 func (c *Context) gatherBulk(base units.Addr, elemSize int64, sorted []int64, write bool) uint64 {
 	var busy uint64
 	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
@@ -1019,25 +700,27 @@ func (c *Context) gatherBulk(base units.Addr, elemSize int64, sorted []int64, wr
 	var pageW, pageOK bool
 	n := len(sorted)
 	for i := 0; i < n; {
-		if c.shootFlag.Load() {
+		if i&(drainWindow-1) == 0 && c.shootFlag.Load() {
 			c.drainShootdowns()
 			pageOK = false
 		}
 		va := base + units.Addr(sorted[i]*elemSize)
 		if !pageOK || va&^pageMask != pageBase || (write && !pageW) {
-			mask, w, tcyc := c.translateScalar(va, write)
+			size, w, tcyc := c.translateData(va, write)
 			busy += tcyc
-			pageMask, pageBase, pageW, pageOK = mask, va&^mask, w, true
+			pageMask = size.Mask()
+			pageBase, pageW, pageOK = va&^pageMask, w, true
 		}
 		pageLast := pageBase + pageMask
-		for i < n {
+		segEnd := min(n, (i|(drainWindow-1))+1)
+		for i < segEnd {
 			eva := base + units.Addr(sorted[i]*elemSize)
 			if eva > pageLast {
 				break
 			}
 			line := uint64(eva) >> lineShift
 			k := 1
-			for i+k < n && uint64(base+units.Addr(sorted[i+k]*elemSize))>>lineShift == line {
+			for i+k < segEnd && uint64(base+units.Addr(sorted[i+k]*elemSize))>>lineShift == line {
 				k++
 			}
 			if batched {
@@ -1059,10 +742,8 @@ func (c *Context) gatherBulk(base units.Addr, elemSize int64, sorted []int64, wr
 }
 
 // sortedIndices returns idx sorted ascending in a reusable per-context
-// scratch buffer, leaving the caller's slice untouched. Index lists are
-// either tiny (one sparse row's column indices) or large and uniform (a
-// whole region's permutation), so short lists insertion-sort and long ones
-// dispatch through distSort — allocation-free once the scratch is warm.
+// scratch buffer, leaving the caller's slice untouched. Long lists over a
+// dense value range take countingSort; everything else slices.Sort.
 func (c *Context) sortedIndices(idx []int64) []int64 {
 	n := len(idx)
 	if cap(c.idxSort) < n {
@@ -1070,118 +751,43 @@ func (c *Context) sortedIndices(idx []int64) []int64 {
 	}
 	s := c.idxSort[:n]
 	copy(s, idx)
-	ascending := true
-	for i := 1; i < n; i++ {
-		if s[i-1] > s[i] {
-			ascending = false
-			break
-		}
+	if n <= 48 || !c.countingSort(s) {
+		slices.Sort(s)
 	}
-	if ascending {
-		return s
-	}
-	if n <= 48 {
-		for i := 1; i < n; i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		return s
-	}
-	c.distSort(s)
 	return s
 }
 
-// distSort sorts a long index list, dispatching on its value range: a dense
-// range takes a counting sort (values are their own keys, so the output is
-// regenerated from the histogram with no data movement at all), anything
-// else the byte-wise radix. Gather index lists are array subscripts, so the
-// dense case — range within a small factor of the list length — is the norm.
-func (c *Context) distSort(s []int64) {
-	n := len(s)
+// countingSort sorts s in place if its value range is dense — within twice
+// its length, the norm for gather lists, which are array subscripts — and
+// reports whether it did. Values are their own keys, so the output is
+// regenerated from the histogram with no data movement at all.
+func (c *Context) countingSort(s []int64) bool {
 	mn, mx := s[0], s[0]
 	for _, v := range s[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
+		mn = min(mn, v)
+		mx = max(mx, v)
 	}
 	rng := uint64(mx - mn)
-	if rng <= uint64(2*n) && rng < 1<<22 { // bucket scratch capped at 16 MB
-		buckets := int(rng) + 1
-		if cap(c.idxCnt) < buckets {
-			c.idxCnt = make([]int32, buckets)
-		}
-		cnt := c.idxCnt[:buckets]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for _, v := range s {
-			cnt[v-mn]++
-		}
-		pos := 0
-		for b, k := range cnt {
-			for ; k > 0; k-- {
-				s[pos] = mn + int64(b)
-				pos++
-			}
-		}
-		return
+	if rng > uint64(2*len(s)) || rng >= 1<<22 { // bucket scratch capped at 16 MB
+		return false
 	}
-	c.radixSort(s, mn, mx)
-}
-
-// radixSort sorts s ascending with a byte-wise LSD radix, given the list's
-// min and max. Keys compare as uint64(v) XOR the sign bit, which orders
-// negative values correctly. Byte lanes above the common prefix of the min
-// and max key are constant for every key in between and are skipped
-// entirely; a lane whose histogram puts all keys in one bucket skips its
-// scatter pass.
-func (c *Context) radixSort(s []int64, vmn, vmx int64) {
-	n := len(s)
-	if cap(c.idxTmp) < n {
-		c.idxTmp = make([]int64, n)
+	buckets := int(rng) + 1
+	if cap(c.idxCnt) < buckets {
+		c.idxCnt = make([]int32, buckets)
 	}
-	t := c.idxTmp[:n]
-	const signBit = uint64(1) << 63
-	mn := uint64(vmn) ^ signBit
-	mx := uint64(vmx) ^ signBit
-	top := 0
-	if diff := mn ^ mx; diff != 0 {
-		top = (63 - bits.LeadingZeros64(diff)) / 8
+	cnt := c.idxCnt[:buckets]
+	clear(cnt)
+	for _, v := range s {
+		cnt[v-mn]++
 	}
-	orig := s
-	for d := 0; d <= top; d++ {
-		shift := uint(8 * d)
-		var count [256]int
-		for _, v := range s {
-			count[((uint64(v)^signBit)>>shift)&0xff]++
+	pos := 0
+	for b, k := range cnt {
+		for ; k > 0; k-- {
+			s[pos] = mn + int64(b)
+			pos++
 		}
-		if count[((uint64(s[0])^signBit)>>shift)&0xff] == n {
-			continue // constant lane: nothing to move
-		}
-		pos := 0
-		for b := 0; b < 256; b++ {
-			cnt := count[b]
-			count[b] = pos
-			pos += cnt
-		}
-		for _, v := range s {
-			b := ((uint64(v) ^ signBit) >> shift) & 0xff
-			t[count[b]] = v
-			count[b]++
-		}
-		s, t = t, s
 	}
-	if &s[0] != &orig[0] {
-		copy(orig, s)
-	}
+	return true
 }
 
 // translateFetch resolves va through the ITLB stack, refreshing the fetch
@@ -1217,22 +823,6 @@ func (c *Context) translateFetch(va units.Addr) uint64 {
 	c.lastFetchBase = va &^ c.lastFetchMask
 	c.fetchCacheOK = true
 	return cyc
-}
-
-// Fetch simulates one instruction-fetch block at code address va through the
-// ITLB stack.
-func (c *Context) Fetch(va units.Addr) {
-	c.Ctr.Fetches++
-	cyc := c.costs.FetchCyc
-	c.lockCore()
-	if c.shootFlag.Load() {
-		c.drainShootdowns()
-	}
-	if !c.fetchCacheOK || va&^c.lastFetchMask != c.lastFetchBase {
-		cyc += c.translateFetch(va)
-	}
-	c.unlockCore()
-	c.Ctr.Busy += cyc
 }
 
 // FetchRange simulates n instruction-fetch blocks at base, base+stride, …
@@ -1335,8 +925,8 @@ func (c *Context) SettleForAudit() {
 // validity protocol promises that while xlatGen equals the current table
 // generation, every walk-valid slot holds exactly what a fresh walk would
 // return; this audit proves it by re-walking. A stale epoch (the whole
-// cache is then dead) and empty or way-only slots are legal (walk ignores
-// them) and are skipped. Call only while the context is quiescent (no
+// cache is then dead) and empty slots are legal (walk ignores them) and are
+// skipped. Call only while the context is quiescent (no
 // access in flight).
 func (c *Context) AuditTranslationCache() error {
 	if c.xlatGen != c.pt.Gen() {
@@ -1344,11 +934,11 @@ func (c *Context) AuditTranslationCache() error {
 	}
 	for i := range c.xlat {
 		slot := &c.xlat[i]
-		if slot.key&xlatWalk == 0 {
+		if slot.key == 0 {
 			continue
 		}
-		vpn := slot.key >> 2
-		cached := pagetable.UnpackWalk(slot.val >> 8)
+		vpn := slot.key >> 1
+		cached := pagetable.UnpackWalk(slot.wr)
 		va := units.Addr(vpn) << units.PageShift4K
 		wr, err := c.pt.Translate(va)
 		if err != nil {
@@ -1377,7 +967,7 @@ func (c *Context) ForceTranslationCacheEntry(vpn uint64, wr pagetable.WalkResult
 		clear(c.xlat)
 		c.xlatGen = gen
 	}
-	c.xlat[vpn&(xlatSlots-1)] = xlatSlot{key: vpn<<2 | xlatWalk, val: packed << 8}
+	c.xlat[vpn&(xlatSlots-1)] = xlatSlot{key: vpn<<1 | 1, wr: packed}
 }
 
 // drainShootdowns applies queued invalidations. Caller holds the core lock
@@ -1397,5 +987,5 @@ func (c *Context) drainShootdowns() {
 			c.itlb.Invalidate(r.size.VPN(r.va), r.size)
 		}
 	}
-	c.resetPageCache()
+	c.fetchCacheOK = false
 }

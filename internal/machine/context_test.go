@@ -445,8 +445,8 @@ func TestPrefetcherFirstMissAtLineOne(t *testing.T) {
 }
 
 // TestShootdownDuringBulkRange: shootdowns queued from another goroutine
-// land mid-AccessRange (the bulk path checks the mailbox at page-segment
-// granularity) and the resulting counters still match the scalar path given
+// land mid-AccessRange (the bulk path checks the mailbox at drain-window
+// boundaries) and the resulting counters still match the scalar path given
 // the same delivery point.
 func TestShootdownDuringBulkRange(t *testing.T) {
 	cfg := equivConfigs()[0]
@@ -457,7 +457,7 @@ func TestShootdownDuringBulkRange(t *testing.T) {
 		c.AccessRange(0, count, 8, false)
 		// Deliver an invalidation and a full flush from another goroutine;
 		// the join guarantees they are pending when the range starts, so
-		// the bulk path must drain them at its first segment check.
+		// the bulk path must drain them at its first element's poll.
 		done := make(chan struct{})
 		go func() {
 			defer close(done)

@@ -93,7 +93,6 @@ func (m *Machine) Fork(pt *pagetable.Table) *Machine {
 			smtFlush:   c.smtFlush,
 			OnFault:    c.OnFault,
 			dataHint:   c.dataHint, fetchHint: c.fetchHint,
-			foldLine: c.foldLine, foldMod: c.foldMod, foldOK: c.foldOK,
 			lastFetchBase: c.lastFetchBase,
 			lastFetchMask: c.lastFetchMask,
 			fetchCacheOK:  c.fetchCacheOK,

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 
 // gatherIdxList decodes a quick-generated byte string into an index list
 // over the mapped 4 MB region: unsorted, duplicate-heavy, occasionally long
-// enough to hit the distribution sorts.
+// enough to hit the counting sort.
 func gatherIdxList(raw []byte, elemSize int64) []int64 {
 	n := len(raw)
 	if n == 0 {
@@ -89,10 +90,11 @@ func TestGatherRangeEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestGatherRangeLongListEquivalence pushes one list past the insertion-sort
-// cutoff into the counting/radix sorts on every configuration, so the
-// distribution-sort dispatch is covered by an exact-counter check, not just
-// the fuzzer.
+// TestGatherRangeLongListEquivalence runs a long dense list (counting sort)
+// and a long sparse one (slices.Sort) on every configuration, so both sort
+// paths are covered by an exact-counter check, not just the fuzzer — and
+// checks each sorted order against slices.Sort, since the reference engine
+// shares sortedIndices.
 func TestGatherRangeLongListEquivalence(t *testing.T) {
 	for _, cfg := range equivConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -104,19 +106,21 @@ func TestGatherRangeLongListEquivalence(t *testing.T) {
 				idx[i] = int64(seed>>17) % (4 * units.MB / 8)
 			}
 			a, s := cfg.mk(t), cfg.mk(t)
+			checkSorted(t, a, idx)
 			a.GatherRange(0, 8, idx)
 			s.GatherRangeScalar(0, 8, idx)
 			if a.Ctr != s.Ctr {
 				t.Errorf("long-list counters diverge:\nbulk:   %+v\nscalar: %+v", a.Ctr, s.Ctr)
 			}
 			// A sparse list (wide value range, short length) must take the
-			// radix branch and still agree.
+			// slices.Sort branch and still agree.
 			sparse := make([]int64, 4096)
 			for i := range sparse {
 				seed = seed*6364136223846793005 + 1442695040888963407
 				sparse[i] = int64(seed>>17) % (4 * units.MB / 8)
 			}
 			a2, s2 := cfg.mk(t), cfg.mk(t)
+			checkSorted(t, a2, sparse)
 			a2.ScatterRange(0, 8, sparse)
 			s2.ScatterRangeScalar(0, 8, sparse)
 			if a2.Ctr != s2.Ctr {
@@ -126,9 +130,20 @@ func TestGatherRangeLongListEquivalence(t *testing.T) {
 	}
 }
 
+// checkSorted fails t unless c.sortedIndices(idx) is idx in slices.Sort
+// order.
+func checkSorted(t *testing.T, c *Context, idx []int64) {
+	t.Helper()
+	want := slices.Clone(idx)
+	slices.Sort(want)
+	if got := c.sortedIndices(idx); !slices.Equal(got, want) {
+		t.Errorf("sortedIndices disagrees with slices.Sort on a %d-index list", len(idx))
+	}
+}
+
 // TestShootdownDuringGather mirrors TestShootdownDuringBulkRange for the
 // indexed path: invalidations delivered from another goroutine before the
-// gather starts must be drained at the first segment check, and the counters
+// gather starts must be drained at the first element's poll, and the counters
 // must match the scalar path given the same delivery point.
 func TestShootdownDuringGather(t *testing.T) {
 	cfg := equivConfigs()[0]

@@ -164,7 +164,6 @@ func (m *Machine) Configure(n int) ([]*Context, error) {
 				ctx.l2Mu = lr.mu
 			}
 			ctx.smtFlush = m.Model.SMT == SMTFlushOnSwitch && ctx.hasSibling
-			ctx.resetPageCache()
 			m.contexts = append(m.contexts, ctx)
 		}
 	}
@@ -189,7 +188,6 @@ func (m *Machine) newContext(id int, s slot, itlbSpec, dtlbSpec tlb.Spec,
 		xlat:       make([]xlatSlot, xlatSlots),
 	}
 	ctx.smtFlush = m.Model.SMT == SMTFlushOnSwitch && hasSibling
-	ctx.resetPageCache()
 	return ctx
 }
 

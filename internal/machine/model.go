@@ -168,7 +168,7 @@ func Opteron270() Model {
 		L1D:      cache.Config{SizeBytes: 64 * units.KB, Ways: 2},
 		L2:       cache.Config{SizeBytes: 1 * units.MB, Ways: 16},
 		SMT:      SMTNone,
-		Coherent: false, // snoop bus available via ShareTrue/Coherent ablations
+		Coherent: false, // set Coherent to attach the snoop bus
 		Costs:    DefaultCosts(),
 	}
 }

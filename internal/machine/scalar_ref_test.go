@@ -13,16 +13,16 @@ func walks(c *Context) uint64 {
 	return c.Ctr.DTLBWalks4K + c.Ctr.DTLBWalks2M
 }
 
-// TestDrainWindowObservationEquivalence pins the batched-drain contract
+// TestDrainWindowObservationEquivalence pins the windowed-drain contract
 // promised by drainWindow's doc comment: a shootdown pending when a
-// committed range engine is entered is drained before element 0 — exactly
-// where the per-element scalar reference drains it — so the two engines stay
+// committed engine is entered is drained before element 0 — exactly where
+// the per-element reference drains it — so the two engines stay
 // byte-identical; and on a quiescent stream (nothing queued) neither engine
 // drains anything, so the window polls are free of observable effect.
 //
-// Zero-stride AccessRange dispatches to the committed scalar engine
-// (rangeScalar), making the committed drain points directly comparable to
-// AccessRangeScalar's.
+// A zero-stride range touches one line over and over, so every element
+// after the first is a bulk-accounted L1 hit in rangeBulk and a probe in
+// the reference: any drain the window polls added would show as a walk.
 func TestDrainWindowObservationEquivalence(t *testing.T) {
 	for _, cfg := range equivConfigs() {
 		cfg := cfg
@@ -158,10 +158,10 @@ func (w fuzzWorld) demoteChunk(t testing.TB, chunk int) bool {
 
 // FuzzScalarFastPath drives random interleavings of scalar loads/stores,
 // ranges and gathers — with TLB shootdowns, full flushes and 2MB→4KB page
-// degradation injected between operations — through the committed fast path
-// (translation memo, set-indexed probes, fold memo, batched drains) and the
-// pristine per-element reference engines, and requires byte-identical
-// counters after every single operation.
+// degradation injected between operations — through the committed engines
+// (page segments, line runs, windowed drain polls) and the pristine
+// per-element reference engines, and requires byte-identical counters after
+// every single operation.
 func FuzzScalarFastPath(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 8, 0, 0, 1, 255, 17})
@@ -205,8 +205,7 @@ func FuzzScalarFastPath(f *testing.F) {
 				com.c.AccessRange(va, count, stride, write)
 				ref.c.AccessRangeScalar(va, count, stride, write)
 			case 4:
-				// Zero stride: forces the committed scalar engine, the
-				// path whose drain windows the drainWindow test pins.
+				// Zero stride: one line run per drain window.
 				count := int(a1)%150 + 1
 				com.c.AccessRange(va, count, 0, a2&1 == 1)
 				ref.c.AccessRangeScalar(va, count, 0, a2&1 == 1)
@@ -252,14 +251,30 @@ func FuzzScalarFastPath(f *testing.F) {
 
 // TestFaultShootdownDrainsAtWindow pins where a shootdown that a fault
 // handler queues on its own context lands: the handler maps the one page of
-// a 512-element, stride-8 range on its first touch and queues a shootdown of
-// it, so the page must be walked twice — once at the fault, and again where
-// the next drain poll applies the shootdown. The reference polls every
-// element; the committed engine polls every drainWindow elements from the
-// call's start, so its re-walk lands at element 64. A rule that polled only
-// at page-segment starts would never re-walk inside the page.
+// a 512-element, stride-8 range (or gather) on its first touch and queues a
+// shootdown of it, so the page must be walked twice — once at the fault, and
+// again where the next drain poll applies the shootdown. The reference
+// polls every element; the committed engines poll every drainWindow
+// elements from the call's start, so their re-walk lands at element 64. A
+// rule that polled only at page-segment starts would never re-walk inside
+// the page.
 func TestFaultShootdownDrainsAtWindow(t *testing.T) {
-	run := func(ref bool) *Context {
+	idx := make([]int64, 512)
+	for j := range idx {
+		idx[j] = int64(j)
+	}
+	ops := []struct {
+		name     string
+		com, ref func(c *Context)
+	}{
+		{"range",
+			func(c *Context) { c.AccessRange(0, len(idx), 8, false) },
+			func(c *Context) { c.AccessRangeScalar(0, len(idx), 8, false) }},
+		{"gather",
+			func(c *Context) { c.GatherRange(0, 8, idx) },
+			func(c *Context) { c.GatherRangeScalar(0, 8, idx) }},
+	}
+	run := func(op func(c *Context)) *Context {
 		pt := pagetable.New()
 		m := New(Opteron270())
 		m.AttachProcess(pt)
@@ -277,23 +292,23 @@ func TestFaultShootdownDrainsAtWindow(t *testing.T) {
 			c.InvalidatePage(va&^units.Addr(units.PageSize4K-1), units.Size4K)
 			return nil
 		}
-		if ref {
-			c.AccessRangeScalar(0, 512, 8, false)
-		} else {
-			c.AccessRange(0, 512, 8, false)
-		}
+		op(c)
 		return c
 	}
-	com, ref := run(false), run(true)
-	for _, c := range []*Context{com, ref} {
-		if got := walks(c); got != 2 {
-			t.Errorf("walks = %d, want 2 (the fault's walk and the re-walk after the drain)", got)
-		}
-		if c.Ctr.SoftFaults != 1 {
-			t.Errorf("soft faults = %d, want 1", c.Ctr.SoftFaults)
-		}
-	}
-	if com.Ctr != ref.Ctr {
-		t.Errorf("counters diverge:\ncommitted: %+v\nreference: %+v", com.Ctr, ref.Ctr)
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			com, ref := run(op.com), run(op.ref)
+			for _, c := range []*Context{com, ref} {
+				if got := walks(c); got != 2 {
+					t.Errorf("walks = %d, want 2 (the fault's walk and the re-walk after the drain)", got)
+				}
+				if c.Ctr.SoftFaults != 1 {
+					t.Errorf("soft faults = %d, want 1", c.Ctr.SoftFaults)
+				}
+			}
+			if com.Ctr != ref.Ctr {
+				t.Errorf("counters diverge:\ncommitted: %+v\nreference: %+v", com.Ctr, ref.Ctr)
+			}
+		})
 	}
 }

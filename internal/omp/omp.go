@@ -640,43 +640,6 @@ func (rt *RT) CriticalDo(cs *Critical, c *machine.Context, fn func()) {
 	cs.mu.Unlock()
 }
 
-// SpinLock models an `omp_lock_t` resident at a data address: acquisition is
-// a test-and-test-and-set against the lock word, so every acquire performs a
-// simulated load and store of the same address plus the atomic's cycle cost,
-// and release performs the unlocking store. Repeated acquires are exactly the
-// single-address pattern the scalar fast path's fold memo collapses to one
-// probe with bulk-accounted hit cycles, and under coherence the lock word's
-// cache line bounces between owners like a real contended lock. Unlike
-// Critical — which charges a flat handoff cost and touches no memory —
-// SpinLock's cost flows through the memory system.
-//
-// The access sequence per acquire/release pair is fixed (load, store, atomic,
-// releasing store) regardless of host scheduling, so counter totals stay
-// deterministic; the real mutex only provides the mutual exclusion.
-type SpinLock struct {
-	mu sync.Mutex
-	va units.Addr
-}
-
-// NewSpinLock creates a spin lock whose lock word lives at va — any mapped
-// data address, e.g. a cell set aside in a shared region.
-func (rt *RT) NewSpinLock(va units.Addr) *SpinLock { return &SpinLock{va: va} }
-
-// Addr returns the lock word's address.
-func (l *SpinLock) Addr() units.Addr { return l.va }
-
-// SpinLockDo runs fn holding l on context c, charging the test-and-test-
-// and-set acquire and the releasing store to c.
-func (rt *RT) SpinLockDo(l *SpinLock, c *machine.Context, fn func()) {
-	l.mu.Lock()
-	c.Load(l.va)  // test: read the (usually cached) lock word
-	c.Store(l.va) // set: the winning RMW's store half
-	c.Compute(rt.m.Model.Costs.AtomicCyc)
-	fn()
-	c.Store(l.va) // release store
-	l.mu.Unlock()
-}
-
 // ParallelSections runs each section function once, distributing sections
 // over threads dynamically (`#pragma omp sections`).
 func (rt *RT) ParallelSections(code *CodeRegion, sections []func(c *machine.Context)) {

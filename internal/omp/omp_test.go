@@ -283,33 +283,6 @@ func TestCriticalMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestSpinLockMutualExclusionAndCost(t *testing.T) {
-	rt := newRT(t, machine.Opteron270(), 4)
-	l := rt.NewSpinLock(units.Addr(8 * units.MB)) // mapped, away from data
-	counter := 0
-	const iters = 1000
-	before := rt.TotalCounters()
-	rt.ParallelFor(nil, iters, For{Schedule: Dynamic, Chunk: 10},
-		func(tid int, c *machine.Context, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rt.SpinLockDo(l, c, func() { counter++ })
-			}
-		})
-	if counter != iters {
-		t.Errorf("counter = %d, want %d (lost updates)", counter, iters)
-	}
-	after := rt.TotalCounters()
-	// The acquire/release sequence is fixed — one lock-word load and two
-	// stores per critical section — so the totals are exact regardless of
-	// how the host scheduled the team.
-	if got := after.Loads - before.Loads; got != iters {
-		t.Errorf("lock-word loads = %d, want %d", got, iters)
-	}
-	if got := after.Stores - before.Stores; got != 2*iters {
-		t.Errorf("lock-word stores = %d, want %d", got, 2*iters)
-	}
-}
-
 func TestSectionsEachRunOnce(t *testing.T) {
 	rt := newRT(t, machine.Opteron270(), 2)
 	var ran [5]atomic.Int32

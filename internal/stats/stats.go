@@ -44,15 +44,6 @@ func Speedup(base, new float64) float64 {
 	return base / new
 }
 
-// Efficiency returns the parallel efficiency of a measured speedup on n
-// workers: speedup/n, so 1.0 is perfect linear scaling. 0 when n <= 0.
-func Efficiency(speedup float64, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return speedup / float64(n)
-}
-
 // ImprovementPct returns the relative improvement of new over base in
 // percent: (base-new)/base · 100.
 func ImprovementPct(base, new float64) float64 {

@@ -40,18 +40,6 @@ func TestSpeedupImprovement(t *testing.T) {
 	}
 }
 
-func TestEfficiency(t *testing.T) {
-	if Efficiency(4, 4) != 1 {
-		t.Error("linear scaling")
-	}
-	if Efficiency(3, 4) != 0.75 {
-		t.Error("sublinear scaling")
-	}
-	if Efficiency(2, 0) != 0 {
-		t.Error("zero workers")
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	got := Normalize(4, []float64{4, 2, 8})
 	want := []float64{1, 0.5, 2}

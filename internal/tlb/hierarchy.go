@@ -193,24 +193,6 @@ func (h *Hierarchy) demote(size units.PageSize, ev Entry) {
 	}
 }
 
-// L1HitAt validates a memoised L1 way handle for the given size class: if
-// way idx still holds vpn with sufficient permission it performs exactly the
-// mutation a Lookup hit would (recency refresh, hit accounting) and reports
-// true. A false return has no effect and the caller must run the full
-// Access/walk sequence. Handles come from L1MRUWay.
-//
-//simlint:hotpath
-func (h *Hierarchy) L1HitAt(size units.PageSize, idx int, vpn uint64, write bool) bool {
-	return h.l1[size].HitAt(idx, vpn, write)
-}
-
-// L1MRUWay returns a memoisable handle for vpn in the L1 structure of the
-// given size class, or -1. Every translation just resolved through Access or
-// Fill sits at its set's MRU position, so the handle is O(1) to produce.
-func (h *Hierarchy) L1MRUWay(size units.PageSize, vpn uint64) int {
-	return h.l1[size].MRUWay(vpn)
-}
-
 // Fill installs a translation after a page walk.
 //
 //simlint:hotpath

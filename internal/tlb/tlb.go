@@ -272,46 +272,6 @@ func (t *TLB) LookupEntry(vpn uint64, needW bool) (Entry, bool) {
 	return Entry{}, false
 }
 
-// HitAt verifies that global way index idx still holds vpn with sufficient
-// permission and, if so, performs exactly the mutation a Lookup hit would
-// (recency move-to-front plus hit accounting). It returns false otherwise —
-// with no counter or recency effect — so the caller can fall back to the
-// full probe sequence. This is the validation step of the machine layer's
-// scalar translation memo: a stale memo entry is detected against the live
-// way, never trusted.
-//
-//simlint:hotpath
-func (t *TLB) HitAt(idx int, vpn uint64, needW bool) bool {
-	if t == nil || idx < 0 || idx >= len(t.vpns) {
-		return false
-	}
-	if t.vpns[idx] != vpn || t.meta[idx]&metaValid == 0 {
-		return false
-	}
-	if needW && t.meta[idx]&metaWritable == 0 {
-		return false
-	}
-	set := vpn & t.setMask
-	t.touchWay(set, idx-int(set)*t.assoc)
-	t.hits++
-	return true
-}
-
-// MRUWay returns the global way index holding vpn if it sits at the MRU
-// position of its set — where every just-resolved translation lands — or -1.
-// The machine layer records this handle in its scalar translation memo.
-func (t *TLB) MRUWay(vpn uint64) int {
-	if t == nil {
-		return -1
-	}
-	set := vpn & t.setMask
-	idx := int(set)*t.assoc + t.headWay(int(set)*t.ow)
-	if t.meta[idx]&metaValid != 0 && t.vpns[idx] == vpn {
-		return idx
-	}
-	return -1
-}
-
 // Entry is a TLB entry as seen by eviction handling.
 type Entry struct {
 	VPN      uint64

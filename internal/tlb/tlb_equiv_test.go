@@ -7,34 +7,27 @@ import (
 
 // driveEquiv runs one encoded op stream against both implementations and
 // fails on the first observable divergence: lookup outcomes, returned
-// entries, eviction results, stats, live counts, and the HitAt/MRUWay memo
-// protocol (validated against the reference's plain lookup).
+// entries, eviction results, stats and live counts.
 func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 	t.Helper()
 	n := New(cfg)
 	r := newRefTLB(cfg)
-	memoWay := -1
-	memoVPN := uint64(0)
 	for k := 0; k+1 < len(ops); k += 2 {
 		op, arg := ops[k], ops[k+1]
 		vpn := uint64(arg % 37) // enough collisions to exercise every set
 		w := op&0x80 != 0
-		switch op % 5 {
+		switch op % 4 {
 		case 0: // lookup
 			ne, nok := n.LookupEntry(vpn, w)
 			re, rok := r.lookupEntry(vpn, w)
 			if nok != rok || ne != re {
 				t.Fatalf("op %d: lookup(%d,w=%v) = %v,%v want %v,%v", k, vpn, w, ne, nok, re, rok)
 			}
-		case 1: // insert, then memoise the handle
+		case 1: // insert
 			nev, nwas := n.Insert(vpn, w)
 			rev, rwas := r.insert(vpn, w)
 			if nwas != rwas || (nwas && nev != rev) {
 				t.Fatalf("op %d: insert(%d,w=%v) evicted %v,%v want %v,%v", k, vpn, w, nev, nwas, rev, rwas)
-			}
-			memoWay, memoVPN = n.MRUWay(vpn), vpn
-			if memoWay < 0 {
-				t.Fatalf("op %d: MRUWay(%d) = -1 right after insert", k, vpn)
 			}
 		case 2: // invalidate
 			if ni, ri := n.Invalidate(vpn), r.invalidate(vpn); ni != ri {
@@ -43,23 +36,6 @@ func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 		case 3: // flush
 			n.Flush()
 			r.flush()
-		case 4: // memo validation: HitAt must agree with a reference lookup
-			if memoWay < 0 {
-				continue
-			}
-			// The reference must be probed only when HitAt succeeds (a failed
-			// HitAt has no counter effect and the caller re-probes both).
-			if n.HitAt(memoWay, memoVPN, w) {
-				if _, ok := r.lookupEntry(memoVPN, w); !ok {
-					t.Fatalf("op %d: HitAt(%d,%d) hit but reference misses", k, memoWay, memoVPN)
-				}
-			} else {
-				ne, nok := n.LookupEntry(memoVPN, w)
-				re, rok := r.lookupEntry(memoVPN, w)
-				if nok != rok || ne != re {
-					t.Fatalf("op %d: post-HitAt lookup diverged: %v,%v want %v,%v", k, ne, nok, re, rok)
-				}
-			}
 		}
 		nh, nm := n.Stats()
 		if nh != r.hits || nm != r.misses {
