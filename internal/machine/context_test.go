@@ -43,6 +43,7 @@ func equivConfigs() []equivCfg {
 		{"opteron-coherent/4thr/partition/4K", coherentOpteron(), 4, SharePartition, units.Size4K, false},
 		{"opteron-coherent/4thr/partition/2M", coherentOpteron(), 4, SharePartition, units.Size2M, false},
 		{"opteron/1thr/demand/4K", Opteron270(), 1, SharePartition, units.Size4K, true},
+		{"opteron-coherent/4thr/demand/4K", coherentOpteron(), 4, SharePartition, units.Size4K, true},
 	}
 }
 

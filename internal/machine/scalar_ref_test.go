@@ -118,21 +118,14 @@ func mkFuzzWorld(t testing.TB, ps units.PageSize) fuzzWorld {
 	return fuzzWorld{c: ctxs[0], pt: pt}
 }
 
-// mkDemandWorld is a fuzz world that maps nothing up front: demandPager maps
-// each 4 KB page on its first touch, so every engine runs with a fault
-// handler installed.
+// demandCfg is a one-context Opteron that maps nothing up front:
+// demandPager maps each 4 KB page on its first touch, so every engine runs
+// with a fault handler installed.
+var demandCfg = equivCfg{model: Opteron270(), threads: 1, ps: units.Size4K, demand: true}
+
 func mkDemandWorld(t testing.TB) fuzzWorld {
-	pt := pagetable.New()
-	m := New(Opteron270())
-	m.AttachProcess(pt)
-	ctxs, err := m.Configure(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ctxs[0]
-	c.SetPageHint(units.Size4K)
-	c.OnFault = demandPager(pt)
-	return fuzzWorld{c: c, pt: pt}
+	c := demandCfg.mk(t)
+	return fuzzWorld{c: c, pt: c.PageTable()}
 }
 
 // demoteChunk mirrors thp.Manager.Demote's degradation recipe on one world:
@@ -275,16 +268,8 @@ func TestFaultShootdownDrainsAtWindow(t *testing.T) {
 			func(c *Context) { c.GatherRangeScalar(0, 8, idx) }},
 	}
 	run := func(op func(c *Context)) *Context {
-		pt := pagetable.New()
-		m := New(Opteron270())
-		m.AttachProcess(pt)
-		ctxs, err := m.Configure(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := ctxs[0]
-		c.SetPageHint(units.Size4K)
-		pager := demandPager(pt)
+		c := demandCfg.mk(t)
+		pager := c.OnFault
 		c.OnFault = func(va units.Addr, write bool) error {
 			if err := pager(va, write); err != nil {
 				return err

@@ -3,7 +3,6 @@ package simsrv
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -14,11 +13,11 @@ import (
 	"hugeomp/internal/omp"
 )
 
-// serviceGrid is a mixed load: every (kernel, policy, threads) cell of a
-// small class-T grid on the paper's Opteron, visited repeats times in a
-// fixed shuffled order — the shape of clients exploring a parameter space.
-func serviceGrid(repeats int) (reqs []Request, unique int) {
-	var grid []Request
+// serviceGrid returns every (kernel, policy, threads) cell of a small
+// class-T grid on the paper's Opteron, and a mixed load visiting each cell
+// repeats times in a fixed shuffled order — the shape of clients exploring
+// a parameter space.
+func serviceGrid(repeats int) (grid, reqs []Request) {
 	for _, kernel := range []string{"CG", "MG"} {
 		for _, policy := range []string{"4KB", "2MB"} {
 			for _, threads := range []int{1, 2} {
@@ -38,7 +37,7 @@ func serviceGrid(repeats int) (reqs []Request, unique int) {
 		j := int(seed>>33) % (i + 1)
 		reqs[i], reqs[j] = reqs[j], reqs[i]
 	}
-	return reqs, len(grid)
+	return grid, reqs
 }
 
 // driveService posts each request to s's handler in-process (no sockets: the
@@ -80,10 +79,10 @@ func driveService(tb testing.TB, s *Server, reqs []Request) (cached int, first [
 	return cached, first
 }
 
-// populatedCache computes every unique cell of reqs once on a first server
-// over a fresh disk cache — the sweep, soak or earlier service life that
-// filled it — and returns the cache directory.
-func populatedCache(tb testing.TB, reqs []Request, unique int) string {
+// populatedCache computes every cell of grid once on a first server over a
+// fresh disk cache — the sweep, soak or earlier service life that filled it
+// — and returns the cache directory.
+func populatedCache(tb testing.TB, grid []Request) string {
 	tb.Helper()
 	dir := tb.TempDir()
 	s, err := NewServer(Config{CacheDir: dir})
@@ -91,19 +90,7 @@ func populatedCache(tb testing.TB, reqs []Request, unique int) string {
 		tb.Fatal(err)
 	}
 	defer s.Close()
-	seen := map[string]bool{}
-	var uniq []Request
-	for _, r := range reqs {
-		k := fmt.Sprintf("%s/%s/%d", r.Kernel, r.Policy, r.Threads)
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, r)
-		}
-	}
-	if len(uniq) != unique {
-		tb.Fatalf("grid has %d unique cells, want %d", len(uniq), unique)
-	}
-	driveService(tb, s, uniq)
+	driveService(tb, s, grid)
 	s.Drain()
 	return dir
 }
@@ -113,8 +100,8 @@ func populatedCache(tb testing.TB, reqs []Request, unique int) string {
 // cache layers: no simulation, no disk miss, no template build, and its
 // first answer is byte-equal to a cold npb.Run of the same configuration.
 func TestServiceWarmRestart(t *testing.T) {
-	reqs, unique := serviceGrid(4)
-	dir := populatedCache(t, reqs, unique)
+	grid, reqs := serviceGrid(4)
+	dir := populatedCache(t, grid)
 	s, err := NewServer(Config{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +161,8 @@ const floorMinWall = 250 * time.Millisecond
 // times faster, or restarts stopped being served from disk or the template
 // pool stopped retaining. `make serve-bench` runs it.
 func BenchmarkServiceWarmRestart(b *testing.B) {
-	reqs, unique := serviceGrid(4)
-	dir := populatedCache(b, reqs, unique)
+	grid, reqs := serviceGrid(4)
+	dir := populatedCache(b, grid)
 	b.ResetTimer()
 	var warm, base time.Duration
 	replay := func(cfg Config) time.Duration {
