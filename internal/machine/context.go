@@ -531,8 +531,9 @@ func (c *Context) AccessRange(base units.Addr, n int, stride int64, write bool) 
 // context", which any polling interval satisfies. A shootdown pending at
 // entry drains at element 0, exactly where the per-element reference drains
 // it; one a fault handler queues on its own context mid-call drains at the
-// next window boundary; a quiescent stream drains nowhere. The tests in
-// scalar_ref_test.go pin all three. Must be a power of two.
+// next window boundary, not at the next page; a quiescent stream drains
+// nowhere. The tests in scalar_ref_test.go pin each case. Must be a power
+// of two.
 const drainWindow = 64
 
 // rangeBulk is the range engine. The range is decomposed into segments —

@@ -297,3 +297,61 @@ func TestFaultShootdownDrainsAtWindow(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultShootdownNotPolledAtPageStarts pins the "nowhere else" half of
+// the drain rule. Pages 1–20 are mapped and DTLB-resident; an 80-element
+// range (or gather) with elements 1 KB apart starts on unmapped page 0,
+// whose fault handler maps it and shoots down page 1. Page 1's elements
+// (1–4) come before the first window boundary, so the committed engines
+// translate page 1 from its still-resident entry and apply the shootdown at
+// element 64, after the range has left the page: one walk, page 0's. The
+// reference, which polls every element, re-walks page 1, and so would a
+// poll at page 1's segment start. The mailbox contract allows both; the
+// committed engines keep the window rule, which is where the drains of the
+// per-element engines for fault-handler contexts always landed.
+func TestFaultShootdownNotPolledAtPageStarts(t *testing.T) {
+	const n, stride = 80, 1024
+	base := units.Addr(units.PageSize4K - stride)
+	idx := make([]int64, n)
+	for j := range idx {
+		idx[j] = int64(j) * stride / 8
+	}
+	for _, op := range []struct {
+		name     string
+		com, ref func(c *Context)
+	}{
+		{"range",
+			func(c *Context) { c.AccessRange(base, n, stride, false) },
+			func(c *Context) { c.AccessRangeScalar(base, n, stride, false) }},
+		{"gather",
+			func(c *Context) { c.GatherRange(base, 8, idx) },
+			func(c *Context) { c.GatherRangeScalar(base, 8, idx) }},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			for _, side := range []struct {
+				name string
+				run  func(c *Context)
+				want uint64
+			}{{"committed", op.com, 1}, {"reference", op.ref, 2}} {
+				c := demandCfg.mk(t)
+				c.AccessRange(units.Addr(units.PageSize4K), 20, units.PageSize4K, false) // map and warm pages 1–20
+				pager := c.OnFault
+				c.OnFault = func(va units.Addr, write bool) error {
+					if err := pager(va, write); err != nil {
+						return err
+					}
+					c.InvalidatePage(units.Addr(units.PageSize4K), units.Size4K)
+					return nil
+				}
+				preWalks, preFaults := walks(c), c.Ctr.SoftFaults
+				side.run(c)
+				if got := walks(c) - preWalks; got != side.want {
+					t.Errorf("%s: walks = %d, want %d", side.name, got, side.want)
+				}
+				if got := c.Ctr.SoftFaults - preFaults; got != 1 {
+					t.Errorf("%s: soft faults = %d, want 1", side.name, got)
+				}
+			}
+		})
+	}
+}
