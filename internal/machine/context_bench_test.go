@@ -16,10 +16,10 @@ import (
 // enforces (checkFloor); host noise on identical builds spans several ns,
 // so compare runs with -count.
 
-// The committed costs the floors guard, in ns per access, from the last
-// ledger of these patterns (a 1-proc host): a pattern more than twice as
-// slow fails. Random also fails above maxRandomNs on hosts with at least 4
-// procs; smaller hosts are too noisy for an absolute bound.
+// The costs the floors guard, in ns per access, as last committed for these
+// patterns (measured on a 1-proc host): a pattern more than twice as slow
+// fails. Random also fails above maxRandomNs on hosts with at least 4 procs;
+// smaller hosts are too noisy for an absolute bound.
 const (
 	denseBaseNs  = 1.55
 	gatherBaseNs = 17.64
