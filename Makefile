@@ -42,13 +42,14 @@ lint-fix-check:
 # Static and concurrency hygiene for the hot simulator paths: vet, gofmt
 # drift (the gofmt guard walks the whole tree, including the simlint test
 # corpora under internal/lint/*/testdata), simlint, and the race detector
-# over the packages that share state (true-sharing caches, shootdown
-# mailbox, parallel harness).
+# over the packages whose goroutines meet: the shootdown mailbox, the omp
+# merge points, the parallel harness, and npb, where team goroutines run
+# whole kernels on contexts that must share no TLB or cache state.
 check: lint
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
-	$(GO) test -race -short -count=1 ./internal/machine/ ./internal/omp/ ./internal/par/ ./internal/bench/ ./internal/cache/ ./internal/scash/ ./internal/profile/
+	$(GO) test -race -short -count=1 ./internal/machine/ ./internal/omp/ ./internal/par/ ./internal/bench/ ./internal/cache/ ./internal/scash/ ./internal/profile/ ./internal/npb/
 
 # Fault-injection soak: 50 seeded, replayable fault plans over CG/MG/SP.
 # Every run must pass NPB verification with fault-free numerics, hold all

@@ -132,29 +132,6 @@ func BenchmarkFig5DTLBMisses(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md §5) ---
 
-// BenchmarkAblationSharedTLB compares the default partitioned SMT resource
-// model against the mutex-serialised true-shared model on the Xeon at 8
-// threads.
-func BenchmarkAblationSharedTLB(b *testing.B) {
-	for _, mode := range []machine.SharingMode{machine.SharePartition, machine.ShareTrue} {
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k := npb.NewCG()
-				res, err := npb.Run(k, npb.RunConfig{
-					Model: machine.XeonHT(), Threads: 8,
-					Policy: core.Policy4K, Class: npb.ClassS,
-					Sharing: mode,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Seconds, "sim-sec")
-				b.ReportMetric(float64(res.Counters.DTLBWalks()), "walks")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationOnDemand compares the paper's startup preallocation of
 // the hugetlbfs pool against reservation-based on-demand allocation.
 func BenchmarkAblationOnDemand(b *testing.B) {

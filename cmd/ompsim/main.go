@@ -32,13 +32,12 @@ func main() {
 		pages   = flag.String("pages", "4K", "page policy: 4K, 2M, mixed or transparent")
 		iters   = flag.Int("iters", 0, "timesteps (0 = class default)")
 		barrier = flag.String("barrier", "tree", "barrier algorithm: tree or central")
-		sharing = flag.String("sharing", "partition", "SMT sharing model: partition or true")
 		verbose = flag.Bool("v", false, "print the full OProfile-style counter report")
 		asJSON  = flag.Bool("json", false, "emit the result as JSON (for scripting)")
 	)
 	flag.Parse()
 
-	cfg, err := buildConfig(*model, *threads, *pages, *class, *iters, *barrier, *sharing)
+	cfg, err := buildConfig(*model, *threads, *pages, *class, *iters, *barrier)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func pct(part, whole uint64) float64 {
 }
 
 func buildConfig(model string, threads int, pages, class string, iters int,
-	barrier, sharing string) (npb.RunConfig, error) {
+	barrier string) (npb.RunConfig, error) {
 	m, ok := machine.ModelByName(model)
 	if !ok {
 		return npb.RunConfig{}, fmt.Errorf("unknown machine %q", model)
@@ -134,15 +133,6 @@ func buildConfig(model string, threads int, pages, class string, iters int,
 	default:
 		return npb.RunConfig{}, fmt.Errorf("unknown barrier %q", barrier)
 	}
-	var share machine.SharingMode
-	switch sharing {
-	case "partition":
-		share = machine.SharePartition
-	case "true":
-		share = machine.ShareTrue
-	default:
-		return npb.RunConfig{}, fmt.Errorf("unknown sharing mode %q", sharing)
-	}
 	if threads < 1 {
 		fmt.Fprintln(os.Stderr, "ompsim: threads must be >= 1")
 		os.Exit(2)
@@ -154,6 +144,5 @@ func buildConfig(model string, threads int, pages, class string, iters int,
 		Class:      cl,
 		Iterations: iters,
 		Barrier:    alg,
-		Sharing:    share,
 	}, nil
 }

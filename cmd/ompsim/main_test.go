@@ -10,7 +10,7 @@ import (
 )
 
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig("XeonHT", 8, "2M", "W", 3, "central", "true")
+	cfg, err := buildConfig("XeonHT", 8, "2M", "W", 3, "central")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,13 +20,13 @@ func TestBuildConfig(t *testing.T) {
 	if cfg.Policy != core.Policy2M || cfg.Class != npb.ClassW || cfg.Iterations != 3 {
 		t.Errorf("cfg = %+v", cfg)
 	}
-	if cfg.Barrier != omp.CentralBarrier || cfg.Sharing != machine.ShareTrue {
+	if cfg.Barrier != omp.CentralBarrier || cfg.Sharing != machine.SharePartition {
 		t.Errorf("cfg = %+v", cfg)
 	}
 }
 
 func TestBuildConfigDefaultsAndAliases(t *testing.T) {
-	cfg, err := buildConfig("Opteron270", 1, "transparent", "t", 0, "tree", "partition")
+	cfg, err := buildConfig("Opteron270", 1, "transparent", "t", 0, "tree")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +37,15 @@ func TestBuildConfigDefaultsAndAliases(t *testing.T) {
 
 func TestBuildConfigRejectsBadInputs(t *testing.T) {
 	cases := []struct {
-		machine, pages, class, barrier, sharing string
+		machine, pages, class, barrier string
 	}{
-		{"Pentium", "4K", "S", "tree", "partition"},
-		{"XeonHT", "1G", "S", "tree", "partition"},
-		{"XeonHT", "4K", "B", "tree", "partition"},
-		{"XeonHT", "4K", "S", "butterfly", "partition"},
-		{"XeonHT", "4K", "S", "tree", "exclusive"},
+		{"Pentium", "4K", "S", "tree"},
+		{"XeonHT", "1G", "S", "tree"},
+		{"XeonHT", "4K", "B", "tree"},
+		{"XeonHT", "4K", "S", "butterfly"},
 	}
 	for _, c := range cases {
-		if _, err := buildConfig(c.machine, 2, c.pages, c.class, 0, c.barrier, c.sharing); err == nil {
+		if _, err := buildConfig(c.machine, 2, c.pages, c.class, 0, c.barrier); err == nil {
 			t.Errorf("accepted %+v", c)
 		}
 	}

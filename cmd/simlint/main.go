@@ -68,7 +68,7 @@ var (
 	dtSinkFuncs = flag.String("dettaint.sinkfuncs", dettaint.SinkFuncs,
 		"comma-separated pkg.Func sink functions (memo key builders)")
 	loOrder = flag.String("lockorder.order", lockorder.Order,
-		"lock hierarchy, outermost first, e.g. \"Context.l2Mu < busShard < Cache, cacheFields\"")
+		"lock hierarchy, outermost first, e.g. \"Snapshot < Context.shootMu, Table\"")
 	loPackages = flag.String("lockorder.packages", strings.Join(lockorder.Packages, ","),
 		"comma-separated package suffixes where lock-order violations are reported")
 	cfPackages = flag.String("ctxflow.packages", strings.Join(ctxflow.Packages, ","),

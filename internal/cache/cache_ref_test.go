@@ -7,9 +7,8 @@ import (
 
 // refCache is the pre-rework timestamp-LRU replacement policy, kept as a
 // test oracle for the linked-list scheme: hit/miss outcomes, evictions,
-// writebacks and victim choices must be byte-identical for every
-// single-owner op sequence, including ones with peer-style invalidations
-// and downgrades mixed in.
+// writebacks and victim choices must be byte-identical for every op
+// sequence, including ones with whole-cache flushes mixed in.
 type refCache struct {
 	tags    []uint64
 	stamps  []uint64
@@ -76,30 +75,15 @@ func (c *refCache) access(lineAddr uint64, write bool) Result {
 	return res
 }
 
-func (c *refCache) invalidate(lineAddr uint64) State {
-	base := int(lineAddr&c.setMask) * c.assoc
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == lineAddr && c.states[i] != Invalid {
-			st := c.states[i]
-			c.states[i] = Invalid
-			return st
+func (c *refCache) flush() int {
+	dirty := 0
+	for i := range c.states {
+		if c.states[i] == Modified {
+			dirty++
 		}
+		c.states[i] = Invalid
 	}
-	return Invalid
-}
-
-func (c *refCache) downgrade(lineAddr uint64) State {
-	base := int(lineAddr&c.setMask) * c.assoc
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == lineAddr && c.states[i] != Invalid {
-			st := c.states[i]
-			if st != Shared {
-				c.states[i] = Shared
-			}
-			return st
-		}
-	}
-	return Invalid
+	return dirty
 }
 
 func (c *refCache) probe(lineAddr uint64) State {
@@ -122,32 +106,46 @@ func (c *refCache) live() int {
 	return n
 }
 
+// Probe reports the state of lineAddr without touching LRU state: the
+// tests' view of a line's state word.
+func (c *Cache) Probe(lineAddr uint64) State {
+	set := int(lineAddr & c.setMask)
+	bb := set * c.blockWords
+	tag := c.tagOf(lineAddr)
+	word := c.blocks[bb+1]
+	for w := 0; w < c.assoc; w++ {
+		if c.tagAt(bb, w) == tag && stateOf(word, w) != Invalid {
+			return stateOf(word, w)
+		}
+	}
+	return Invalid
+}
+
 func driveCacheEquiv(t *testing.T, cfg Config, ops []byte) {
 	t.Helper()
-	n := New(cfg)
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := newRefCache(cfg)
 	for k := 0; k+1 < len(ops); k += 2 {
 		op, arg := ops[k], ops[k+1]
 		line := uint64(arg % 53)
 		w := op&0x80 != 0
-		switch op % 6 {
-		case 0, 1, 2: // access dominates, like real traffic
+		switch {
+		case op == 0xff: // rare, so sets fill and evict between flushes
+			if nd, rd := n.Flush(), r.flush(); nd != rd {
+				t.Fatalf("op %d: flush = %d dirty want %d", k, nd, rd)
+			}
+		case op%4 == 3:
+			if np, rp := n.Probe(line), r.probe(line); np != rp {
+				t.Fatalf("op %d: probe(%d) = %v want %v", k, line, np, rp)
+			}
+		default: // access dominates, like real traffic
 			nr := n.Access(line, w)
 			rr := r.access(line, w)
 			if nr != rr {
 				t.Fatalf("op %d: access(%d,w=%v) = %+v want %+v", k, line, w, nr, rr)
-			}
-		case 3: // peer-style invalidation
-			if ni, ri := n.invalidate(line), r.invalidate(line); ni != ri {
-				t.Fatalf("op %d: invalidate(%d) = %v want %v", k, line, ni, ri)
-			}
-		case 4: // peer-style downgrade
-			if nd, rd := n.downgrade(line), r.downgrade(line); nd != rd {
-				t.Fatalf("op %d: downgrade(%d) = %v want %v", k, line, nd, rd)
-			}
-		case 5:
-			if np, rp := n.Probe(line), r.probe(line); np != rp {
-				t.Fatalf("op %d: probe(%d) = %v want %v", k, line, np, rp)
 			}
 		}
 		if n.Live() != r.live() {

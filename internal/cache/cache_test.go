@@ -7,13 +7,23 @@ import (
 	"hugeomp/internal/units"
 )
 
-func small() *Cache {
+// mustNew builds a cache whose geometry the test knows to be valid.
+func mustNew(t testing.TB, cfg Config) *Cache {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func small(t testing.TB) *Cache {
 	// 512B, 2-way, 64B lines -> 8 lines, 4 sets.
-	return New(Config{SizeBytes: 512, Ways: 2})
+	return mustNew(t, Config{SizeBytes: 512, Ways: 2})
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := small()
+	c := small(t)
 	if r := c.Access(10, false); r.Hit {
 		t.Error("cold access hit")
 	}
@@ -23,14 +33,14 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestLineAddr(t *testing.T) {
-	c := New(Config{SizeBytes: 64 * units.KB, Ways: 2})
+	c := mustNew(t, Config{SizeBytes: 64 * units.KB, Ways: 2})
 	if c.LineAddr(0) != 0 || c.LineAddr(63) != 0 || c.LineAddr(64) != 1 {
 		t.Error("LineAddr boundaries wrong")
 	}
 }
 
 func TestDirtyEvictionWriteback(t *testing.T) {
-	c := small()       // 4 sets: lines congruent mod 4 conflict
+	c := small(t)      // 4 sets: lines congruent mod 4 conflict
 	c.Access(0, true)  // set 0, dirty
 	c.Access(4, false) // set 0
 	r := c.Access(8, false)
@@ -45,7 +55,7 @@ func TestDirtyEvictionWriteback(t *testing.T) {
 }
 
 func TestWriteMakesModified(t *testing.T) {
-	c := small()
+	c := small(t)
 	c.Access(3, false)
 	if st := c.Probe(3); st != Exclusive {
 		t.Errorf("read fill state = %v, want E", st)
@@ -57,7 +67,7 @@ func TestWriteMakesModified(t *testing.T) {
 }
 
 func TestFlushCountsDirty(t *testing.T) {
-	c := small()
+	c := small(t)
 	c.Access(0, true)
 	c.Access(1, true)
 	c.Access(2, false)
@@ -70,7 +80,7 @@ func TestFlushCountsDirty(t *testing.T) {
 }
 
 func TestLRUWithinSet(t *testing.T) {
-	c := small()
+	c := small(t)
 	c.Access(0, false)
 	c.Access(4, false)
 	c.Access(0, false) // refresh 0; 4 is now LRU
@@ -84,7 +94,7 @@ func TestLRUWithinSet(t *testing.T) {
 // after a fill always hits.
 func TestCapacityInvariant(t *testing.T) {
 	f := func(lines []uint16) bool {
-		c := New(Config{SizeBytes: 4 * units.KB, Ways: 4}) // 64 lines
+		c := mustNew(t, Config{SizeBytes: 4 * units.KB, Ways: 4}) // 64 lines
 		for _, l := range lines {
 			c.Access(uint64(l), l%3 == 0)
 			if c.Live() > 64 {
@@ -101,105 +111,47 @@ func TestCapacityInvariant(t *testing.T) {
 	}
 }
 
-func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("3-set cache should panic")
+func TestBadConfigErrors(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 3 * 64, Ways: 1},                     // 3 sets
+		{SizeBytes: 10922 * 64, Ways: 8},                 // lines not divisible by ways
+		{SizeBytes: 32, Ways: 1},                         // no whole line
+		{SizeBytes: 64 * 64, Ways: 32},                   // wider than the packed set
+		{SizeBytes: 4 * units.KB, Ways: 4, LineSize: 48}, // odd line size
+	} {
+		if c, err := New(cfg); err == nil {
+			t.Errorf("New(%+v) = %d lines, want an error", cfg, c.Lines())
 		}
-	}()
-	New(Config{SizeBytes: 3 * 64, Ways: 1})
-}
-
-func TestMESIBusReadSharing(t *testing.T) {
-	bus := NewBus()
-	a := New(Config{SizeBytes: 1 * units.KB, Ways: 2})
-	b := New(Config{SizeBytes: 1 * units.KB, Ways: 2})
-	bus.Attach(a)
-	bus.Attach(b)
-
-	bus.Access(a, 5, false)
-	if st := a.Probe(5); st != Exclusive {
-		t.Errorf("sole reader state = %v, want E", st)
-	}
-	_, interv := bus.Access(b, 5, false)
-	if !interv {
-		t.Error("expected intervention from E peer")
-	}
-	if a.Probe(5) != Shared || b.Probe(5) != Shared {
-		t.Errorf("states after read share: %v/%v, want S/S", a.Probe(5), b.Probe(5))
 	}
 }
 
-func TestMESIBusWriteInvalidates(t *testing.T) {
-	bus := NewBus()
-	a := New(Config{SizeBytes: 1 * units.KB, Ways: 2})
-	b := New(Config{SizeBytes: 1 * units.KB, Ways: 2})
-	bus.Attach(a)
-	bus.Attach(b)
-
-	bus.Access(a, 9, false)
-	bus.Access(b, 9, false)
-	bus.Access(a, 9, true) // write: b's copy must die
-	if st := b.Probe(9); st != Invalid {
-		t.Errorf("peer state after remote write = %v, want I", st)
+// TestPartitionGeometry: every sharer count gives a valid geometry, counts
+// that divide the set count give exactly 1/share of the capacity, and the
+// rest round the set count down to a power of two at full associativity.
+func TestPartitionGeometry(t *testing.T) {
+	cases := []struct {
+		cfg        Config
+		share      int
+		sets, ways int
+	}{
+		{Config{SizeBytes: 2 * units.MB, Ways: 8}, 1, 4096, 8},
+		{Config{SizeBytes: 2 * units.MB, Ways: 8}, 2, 2048, 8},
+		{Config{SizeBytes: 2 * units.MB, Ways: 8}, 3, 1024, 8},
+		{Config{SizeBytes: 2 * units.MB, Ways: 8}, 4, 1024, 8},
+		{Config{SizeBytes: 3 * units.MB, Ways: 12}, 3, 1024, 12},
+		{Config{SizeBytes: 3 * units.MB, Ways: 12}, 32, 128, 12},
+		{Config{SizeBytes: 8 * units.KB, Ways: 4}, 3, 8, 4},
+		{Config{SizeBytes: 16 * 64}, 3, 1, 5}, // one set: sliced by ways
 	}
-	if st := a.Probe(9); st != Modified {
-		t.Errorf("writer state = %v, want M", st)
-	}
-	if bus.Invalidations() == 0 {
-		t.Error("no invalidations counted")
-	}
-}
-
-func TestMESIModifiedIntervention(t *testing.T) {
-	bus := NewBus()
-	a := New(Config{SizeBytes: 1 * units.KB, Ways: 2})
-	b := New(Config{SizeBytes: 1 * units.KB, Ways: 2})
-	bus.Attach(a)
-	bus.Attach(b)
-
-	bus.Access(a, 3, true) // a: M
-	_, interv := bus.Access(b, 3, false)
-	if !interv {
-		t.Error("dirty peer must intervene")
-	}
-	if bus.Writebacks() == 0 {
-		t.Error("M->S downgrade must write back")
-	}
-	if a.Probe(3) != Shared || b.Probe(3) != Shared {
-		t.Errorf("states = %v/%v, want S/S", a.Probe(3), b.Probe(3))
-	}
-}
-
-// MESI safety property: after any access sequence there is at most one M or
-// E owner of a line, and an M/E owner excludes Shared copies.
-func TestMESISafetyProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		bus := NewBus()
-		caches := []*Cache{
-			New(Config{SizeBytes: 512, Ways: 2}),
-			New(Config{SizeBytes: 512, Ways: 2}),
-			New(Config{SizeBytes: 512, Ways: 2}),
+	for _, tc := range cases {
+		c, err := New(tc.cfg.Partition(tc.share))
+		if err != nil {
+			t.Errorf("%+v / %d: %v", tc.cfg, tc.share, err)
+			continue
 		}
-		for _, c := range caches {
-			bus.Attach(c)
+		if c.sets != tc.sets || c.assoc != tc.ways {
+			t.Errorf("%+v / %d: %d sets x %d ways, want %d x %d",
+				tc.cfg, tc.share, c.sets, c.assoc, tc.sets, tc.ways)
 		}
-		for _, op := range ops {
-			who := int(op) % 3
-			line := uint64(op/4) % 8
-			write := op%4 == 0
-			bus.Access(caches[who], line, write)
-			m, e, s := bus.Owners(line)
-			if m+e > 1 {
-				return false
-			}
-			if (m+e == 1) && s > 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
 	}
 }

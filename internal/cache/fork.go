@@ -1,59 +1,11 @@
 package cache
 
-import "unsafe"
-
-// Fork returns an independent deep copy of the cache: tags, MESI states, LRU
-// order vectors, and private-fill stamps. The copy is detached (id -1, no
-// bus); Bus.Fork re-attaches forked caches in the parent's attach order.
-// Call only at a quiescent point (no traffic in flight). The fork reproduces
-// New's 64-byte placement of the metadata blocks so the packed-set layout
-// contract holds in the clone too.
+// Fork returns an independent deep copy of the cache: tags, line states and
+// LRU order vectors. The fork reproduces New's 64-byte placement of the
+// metadata blocks so the packed-set layout contract holds in the clone too.
 func (c *Cache) Fork() *Cache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	nc := &Cache{}
-	nc.cacheFields = cacheFields{
-		priv:       append([]uint64(nil), c.priv...),
-		assoc:      c.assoc,
-		sets:       c.sets,
-		setMask:    c.setMask,
-		setBits:    c.setBits,
-		blockWords: c.blockWords,
-		orderMask:  c.orderMask,
-		presMask:   c.presMask,
-		lineShift:  c.lineShift,
-		id:         -1,
-	}
-	raw := make([]uint64, c.sets*c.blockWords+7)
-	off := 0
-	if rem := uintptr(unsafe.Pointer(&raw[0])) % 64; rem != 0 {
-		off = int((64 - rem) / 8)
-	}
-	nc.blocks = raw[off : off+c.sets*c.blockWords]
+	nc := *c
+	nc.blocks = alignedBlocks(len(c.blocks))
 	copy(nc.blocks, c.blocks)
-	return nc
-}
-
-// Fork returns an independent copy of the bus wired to the forked caches.
-// replace maps each attached parent cache to its fork; the clone preserves
-// attach order (hence cache ids and the deterministic counter-merge order),
-// the per-cache transaction counter blocks, and every shard's cross-cache
-// transition generation — so private-fill stamps recorded before the fork
-// remain valid on both sides. Call only at a quiescent point.
-func (b *Bus) Fork(replace func(*Cache) *Cache) *Bus {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	nb := NewBus()
-	for i, c := range b.caches {
-		nc := replace(c)
-		nc.id = i
-		nc.bus = nb
-		nb.caches = append(nb.caches, nc)
-		ctr := *b.ctrs[i]
-		nb.ctrs = append(nb.ctrs, &ctr)
-	}
-	for i := range b.shards {
-		nb.shards[i].xgen.Store(b.shards[i].xgen.Load())
-	}
-	return nb
+	return &nc
 }

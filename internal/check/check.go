@@ -1,7 +1,6 @@
 // Package check implements simulator-wide invariant auditing: conservation
-// laws over the profile counters, the MESI single-owner discipline across the
-// coherence bus, TLB-versus-page-table consistency, and the generation
-// protocol of the per-context translation cache.
+// laws over the profile counters, TLB-versus-page-table consistency, and the
+// generation protocol of the per-context translation cache.
 //
 // The audits are meant to run on a quiescent system — after a kernel, a
 // barrier, or a whole benchmark completes — and they are what turns the fault
@@ -14,9 +13,7 @@ package check
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"hugeomp/internal/cache"
 	"hugeomp/internal/machine"
 	"hugeomp/internal/pagetable"
 	"hugeomp/internal/profile"
@@ -58,51 +55,6 @@ func Counters(c profile.Counters) error {
 	if attributed := c.WalkCyc + c.MemCyc + c.BarrierCyc + c.FlushCycles; attributed > c.Busy {
 		fail("attributed cycles %d (walk %d + mem %d + barrier %d + flush %d) > busy %d",
 			attributed, c.WalkCyc, c.MemCyc, c.BarrierCyc, c.FlushCycles, c.Busy)
-	}
-	return errors.Join(errs...)
-}
-
-// MESI audits the coherence state across every cache attached to the bus: a
-// line may have at most one Modified-or-Exclusive owner, and an exclusive
-// owner excludes Shared copies elsewhere. A nil bus (coherence disabled) is
-// trivially consistent. Violations are reported in line-address order so the
-// output is deterministic.
-func MESI(b *cache.Bus) error {
-	if b == nil {
-		return nil
-	}
-	type owners struct{ m, e, s int }
-	lines := make(map[uint64]*owners)
-	for _, c := range b.Caches() {
-		for line, st := range c.Snapshot() {
-			o := lines[line]
-			if o == nil {
-				o = &owners{}
-				lines[line] = o
-			}
-			switch st {
-			case cache.Modified:
-				o.m++
-			case cache.Exclusive:
-				o.e++
-			case cache.Shared:
-				o.s++
-			}
-		}
-	}
-	bad := make([]uint64, 0)
-	for line, o := range lines {
-		if o.m+o.e > 1 || (o.m+o.e == 1 && o.s > 0) {
-			bad = append(bad, line)
-		}
-	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
-	var errs []error
-	for _, line := range bad {
-		o := lines[line]
-		errs = append(errs, fmt.Errorf(
-			"check: MESI: line %#x held by %d Modified, %d Exclusive, %d Shared owners",
-			line, o.m, o.e, o.s))
 	}
 	return errors.Join(errs...)
 }
@@ -158,40 +110,10 @@ func TranslationCache(ctx *machine.Context) error {
 	return ctx.AuditTranslationCache()
 }
 
-// BusConservation checks counter conservation across the sharded merge: the
-// bus transaction counters live in padded per-cache blocks and the context
-// counters in per-context (and, during omp regions, per-thread shard)
-// blocks, yet after both merges every L2 miss of every context must account
-// for exactly one bus miss transaction and vice versa:
-//
-//	Σ contexts' L2Misses == bus ReadMisses + WriteMisses
-//
-// Local L2 hits — including the lock-free private-line fast path — generate
-// no transaction, and every transaction that misses locally is counted as an
-// L2 miss by exactly one context, so any drift means a counter was lost or
-// double-merged. A nil bus (coherence disabled) is trivially consistent.
-func BusConservation(m *machine.Machine) error {
-	b := m.Bus()
-	if b == nil {
-		return nil
-	}
-	var l2Misses uint64
-	for _, ctx := range m.Contexts() {
-		l2Misses += ctx.Ctr.L2Misses
-	}
-	if busMisses := b.ReadMisses() + b.WriteMisses(); busMisses != l2Misses {
-		return fmt.Errorf(
-			"check: bus conservation: merged bus miss transactions %d (read %d + write %d) != merged context L2 misses %d",
-			busMisses, b.ReadMisses(), b.WriteMisses(), l2Misses)
-	}
-	return nil
-}
-
 // All runs every audit over a quiescent machine: the counter conservation
 // laws over the sum of all contexts (and over each context individually,
-// since the laws hold per context too), the TLB and translation-cache
-// consistency of every context, and the MESI discipline on the bus if the
-// machine is coherent.
+// since the laws hold per context too) and the TLB and translation-cache
+// consistency of every context.
 func All(m *machine.Machine) error {
 	var errs []error
 	var agg profile.Counters
@@ -209,12 +131,6 @@ func All(m *machine.Machine) error {
 	}
 	if err := Counters(agg); err != nil {
 		errs = append(errs, fmt.Errorf("aggregate: %w", err))
-	}
-	if err := MESI(m.Bus()); err != nil {
-		errs = append(errs, err)
-	}
-	if err := BusConservation(m); err != nil {
-		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"hugeomp/internal/cache"
 	"hugeomp/internal/machine"
 	"hugeomp/internal/pagetable"
 	"hugeomp/internal/profile"
@@ -48,61 +47,6 @@ func TestAllHoldsOnRealRun(t *testing.T) {
 	}
 }
 
-func TestAllHoldsOnCoherentRun(t *testing.T) {
-	model := machine.Opteron270()
-	model.Coherent = true
-	m, ctxs := newMachine(t, model, 4, 64, units.Size4K)
-	// All contexts read and write overlapping lines so the bus sees misses,
-	// interventions and invalidations.
-	for pass := 0; pass < 3; pass++ {
-		for i, c := range ctxs {
-			c.AccessRange(0, 4096, 8, (i+pass)%2 == 0)
-		}
-	}
-	if m.Bus() == nil {
-		t.Fatal("coherent model built no bus")
-	}
-	if err := All(m); err != nil {
-		t.Fatalf("invariants violated on a coherent run: %v", err)
-	}
-}
-
-// TestBusConservationAudit verifies the cross-merge conservation law is not
-// vacuously green: a clean coherent run passes, and losing or double-merging
-// one counter on either side of the context/bus boundary is flagged.
-func TestBusConservationAudit(t *testing.T) {
-	model := machine.Opteron270()
-	model.Coherent = true
-	m, ctxs := newMachine(t, model, 4, 64, units.Size4K)
-	for i, c := range ctxs {
-		c.AccessRange(0, 4096, 8, i%2 == 0)
-	}
-	if err := BusConservation(m); err != nil {
-		t.Fatalf("clean coherent run flagged: %v", err)
-	}
-	// Drop an L2 miss, as a lost shard during the deterministic merge would.
-	ctxs[2].Ctr.L2Misses--
-	if err := BusConservation(m); err == nil {
-		t.Fatal("lost context L2 miss not flagged")
-	}
-	// Double-merge it back and one more: now the contexts over-count.
-	ctxs[2].Ctr.L2Misses += 2
-	if err := BusConservation(m); err == nil {
-		t.Fatal("double-merged context L2 miss not flagged")
-	}
-	ctxs[2].Ctr.L2Misses--
-	if err := All(m); err != nil {
-		t.Fatalf("restored machine still flagged: %v", err)
-	}
-}
-
-func TestBusConservationNilBus(t *testing.T) {
-	m, _ := newMachine(t, machine.Opteron270(), 1, 4, units.Size4K)
-	if err := BusConservation(m); err != nil {
-		t.Fatalf("nil bus flagged: %v", err)
-	}
-}
-
 // TestCountersFlagsMutations perturbs each field that participates in a
 // conservation law and verifies the audit is not vacuously green.
 func TestCountersFlagsMutations(t *testing.T) {
@@ -131,47 +75,6 @@ func TestCountersFlagsMutations(t *testing.T) {
 		if err := Counters(c); err == nil {
 			t.Errorf("mutation %s not flagged", name)
 		}
-	}
-}
-
-func TestMESIAudit(t *testing.T) {
-	cfg := cache.Config{SizeBytes: 32 * units.KB, Ways: 4}
-	bus := cache.NewBus()
-	c0, c1 := cache.New(cfg), cache.New(cfg)
-	bus.Attach(c0)
-	bus.Attach(c1)
-	for line := uint64(0); line < 64; line++ {
-		bus.Access(c0, line, line%4 == 0)
-		bus.Access(c1, line, false)
-	}
-	if err := MESI(bus); err != nil {
-		t.Fatalf("clean bus traffic flagged: %v", err)
-	}
-	// Corrupt: promote both copies of a shared line to Modified — two owners.
-	if !c0.ForceState(7, cache.Modified) || !c1.ForceState(7, cache.Modified) {
-		t.Fatal("line 7 not resident in both caches")
-	}
-	err := MESI(bus)
-	if err == nil {
-		t.Fatal("two Modified owners not flagged")
-	}
-	if !strings.Contains(err.Error(), "0x7") {
-		t.Errorf("violation message %q does not name line 0x7", err)
-	}
-	// Repair one side to Shared: still illegal (M owner with a Shared peer).
-	c1.ForceState(7, cache.Shared)
-	if MESI(bus) == nil {
-		t.Error("Modified owner alongside Shared copy not flagged")
-	}
-	c0.ForceState(7, cache.Shared)
-	if err := MESI(bus); err != nil {
-		t.Errorf("all-Shared line still flagged: %v", err)
-	}
-}
-
-func TestMESINilBus(t *testing.T) {
-	if err := MESI(nil); err != nil {
-		t.Fatalf("nil bus flagged: %v", err)
 	}
 }
 

@@ -80,7 +80,7 @@ const (
 type Config struct {
 	Model   machine.Model
 	Policy  PagePolicy
-	Sharing machine.SharingMode
+	Sharing machine.SharingMode // must be SharePartition (NewRT refuses others); mirrors npb.RunConfig.Sharing, kept for key stability
 	Barrier omp.BarrierAlgo
 
 	PhysBytes   int64 // simulated physical memory (default 8 GB)
@@ -155,7 +155,6 @@ func NewSystem(cfg Config) (*System, error) {
 		PT:   pagetable.New(),
 	}
 	s.Machine = machine.New(cfg.Model)
-	s.Machine.Sharing = cfg.Sharing
 	s.Machine.AttachProcess(s.PT)
 	s.PT.SetFaultPlan(cfg.Fault)
 
@@ -354,6 +353,9 @@ func (s *System) NewCodeRegion(name string, size int64) (*omp.CodeRegion, error)
 // are configured fresh (cold TLBs and caches), and their page-size probe
 // hint is primed with the policy's dominant class.
 func (s *System) NewRT(nthreads int) (*omp.RT, error) {
+	if s.Cfg.Sharing != machine.SharePartition {
+		return nil, fmt.Errorf("core: sharing mode %d: only partitioned sharing is simulated", s.Cfg.Sharing)
+	}
 	rt, err := omp.New(s.Machine, nthreads, omp.WithBarrier(s.Cfg.Barrier))
 	if err != nil {
 		return nil, err

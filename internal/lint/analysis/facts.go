@@ -20,7 +20,7 @@ import (
 //     what keeps the interprocedural analyzers incremental.
 //
 // Keys are "analyzer\x00name" where name is normally a *types.Func FullName
-// (e.g. "(*hugeomp/internal/cache.Bus).AccessLines") but may be any string
+// (e.g. "(*hugeomp/internal/machine.Context).AccessRange") but may be any string
 // an analyzer chooses (lockorder uses a per-package "edges/<path>" fact for
 // its acquisition graph). Values are JSON so the store is self-describing
 // and diffable.

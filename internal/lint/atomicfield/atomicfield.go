@@ -1,11 +1,10 @@
 // Package atomicfield enforces the simulator's published-word contract:
-// struct fields annotated //simlint:atomic (the CAS-published MESI
-// line-state words, for example) are racily shared between the owning
-// context's goroutine and peer bus transactions, so every touch must go
-// through sync/atomic. A plain read or write of an annotated field is an
-// error: mixed plain/atomic access is exactly the bug class the annotation
-// exists to keep out, because it compiles, passes most runs, and corrupts
-// coherence state only under contention.
+// struct fields annotated //simlint:atomic are racily shared between
+// goroutines, so every touch must go through sync/atomic. A plain read or
+// write of an annotated field is an error: mixed plain/atomic access is
+// exactly the bug class the annotation exists to keep out, because it
+// compiles, passes most runs, and corrupts shared state only under
+// contention.
 //
 // Allowed accesses:
 //

@@ -1,5 +1,5 @@
-// Corpus for the atomicfield analyzer: the annotated state word and state
-// slice mirror the simulator's CAS-published MESI line states.
+// Corpus for the atomicfield analyzer: an annotated state word and state
+// slice, CAS-published between goroutines.
 package a
 
 import "sync/atomic"
@@ -79,8 +79,7 @@ func escape(l *line, f func(*uint32)) {
 }
 
 // The snapshot layer's forked-counter shape: a fork must copy a peer's
-// atomic words via Load/Store pairs (bus shard generations, shootdown
-// flags), never by plain assignment — a struct copy of the containing
+// atomic words via Load/Store pairs (shootdown flags), never by plain assignment — a struct copy of the containing
 // value would smuggle the word across without a fence.
 type forkedFlag struct {
 	armed uint64 //simlint:atomic

@@ -7,7 +7,7 @@
 // method fan out to that method on every concrete named type — declared in
 // this package or in a directly imported one — whose method set implements
 // the interface. That is exactly strong enough for the simulator's
-// interfaces (npb.Kernel, the cache/bus wiring), which are closed sets of
+// interfaces (npb.Kernel, for one), which are closed sets of
 // in-module implementations. Calls through function-typed values produce no
 // edge; analyzers treat their effects conservatively at the few places it
 // matters (documented per analyzer).

@@ -4,9 +4,9 @@
 //   - Every function gets a summary of the lock classes it may acquire
 //     (directly or through calls), with a representative call chain per
 //     class. Summaries are solved bottom-up over the call-graph SCCs and
-//     flow across package boundaries as facts, so holding a cache mutex
-//     three calls above a bus transaction is seen exactly like holding it
-//     on the same line.
+//     flow across package boundaries as facts, so holding a mutex three
+//     calls above another acquisition is seen exactly like holding it on
+//     the same line.
 //   - Acquiring class B while class A is held records the acquisition-graph
 //     edge A → B. An edge that runs against the documented rank order
 //     (Order, outermost first) is a rank inversion; an edge between two
@@ -24,12 +24,9 @@
 //     which report only in Packages, this one reports in every package.
 //
 // The lock identity model matches the simulator's: a lock's class is
-// "OwnerType.field" for a mutex stored in a named struct (Context.l2Mu,
-// busShard.mu, Cache.mu), and rank lookup falls back from the qualified
-// name to the bare owner type, so Order may rank whole types or single
-// fields. The shared-L2 serialisation mutex is simply ranked above the bus
-// (Context.l2Mu comes first in Order) — the analyzer proves the hierarchy
-// instead of suppressing it.
+// "OwnerType.field" for a mutex stored in a named struct (Context.shootMu,
+// Snapshot.mu), and rank lookup falls back from the qualified name to the
+// bare owner type, so Order may rank whole types or single fields.
 //
 // Held-set tracking inside a function is a source-order walk (exactly
 // enough for the simulator's straight-line locking idioms); function
@@ -70,11 +67,12 @@ var Analyzer = &analysis.Analyzer{
 
 // Order is the documented lock hierarchy, outermost first: "<" separates
 // rank levels, "," separates classes sharing a level. A class is either a
-// qualified mutex field ("Context.l2Mu") or a bare owner type ("Cache",
-// matching any mutex field it owns). Snapshot (fork template freeze) sits
-// above the memory system: it holds its mutex while driving cache traffic,
-// never the reverse. The driver exposes it as -lockorder.order.
-var Order = "Snapshot < Context.l2Mu < busShard < Cache, cacheFields"
+// qualified mutex field ("Context.shootMu") or a bare owner type
+// ("Snapshot", matching any mutex field it owns). Every context owns its
+// TLBs and caches, so the simulator's one ranked lock is Snapshot's (fork
+// template freeze): it holds its mutex while forking the page table and
+// machine, never the reverse. The driver exposes it as -lockorder.order.
+var Order = "Snapshot"
 
 // Packages limits *reporting* to the packages that participate in the
 // simulator's lock hierarchy (summaries and edges are still computed

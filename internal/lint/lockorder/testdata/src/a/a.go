@@ -1,6 +1,6 @@
-// Corpus for the lockorder analyzer. The test configures the order
-// "L2.mu < Shard < Cache", mirroring the simulator's
-// Context.l2Mu → busShard → Cache hierarchy.
+// Corpus for the lockorder analyzer. The test configures the three-level
+// order "L2.mu < Shard < Cache", a hierarchy deep enough to exercise every
+// rule.
 package a
 
 import "sync"

@@ -43,7 +43,7 @@ type ModelConfig struct {
 	L1D CacheConfig `json:"l1d"`
 	L2  CacheConfig `json:"l2"`
 
-	Coherent bool         `json:"coherent"`
+	Coherent bool         `json:"coherent"` // Configure refuses true (see Model.Coherent)
 	Costs    *CostsConfig `json:"costs"`
 }
 

@@ -22,14 +22,17 @@ const lineShift = 6 // 64-byte cache lines
 type FaultHandler func(va units.Addr, write bool) error
 
 // Context is one hardware thread context: the unit a simulated OpenMP thread
-// runs on. It owns (or, in true-sharing mode, co-owns behind locks) an ITLB
-// stack, a DTLB stack and an L1/L2 cache pair, and accumulates exact event
-// counts and cycle costs for every access.
+// runs on. It owns an ITLB stack, a DTLB stack and an L1/L2 cache pair —
+// private, partitioned slices of whatever the hardware shares between
+// co-scheduled contexts — and accumulates exact event counts and cycle costs
+// for every access.
 //
-// A Context is driven by exactly one goroutine at a time. Caches are indexed
-// by virtual line address (the simulated process is the only user of the
-// machine, so virtual≡physical indexing is behaviour-preserving and lets the
-// hot path skip PFN bookkeeping).
+// A Context is driven by exactly one goroutine at a time. It shares nothing
+// it simulates with another context except the page table and its
+// shootdown mailbox. Caches are indexed by virtual line address (the
+// simulated process is the only user of the machine, so virtual≡physical
+// indexing is behaviour-preserving and lets the hot path skip PFN
+// bookkeeping).
 type Context struct {
 	ID     int
 	Chip   int
@@ -42,9 +45,6 @@ type Context struct {
 	dtlb    *tlb.Hierarchy
 	l1      *cache.Cache
 	l2      *cache.Cache
-
-	coreMu *sync.Mutex // guards itlb/dtlb/l1 in true-sharing mode
-	l2Mu   *sync.Mutex // guards l2 in true-sharing mode
 
 	costs      *Costs
 	hasSibling bool // another context is co-scheduled on this core
@@ -83,15 +83,6 @@ type Context struct {
 	// across calls so steady-state gathers are allocation-free.
 	idxSort []int64
 	idxCnt  []int32
-
-	// Run-batch scratch for the coherent-bus bulk paths (see flushRuns),
-	// reused across calls so steady-state ranges are allocation-free.
-	runLine  []uint64
-	runExtra []int32
-	runKind  []uint8
-	pendIdx  []int32
-	pendLine []uint64
-	pendOut  []cache.LineTxn
 
 	// Shootdown mailbox: cross-context TLB invalidations are delivered like
 	// IPIs — enqueued by the sender, drained by the owning goroutine at its
@@ -143,22 +134,10 @@ func (c *Context) SetPageHint(s units.PageSize) {
 	c.fetchHint = s
 }
 
-// lockCore acquires the core lock in true-sharing mode.
-func (c *Context) lockCore() {
-	if c.coreMu != nil {
-		c.coreMu.Lock()
-	}
-}
-func (c *Context) unlockCore() {
-	if c.coreMu != nil {
-		c.coreMu.Unlock()
-	}
-}
-
 // translateData resolves va through the DTLB stack, walking the page table
 // on a full miss (or a write hitting a non-writable entry). It returns the
 // mapped page size, whether the filled entry is writable, and the cycle cost
-// beyond a first-level hit. Caller holds the core lock in true-sharing mode.
+// beyond a first-level hit.
 func (c *Context) translateData(va units.Addr, write bool) (units.PageSize, bool, uint64) {
 	order := [2]units.PageSize{c.dataHint, c.dataHint ^ 1}
 	for _, s := range order {
@@ -254,48 +233,16 @@ func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
 }
 
 // cacheAccess runs the data-cache hierarchy for one line and returns its
-// cycle cost. Caller holds the core lock in true-sharing mode.
+// cycle cost.
 //
 //simlint:hotpath
 func (c *Context) cacheAccess(line uint64, write bool) uint64 {
-	res := c.l1.Access(line, write)
-	if res.Hit {
+	if c.l1.Access(line, write).Hit {
 		c.Ctr.L1Hits++
 		return c.costs.L1HitCyc
 	}
 	c.Ctr.L1Misses++
-	// Private-line fast path: with a private L2 on a coherent bus, an owner
-	// hit that needs no bus transaction (any read hit, or a write hit on an
-	// M line or a still-private E line) is served lock-free — no shard lock,
-	// no per-cache mutex. Counter-equivalent to the locked path: these hits
-	// touch no bus counters there either.
-	if c.machine.bus != nil && c.l2Mu == nil && c.l2.FastAccess(line, write) {
-		c.Ctr.L2Hits++
-		c.lastMissValid = false
-		return c.costs.L2HitCyc
-	}
-	// Only the L2/bus lookup touches shared state; counters and prefetcher
-	// state are per-context, so the lock window stays minimal (no defer —
-	// this is the hottest path in the simulator).
-	if c.l2Mu != nil {
-		c.l2Mu.Lock()
-	}
-	var res2 cache.Result
-	interv := false
-	if bus := c.machine.bus; bus != nil {
-		// l2Mu is only non-nil for a truly shared L2, where it is the
-		// outermost lock of the hierarchy (Context.l2Mu ranks above busShard
-		// and Cache in lockorder.Order) and no bus path ever takes it back,
-		// so holding it across the transaction cannot deadlock — it is what
-		// serialises the shared L2.
-		res2, interv = bus.Access(c.l2, line, write)
-	} else {
-		res2 = c.l2.Access(line, write)
-	}
-	if c.l2Mu != nil {
-		c.l2Mu.Unlock()
-	}
-	if res2.Hit {
+	if c.l2.Access(line, write).Hit {
 		c.Ctr.L2Hits++
 		// The L2 hit interrupts the miss stream: the prefetcher's run
 		// continuation must not survive it, or the next unrelated miss
@@ -313,9 +260,6 @@ func (c *Context) cacheAccess(line uint64, write bool) uint64 {
 	}
 	c.lastMissLine = line
 	c.lastMissValid = true
-	if interv {
-		cyc = c.costs.C2CCyc
-	}
 	c.Ctr.MemCyc += cyc
 	if c.smtFlush {
 		// The Xeon SMT implementation evicts the thread context on a memory
@@ -325,160 +269,6 @@ func (c *Context) cacheAccess(line uint64, write bool) uint64 {
 		cyc += c.costs.FlushCyc
 	}
 	return cyc
-}
-
-// Resolution outcomes of a collected line run (see flushRuns).
-const (
-	runPending uint8 = iota
-	runL1Hit
-	runL2Hit
-	runMem    // memory fill
-	runMemItv // memory fill supplied by a peer cache (cache-to-cache)
-)
-
-// batchRuns reports whether the bulk paths may collect line runs and resolve
-// them through batched bus transactions: a coherent bus, a private L2 (no
-// l2Mu — a truly shared L2 serialises on its mutex anyway), and an L2 with
-// at least one set per line of a shard group. The set-count condition makes
-// the lines of one group occupy pairwise-distinct sets, which is what lets a
-// deferred group transaction commute with the fast-path hits attempted
-// between its lines (no victim-selection interaction between batch members).
-func (c *Context) batchRuns() bool {
-	return c.machine.bus != nil && c.l2Mu == nil && c.l2.Sets() >= cache.GroupLines
-}
-
-// pushRun collects one line run (head line plus extra same-line follow-up
-// accesses) for deferred resolution by flushRuns.
-func (c *Context) pushRun(line uint64, extra int32) {
-	c.runLine = append(c.runLine, line)
-	c.runExtra = append(c.runExtra, extra)
-}
-
-// flushRuns resolves the line runs collected from one page segment and
-// returns their cycle cost. It is the run-transaction counterpart of calling
-// cacheAccess once per run head, restructured into three passes so a whole
-// shard group of L2 misses becomes one bus transaction:
-//
-//  1. L1 lookups, in access order (L1 state never depends on L2 outcomes);
-//  2. L2 resolution for the L1 misses, in access order: the private-line
-//     fast path first, then one Bus.AccessLines transaction per shard group
-//     for the leftovers. The pending batch is flushed whenever the next
-//     miss crosses into a different group, so operations never reorder
-//     across groups; within a group the batch members occupy distinct L2
-//     sets (batchRuns' geometry gate), so deferring them past the group's
-//     fast-path hits commutes.
-//  3. cycle charging and prefetcher bookkeeping, in access order (the
-//     stream-detector state is order-sensitive, so it runs only after every
-//     run's outcome is known).
-//
-// The per-line counter updates and cache-state evolution are exactly those
-// of the per-line path; the equivalence is property-tested against the
-// per-element reference engines on coherent machines.
-//
-//simlint:hotpath
-func (c *Context) flushRuns(write bool) uint64 {
-	nr := len(c.runLine)
-	if nr == 0 {
-		return 0
-	}
-	if cap(c.runKind) < nr {
-		c.runKind = make([]uint8, nr, cap(c.runLine))
-	}
-	c.runKind = c.runKind[:nr]
-
-	// Pass 1: L1.
-	for r, line := range c.runLine {
-		if c.l1.Access(line, write).Hit {
-			c.Ctr.L1Hits++
-			c.runKind[r] = runL1Hit
-		} else {
-			c.Ctr.L1Misses++
-			c.runKind[r] = runPending
-		}
-	}
-
-	// Pass 2: L2 fast path + batched bus transactions.
-	bus := c.machine.bus
-	c.pendIdx = c.pendIdx[:0]
-	c.pendLine = c.pendLine[:0]
-	flush := func() {
-		if len(c.pendLine) == 0 {
-			return
-		}
-		if cap(c.pendOut) < len(c.pendLine) {
-			c.pendOut = make([]cache.LineTxn, len(c.pendLine))
-		}
-		out := c.pendOut[:len(c.pendLine)]
-		bus.AccessLines(c.l2, c.pendLine, write, out)
-		for k, r := range c.pendIdx {
-			if out[k].Hit {
-				c.Ctr.L2Hits++
-				c.runKind[r] = runL2Hit
-			} else if out[k].Intervention {
-				c.Ctr.L2Misses++
-				c.runKind[r] = runMemItv
-			} else {
-				c.Ctr.L2Misses++
-				c.runKind[r] = runMem
-			}
-		}
-		c.pendIdx = c.pendIdx[:0]
-		c.pendLine = c.pendLine[:0]
-	}
-	for r, line := range c.runLine {
-		if c.runKind[r] != runPending {
-			continue
-		}
-		if len(c.pendLine) > 0 && cache.GroupOf(line) != cache.GroupOf(c.pendLine[0]) {
-			flush()
-		}
-		if c.l2.FastAccess(line, write) {
-			c.Ctr.L2Hits++
-			c.runKind[r] = runL2Hit
-			continue
-		}
-		c.pendIdx = append(c.pendIdx, int32(r))
-		c.pendLine = append(c.pendLine, line)
-	}
-	flush()
-
-	// Pass 3: cycles.
-	var busy uint64
-	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
-	for r, line := range c.runLine {
-		busy += c.costs.ExecCyc
-		switch c.runKind[r] {
-		case runL1Hit:
-			busy += c.costs.L1HitCyc
-		case runL2Hit:
-			busy += c.costs.L2HitCyc
-			c.lastMissValid = false
-		default:
-			cyc := c.costs.MemCyc
-			if c.lastMissValid && line == c.lastMissLine+1 && line%64 != 0 {
-				cyc = c.costs.StreamCyc
-			}
-			c.lastMissLine = line
-			c.lastMissValid = true
-			if c.runKind[r] == runMemItv {
-				cyc = c.costs.C2CCyc
-			}
-			c.Ctr.MemCyc += cyc
-			if c.smtFlush {
-				c.Ctr.SMTSwitches++
-				c.Ctr.FlushCycles += c.costs.FlushCyc
-				cyc += c.costs.FlushCyc
-			}
-			busy += cyc
-		}
-		if extra := c.runExtra[r]; extra > 0 {
-			c.Ctr.L1Hits += uint64(extra)
-			busy += uint64(extra) * hitCyc
-		}
-	}
-	c.runLine = c.runLine[:0]
-	c.runExtra = c.runExtra[:0]
-	return busy
 }
 
 // dataAccess commits one scalar data access through the full
@@ -491,13 +281,11 @@ func (c *Context) dataAccess(va units.Addr, write bool) {
 	} else {
 		c.Ctr.Loads++
 	}
-	c.lockCore()
 	if c.shootFlag.Load() {
 		c.drainShootdowns()
 	}
 	_, _, cyc := c.translateData(va, write)
 	cyc += c.costs.ExecCyc + c.cacheAccess(uint64(va)>>lineShift, write)
-	c.unlockCore()
 	c.Ctr.Busy += cyc
 }
 
@@ -519,9 +307,9 @@ func (c *Context) AccessRange(base units.Addr, n int, stride int64, write bool) 
 	} else {
 		c.Ctr.Loads += uint64(n)
 	}
-	c.lockCore()
+	// The engine may charge soft faults to Busy itself, so Busy is read
+	// only after it returns.
 	busy := c.rangeBulk(base, n, stride, write)
-	c.unlockCore()
 	c.Ctr.Busy += busy
 }
 
@@ -552,11 +340,10 @@ const drainWindow = 64
 // base. A zero stride is one run per segment. Fault-handler contexts (SCASH
 // coherence, transparent huge pages) take the same path: a fault is served
 // inside the segment's translation, and any shootdown it queues drains at
-// the next window boundary. Caller holds the core lock.
+// the next window boundary.
 func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) uint64 {
 	var busy uint64
 	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
-	batched := c.batchRuns()
 	var pageBase, pageMask units.Addr
 	var pageW, pageOK bool
 	pageEnd := 0 // index one past the last element on the translated page
@@ -601,11 +388,7 @@ func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) ui
 			// but every element still probes the cache hierarchy.
 			for j := 0; j < segN; j++ {
 				line := uint64(va+units.Addr(int64(j)*stride)) >> lineShift
-				if batched {
-					c.pushRun(line, 0)
-				} else {
-					busy += c.costs.ExecCyc + c.cacheAccess(line, write)
-				}
+				busy += c.costs.ExecCyc + c.cacheAccess(line, write)
 			}
 		} else {
 			for j := 0; j < segN; {
@@ -626,20 +409,13 @@ func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) ui
 					k = segN
 				}
 				k = min(k, segN-j)
-				if batched {
-					c.pushRun(line, int32(k-1))
-				} else {
-					busy += c.costs.ExecCyc + c.cacheAccess(line, write)
-					if k > 1 {
-						c.Ctr.L1Hits += uint64(k - 1)
-						busy += uint64(k-1) * hitCyc
-					}
+				busy += c.costs.ExecCyc + c.cacheAccess(line, write)
+				if k > 1 {
+					c.Ctr.L1Hits += uint64(k - 1)
+					busy += uint64(k-1) * hitCyc
 				}
 				j += k
 			}
-		}
-		if batched {
-			busy += c.flushRuns(write)
 		}
 		i += segN
 	}
@@ -676,10 +452,7 @@ func (c *Context) indexedRange(base units.Addr, elemSize int64, idx []int64, wri
 	} else {
 		c.Ctr.Loads += uint64(n)
 	}
-	sorted := c.sortedIndices(idx)
-	c.lockCore()
-	busy := c.gatherBulk(base, elemSize, sorted, write)
-	c.unlockCore()
+	busy := c.gatherBulk(base, elemSize, c.sortedIndices(idx), write) // see AccessRange
 	c.Ctr.Busy += busy
 }
 
@@ -692,11 +465,10 @@ func (c *Context) indexedRange(base units.Addr, elemSize int64, idx []int64, wri
 // construction (skipped LRU refreshes stay within a single line's run, so
 // the relative recency of distinct lines is unchanged). Drain polls, fault
 // handling and segment ends at drain-window boundaries are those of
-// rangeBulk. Caller holds the core lock; elemSize must be positive.
+// rangeBulk. elemSize must be positive.
 func (c *Context) gatherBulk(base units.Addr, elemSize int64, sorted []int64, write bool) uint64 {
 	var busy uint64
 	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
-	batched := c.batchRuns()
 	var pageBase, pageMask units.Addr
 	var pageW, pageOK bool
 	n := len(sorted)
@@ -724,19 +496,12 @@ func (c *Context) gatherBulk(base units.Addr, elemSize int64, sorted []int64, wr
 			for i+k < segEnd && uint64(base+units.Addr(sorted[i+k]*elemSize))>>lineShift == line {
 				k++
 			}
-			if batched {
-				c.pushRun(line, int32(k-1))
-			} else {
-				busy += c.costs.ExecCyc + c.cacheAccess(line, write)
-				if k > 1 {
-					c.Ctr.L1Hits += uint64(k - 1)
-					busy += uint64(k-1) * hitCyc
-				}
+			busy += c.costs.ExecCyc + c.cacheAccess(line, write)
+			if k > 1 {
+				c.Ctr.L1Hits += uint64(k - 1)
+				busy += uint64(k-1) * hitCyc
 			}
 			i += k
-		}
-		if batched {
-			busy += c.flushRuns(write)
 		}
 	}
 	return busy
@@ -792,8 +557,7 @@ func (c *Context) countingSort(s []int64) bool {
 }
 
 // translateFetch resolves va through the ITLB stack, refreshing the fetch
-// micro-TLB, and returns the cycle cost beyond a first-level hit. Caller
-// holds the core lock.
+// micro-TLB, and returns the cycle cost beyond a first-level hit.
 func (c *Context) translateFetch(va units.Addr) uint64 {
 	var cyc uint64
 	order := [2]units.PageSize{c.fetchHint, c.fetchHint ^ 1}
@@ -838,7 +602,6 @@ func (c *Context) FetchRange(base units.Addr, n int, stride int64) {
 		return
 	}
 	c.Ctr.Fetches += uint64(n)
-	c.lockCore()
 	var busy uint64
 	if stride <= 0 {
 		for i := 0; i < n; i++ {
@@ -870,7 +633,6 @@ func (c *Context) FetchRange(base units.Addr, n int, stride int64) {
 			i += segN
 		}
 	}
-	c.unlockCore()
 	c.Ctr.Busy += busy
 }
 
@@ -914,11 +676,9 @@ func (c *Context) PageTable() *pagetable.Table { return c.pt }
 // audit must deliver them first or it would flag that legal window. Call only
 // while the context is quiescent.
 func (c *Context) SettleForAudit() {
-	c.lockCore()
 	if c.shootFlag.Load() {
 		c.drainShootdowns()
 	}
-	c.unlockCore()
 }
 
 // AuditTranslationCache re-validates every generation-current slot of the
@@ -971,8 +731,7 @@ func (c *Context) ForceTranslationCacheEntry(vpn uint64, wr pagetable.WalkResult
 	c.xlat[vpn&(xlatSlots-1)] = xlatSlot{key: vpn<<1 | 1, wr: packed}
 }
 
-// drainShootdowns applies queued invalidations. Caller holds the core lock
-// in true-sharing mode.
+// drainShootdowns applies queued invalidations.
 func (c *Context) drainShootdowns() {
 	c.shootMu.Lock()
 	reqs := c.pending

@@ -12,12 +12,11 @@ import (
 
 // equivCfg is one machine configuration of the equivalence property: the
 // bulk AccessRange path must match the scalar paths on every page-size
-// policy and SMT-sharing mode, not just the default Opteron.
+// policy and on partitioned SMT contexts, not just the default Opteron.
 type equivCfg struct {
 	name    string
 	model   Model
 	threads int
-	sharing SharingMode
 	ps      units.PageSize
 	// demand maps nothing up front: an OnFault handler maps each 4 KB page
 	// on its first touch, so translations fault mid-engine the way they do
@@ -25,25 +24,16 @@ type equivCfg struct {
 	demand bool
 }
 
-func coherentOpteron() Model {
-	m := Opteron270()
-	m.Coherent = true
-	return m
-}
-
 func equivConfigs() []equivCfg {
 	return []equivCfg{
-		{"opteron/1thr/partition/4K", Opteron270(), 1, SharePartition, units.Size4K, false},
-		{"opteron/1thr/partition/2M", Opteron270(), 1, SharePartition, units.Size2M, false},
-		{"xeon/8thr/partition/4K", XeonHT(), 8, SharePartition, units.Size4K, false},
-		{"xeon/8thr/sharetrue/2M", XeonHT(), 8, ShareTrue, units.Size2M, false},
-		// Coherent Opteron: the run-level bus transactions (AccessLines) and
-		// the private-line fast path must be counter-identical to the scalar
-		// per-line protocol. 4 threads so every transaction snoops 3 peers.
-		{"opteron-coherent/4thr/partition/4K", coherentOpteron(), 4, SharePartition, units.Size4K, false},
-		{"opteron-coherent/4thr/partition/2M", coherentOpteron(), 4, SharePartition, units.Size2M, false},
-		{"opteron/1thr/demand/4K", Opteron270(), 1, SharePartition, units.Size4K, true},
-		{"opteron-coherent/4thr/demand/4K", coherentOpteron(), 4, SharePartition, units.Size4K, true},
+		{"opteron/1thr/partition/4K", Opteron270(), 1, units.Size4K, false},
+		{"opteron/1thr/partition/2M", Opteron270(), 1, units.Size2M, false},
+		{"xeon/8thr/partition/4K", XeonHT(), 8, units.Size4K, false},
+		{"xeon/8thr/partition/2M", XeonHT(), 8, units.Size2M, false},
+		{"opteron/4thr/partition/4K", Opteron270(), 4, units.Size4K, false},
+		{"opteron/4thr/partition/2M", Opteron270(), 4, units.Size2M, false},
+		{"opteron/1thr/demand/4K", Opteron270(), 1, units.Size4K, true},
+		{"opteron/4thr/demand/4K", Opteron270(), 4, units.Size4K, true},
 	}
 }
 
@@ -53,7 +43,6 @@ func (cfg equivCfg) mk(t testing.TB) *Context {
 		mapRange(t, pt, 0, 4*units.MB, cfg.ps)
 	}
 	m := New(cfg.model)
-	m.Sharing = cfg.sharing
 	m.AttachProcess(pt)
 	ctxs, err := m.Configure(cfg.threads)
 	if err != nil {

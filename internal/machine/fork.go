@@ -3,20 +3,13 @@ package machine
 import (
 	"sync"
 
-	"hugeomp/internal/cache"
 	"hugeomp/internal/pagetable"
-	"hugeomp/internal/tlb"
 )
 
 // Fork returns an independent deep copy of the machine translating through
-// pt, the forked page table of the same process. Model and Sharing are value
-// copies; every context is cloned with its warmed TLB stacks, caches,
-// translation cache, shootdown mailbox and counters intact. Sharing topology
-// is preserved: contexts that shared a TLB/cache/lock in the parent share a
-// single forked instance in the clone (identity-mapped, so ShareTrue forks
-// keep co-scheduled contexts behind one lock), and the bus — when present —
-// is forked with attach order, transaction counters and shard generations
-// carried over, so private-line fast-path stamps stay valid.
+// pt, the forked page table of the same process. Model is a value copy;
+// every context is cloned with its warmed TLB stacks, caches, translation
+// cache, shootdown mailbox and counters intact.
 //
 // Two caveats, both by design:
 //
@@ -30,64 +23,17 @@ import (
 // Call only at a quiescent point: no simulated threads running, no shootdowns
 // in flight beyond the queued mailbox entries (which are cloned).
 func (m *Machine) Fork(pt *pagetable.Table) *Machine {
-	nm := &Machine{Model: m.Model, Sharing: m.Sharing, pt: pt}
+	nm := &Machine{Model: m.Model, pt: pt}
 	if len(m.contexts) == 0 {
 		return nm
 	}
-
-	// Identity maps preserve the sharing topology of ShareTrue machines.
-	cacheMap := map[*cache.Cache]*cache.Cache{}
-	forkCache := func(c *cache.Cache) *cache.Cache {
-		if c == nil {
-			return nil
-		}
-		if nc, ok := cacheMap[c]; ok {
-			return nc
-		}
-		nc := c.Fork()
-		cacheMap[c] = nc
-		return nc
-	}
-	tlbMap := map[*tlb.Hierarchy]*tlb.Hierarchy{}
-	forkTLB := func(h *tlb.Hierarchy) *tlb.Hierarchy {
-		if h == nil {
-			return nil
-		}
-		if nh, ok := tlbMap[h]; ok {
-			return nh
-		}
-		nh := h.Fork()
-		tlbMap[h] = nh
-		return nh
-	}
-	muMap := map[*sync.Mutex]*sync.Mutex{}
-	forkMu := func(mu *sync.Mutex) *sync.Mutex {
-		if mu == nil {
-			return nil
-		}
-		if n, ok := muMap[mu]; ok {
-			return n
-		}
-		n := &sync.Mutex{}
-		muMap[mu] = n
-		return n
-	}
-
-	if m.bus != nil {
-		// Bus.Fork walks the attach order, so every bus-attached cache lands
-		// in cacheMap before the context loop asks for it.
-		nm.bus = m.bus.Fork(forkCache)
-	}
-
 	nm.contexts = make([]*Context, len(m.contexts))
 	for i, c := range m.contexts {
 		nc := &Context{
 			ID: c.ID, Chip: c.Chip, Core: c.Core, Thread: c.Thread,
 			machine: nm, pt: pt,
-			itlb: forkTLB(c.itlb), dtlb: forkTLB(c.dtlb),
-			l1: forkCache(c.l1), l2: forkCache(c.l2),
-			coreMu:     forkMu(c.coreMu),
-			l2Mu:       forkMu(c.l2Mu),
+			itlb: c.itlb.Fork(), dtlb: c.dtlb.Fork(),
+			l1: c.l1.Fork(), l2: c.l2.Fork(),
 			costs:      &nm.Model.Costs,
 			hasSibling: c.hasSibling,
 			smtFlush:   c.smtFlush,

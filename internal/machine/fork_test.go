@@ -172,8 +172,8 @@ func FuzzForkEquivalence(f *testing.F) {
 // other's writes. Each fork runs a different op stream, interleaved with the
 // other's, and must stay byte-identical at every step to a control world
 // that ran the shared prefix plus only its own stream — any cross-fork leak
-// through the shared page table, TLBs, caches or bus would knock a fork off
-// its control.
+// through the shared page table, TLBs or caches would knock a fork off its
+// control.
 func TestSnapshotForksIsolated(t *testing.T) {
 	for _, ps := range []units.PageSize{units.Size4K, units.Size2M} {
 		t.Run(ps.String(), func(t *testing.T) {

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"hugeomp/internal/cache"
 	"hugeomp/internal/pagetable"
@@ -12,18 +11,16 @@ import (
 
 // Machine is an instantiated platform running one simulated process.
 type Machine struct {
-	Model   Model
-	Sharing SharingMode
+	Model Model
 
-	pt  *pagetable.Table
-	bus *cache.Bus
+	pt *pagetable.Table
 
 	contexts []*Context
 }
 
-// New instantiates model with the default partitioned sharing mode.
+// New instantiates model.
 func New(model Model) *Machine {
-	return &Machine{Model: model, Sharing: SharePartition}
+	return &Machine{Model: model}
 }
 
 // AttachProcess connects the process page table that every context
@@ -32,9 +29,6 @@ func (m *Machine) AttachProcess(pt *pagetable.Table) { m.pt = pt }
 
 // PageTable returns the attached process page table.
 func (m *Machine) PageTable() *pagetable.Table { return m.pt }
-
-// Bus returns the snoop bus, if the machine was configured coherent.
-func (m *Machine) Bus() *cache.Bus { return m.bus }
 
 // Contexts returns the contexts built by the last Configure call.
 func (m *Machine) Contexts() []*Context { return m.contexts }
@@ -64,13 +58,20 @@ func (m *Machine) placement(n int) ([]slot, error) {
 	return slots[:n], nil
 }
 
-// Configure builds the hardware contexts for an n-thread run. Context
-// resources (TLBs, caches) are sized according to how many co-scheduled
-// contexts share them under the machine's SharingMode. Configure must be
-// called after AttachProcess.
+// Configure builds the hardware contexts for an n-thread run. Every context
+// owns private TLBs and caches: co-scheduled contexts statically partition
+// the structures they share in hardware ("the effective number of TLB
+// entries could potentially be halved" — the paper, §3.2), SMT siblings
+// halving the core's TLBs and slicing its L1, the sharers of a per-chip L2
+// slicing it (cache.Config.Partition). Configure must be called after
+// AttachProcess; it reports a coherent model, or a geometry that cannot be
+// built, as an error.
 func (m *Machine) Configure(n int) ([]*Context, error) {
 	if m.pt == nil {
 		return nil, fmt.Errorf("machine: Configure before AttachProcess")
+	}
+	if m.Model.Coherent {
+		return nil, fmt.Errorf("machine: %s: coherent models are not supported (every context owns private caches)", m.Model.Name)
 	}
 	slots, err := m.placement(n)
 	if err != nil {
@@ -92,103 +93,38 @@ func (m *Machine) Configure(n int) ([]*Context, error) {
 		perL2[l2Key(s)]++
 	}
 
-	m.bus = nil
-	if m.Model.Coherent {
-		m.bus = cache.NewBus()
-	}
-
-	m.contexts = make([]*Context, 0, n)
-	switch m.Sharing {
-	case SharePartition:
-		for id, s := range slots {
-			coreShare := perCore[coreKey(s)]
-			l2Share := perL2[l2Key(s)]
-			itlbSpec, dtlbSpec := m.Model.ITLB, m.Model.DTLB
-			l1cfg, l2cfg := m.Model.L1D, m.Model.L2
-			if coreShare > 1 {
-				itlbSpec = itlbSpec.Halve()
-				dtlbSpec = dtlbSpec.Halve()
-				l1cfg.SizeBytes /= int64(coreShare)
-			}
-			if l2Share > 1 {
-				l2cfg.SizeBytes /= int64(l2Share)
-			}
-			ctx := m.newContext(id, s, itlbSpec, dtlbSpec, l1cfg, l2cfg, coreShare > 1)
-			m.contexts = append(m.contexts, ctx)
+	ctxs := make([]*Context, 0, n)
+	for id, s := range slots {
+		coreShare := perCore[coreKey(s)]
+		itlbSpec, dtlbSpec := m.Model.ITLB, m.Model.DTLB
+		if coreShare > 1 {
+			itlbSpec = itlbSpec.Halve()
+			dtlbSpec = dtlbSpec.Halve()
 		}
-	case ShareTrue:
-		// Co-located contexts share the same structures behind locks.
-		type coreRes struct {
-			itlb, dtlb *tlb.Hierarchy
-			l1         *cache.Cache
-			mu         *sync.Mutex
+		ctx := &Context{
+			ID: id, Chip: s.chip, Core: s.core, Thread: s.thread,
+			machine: m, pt: m.pt,
+			costs:      &m.Model.Costs,
+			hasSibling: coreShare > 1,
+			smtFlush:   m.Model.SMT == SMTFlushOnSwitch && coreShare > 1,
+			xlat:       make([]xlatSlot, xlatSlots),
 		}
-		type l2Res struct {
-			l2 *cache.Cache
-			mu *sync.Mutex
+		if ctx.itlb, err = tlb.NewHierarchy(itlbSpec); err != nil {
+			return nil, fmt.Errorf("machine: %s ITLB: %w", m.Model.Name, err)
 		}
-		cores := map[int]*coreRes{}
-		l2s := map[int]*l2Res{}
-		for id, s := range slots {
-			ck, lk := coreKey(s), l2Key(s)
-			cr := cores[ck]
-			if cr == nil {
-				cr = &coreRes{
-					itlb: tlb.NewHierarchy(m.Model.ITLB),
-					dtlb: tlb.NewHierarchy(m.Model.DTLB),
-					l1:   cache.New(m.Model.L1D),
-					mu:   &sync.Mutex{},
-				}
-				cores[ck] = cr
-			}
-			lr := l2s[lk]
-			if lr == nil {
-				lr = &l2Res{l2: cache.New(m.Model.L2), mu: &sync.Mutex{}}
-				if m.bus != nil {
-					m.bus.Attach(lr.l2)
-				}
-				l2s[lk] = lr
-			}
-			ctx := &Context{
-				ID: id, Chip: s.chip, Core: s.core, Thread: s.thread,
-				machine: m, pt: m.pt,
-				itlb: cr.itlb, dtlb: cr.dtlb, l1: cr.l1, l2: lr.l2,
-				costs:      &m.Model.Costs,
-				hasSibling: perCore[ck] > 1,
-				xlat:       make([]xlatSlot, xlatSlots),
-			}
-			if perCore[ck] > 1 {
-				ctx.coreMu = cr.mu
-			}
-			if perL2[lk] > 1 {
-				ctx.l2Mu = lr.mu
-			}
-			ctx.smtFlush = m.Model.SMT == SMTFlushOnSwitch && ctx.hasSibling
-			m.contexts = append(m.contexts, ctx)
+		if ctx.dtlb, err = tlb.NewHierarchy(dtlbSpec); err != nil {
+			return nil, fmt.Errorf("machine: %s DTLB: %w", m.Model.Name, err)
 		}
+		if ctx.l1, err = cache.New(m.Model.L1D.Partition(coreShare)); err != nil {
+			return nil, fmt.Errorf("machine: %s L1D: %w", m.Model.Name, err)
+		}
+		if ctx.l2, err = cache.New(m.Model.L2.Partition(perL2[l2Key(s)])); err != nil {
+			return nil, fmt.Errorf("machine: %s L2: %w", m.Model.Name, err)
+		}
+		ctxs = append(ctxs, ctx)
 	}
-	return m.contexts, nil
-}
-
-func (m *Machine) newContext(id int, s slot, itlbSpec, dtlbSpec tlb.Spec,
-	l1cfg, l2cfg cache.Config, hasSibling bool) *Context {
-	l2 := cache.New(l2cfg)
-	if m.bus != nil {
-		m.bus.Attach(l2)
-	}
-	ctx := &Context{
-		ID: id, Chip: s.chip, Core: s.core, Thread: s.thread,
-		machine: m, pt: m.pt,
-		itlb:       tlb.NewHierarchy(itlbSpec),
-		dtlb:       tlb.NewHierarchy(dtlbSpec),
-		l1:         cache.New(l1cfg),
-		l2:         l2,
-		costs:      &m.Model.Costs,
-		hasSibling: hasSibling,
-		xlat:       make([]xlatSlot, xlatSlots),
-	}
-	ctx.smtFlush = m.Model.SMT == SMTFlushOnSwitch && hasSibling
-	return ctx
+	m.contexts = ctxs
+	return ctxs, nil
 }
 
 // CoreOf returns a stable key for the physical core of ctx, used by the

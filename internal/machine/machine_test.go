@@ -225,54 +225,57 @@ func TestFetchITLB(t *testing.T) {
 	}
 }
 
-func TestTrueSharingMode(t *testing.T) {
-	pt := pagetable.New()
-	mapRange(t, pt, 0, units.MB, units.Size4K)
-	m := New(XeonHT())
-	m.Sharing = ShareTrue
-	m.AttachProcess(pt)
-	ctxs, err := m.Configure(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Siblings literally share the DTLB object.
-	var sib *Context
-	for _, c := range ctxs[1:] {
-		if m.CoreOf(c) == m.CoreOf(ctxs[0]) {
-			sib = c
-			break
+// TestConfigureEveryThreadCount: every built-in model builds its contexts
+// at every thread count its hardware has — sharer counts that do not divide
+// a shared cache's set count (XeonHT's per-chip L2 at 5–7 threads,
+// NiagaraT1's L1 and L2 at most counts) included — and every context's
+// caches are valid slices no bigger than their share.
+func TestConfigureEveryThreadCount(t *testing.T) {
+	for _, model := range AllModels() {
+		for n := 1; n <= model.MaxThreads(); n++ {
+			m := New(model)
+			m.AttachProcess(pagetable.New())
+			ctxs, err := m.Configure(n)
+			if err != nil {
+				t.Errorf("%s at %d threads: %v", model.Name, n, err)
+				continue
+			}
+			domain := func(c *Context) int {
+				if model.L2PerChip {
+					return c.Chip
+				}
+				return m.CoreOf(c)
+			}
+			perL2 := map[int]int{}
+			for _, c := range ctxs {
+				perL2[domain(c)]++
+			}
+			for _, c := range ctxs {
+				l2Lines := int(model.L2.SizeBytes / units.CacheLineSize)
+				if share := perL2[domain(c)]; c.l2.Lines()*share > l2Lines || c.l2.Lines()*share*2 <= l2Lines {
+					t.Errorf("%s at %d threads: ctx %d L2 slice of %d lines for %d sharers of %d",
+						model.Name, n, c.ID, c.l2.Lines(), share, l2Lines)
+				}
+			}
 		}
-	}
-	if sib == nil {
-		t.Fatal("no sibling found")
-	}
-	if ctxs[0].dtlb != sib.dtlb {
-		t.Error("true-sharing siblings have distinct DTLBs")
-	}
-	// One sibling's fill is visible to the other: touch a page on ctx0;
-	// sibling access is a hit (no walk).
-	ctxs[0].Load(0)
-	sib.Load(8)
-	if sib.Ctr.DTLBWalks() != 0 {
-		t.Error("sibling missed a translation the other thread loaded")
 	}
 }
 
-func TestCoherentBusIntervention(t *testing.T) {
-	model := Opteron270()
-	model.Coherent = true
-	pt := pagetable.New()
-	mapRange(t, pt, 0, units.MB, units.Size4K)
-	m := New(model)
-	m.AttachProcess(pt)
-	ctxs, _ := m.Configure(2)
-	if m.Bus() == nil {
-		t.Fatal("coherent model has no bus")
-	}
-	ctxs[0].Store(0)
-	ctxs[1].Load(0) // must intervene: ctx0 holds the line Modified
-	if m.Bus().Interventions() == 0 {
-		t.Error("no cache-to-cache intervention recorded")
+// TestConfigureRejectsBadModels: a coherent model and a cache geometry that
+// cannot be built are errors, not panics or silently ignored settings.
+func TestConfigureRejectsBadModels(t *testing.T) {
+	coherent := Opteron270()
+	coherent.Coherent = true
+	oddL2 := XeonHT()
+	oddL2.L2.Ways = 7
+	oddTLB := Opteron270()
+	oddTLB.DTLB.L2.E4K.Ways = 3
+	for _, model := range []Model{coherent, oddL2, oddTLB} {
+		m := New(model)
+		m.AttachProcess(pagetable.New())
+		if _, err := m.Configure(1); err == nil {
+			t.Errorf("%+v configured", model)
+		}
 	}
 }
 

@@ -40,28 +40,17 @@ func (p SMTPolicy) String() string {
 	}
 }
 
-// SharingMode selects how co-scheduled contexts see shared core/chip
-// resources (DTLB, L1, shared L2).
+// SharingMode names how co-scheduled contexts see shared core/chip
+// resources. Its one value, SharePartition, is what Configure builds:
+// co-scheduled contexts statically partition shared structures ("the
+// effective number of TLB entries could potentially be halved" — the paper,
+// §3.2). The type stays only because npb.RunKey encodes every field of the
+// run config, so dropping it would move every memo and golden key; it goes
+// with the next memo.SchemaVersion bump.
 type SharingMode uint8
 
-const (
-	// SharePartition (default): co-scheduled contexts statically partition
-	// shared structures ("the effective number of TLB entries could
-	// potentially be halved" — the paper, §3.2). Deterministic and
-	// lock-free.
-	SharePartition SharingMode = iota
-	// ShareTrue: co-scheduled contexts contend for the same structures,
-	// serialised by a lock. Ablation mode.
-	ShareTrue
-)
-
-// String implements fmt.Stringer.
-func (m SharingMode) String() string {
-	if m == ShareTrue {
-		return "true-shared"
-	}
-	return "partitioned"
-}
+// SharePartition is the only sharing mode (see SharingMode).
+const SharePartition SharingMode = 0
 
 // Costs is the cycle cost model. All values are in CPU cycles at ClockGHz.
 type Costs struct {
@@ -74,9 +63,12 @@ type Costs struct {
 	StreamCyc uint64 // memory cost of a prefetched sequential line: the
 	// hardware stream prefetcher hides most of the latency of unit-stride
 	// misses, but stops at every 4 KB boundary and never hides TLB walks
-	TLBL2Cyc     uint64 // extra latency when L1 TLB misses but L2 TLB hits
-	WalkRefCyc   uint64 // per memory reference of a page walk (4 KB walk = 2 refs, 2 MB walk = 1)
-	C2CCyc       uint64 // cache-to-cache intervention transfer
+	TLBL2Cyc   uint64 // extra latency when L1 TLB misses but L2 TLB hits
+	WalkRefCyc uint64 // per memory reference of a page walk (4 KB walk = 2 refs, 2 MB walk = 1)
+	// C2CCyc was the cache-to-cache transfer of the removed coherent bus;
+	// nothing charges it. It stays only because npb.RunKey encodes every
+	// Model field, and goes with the next memo.SchemaVersion bump.
+	C2CCyc       uint64
 	FlushCyc     uint64 // pipeline flush on an SMT context switch
 	FetchCyc     uint64 // charged per instruction-fetch block
 	MsgCyc       uint64 // one shared-memory message (barrier/reduction transport)
@@ -125,8 +117,12 @@ type Model struct {
 	L2        cache.Config // per core, or per chip when L2PerChip
 	L2PerChip bool         // Xeon: both cores of a chip share the L2
 
-	SMT      SMTPolicy
-	Coherent bool // attach private L2s to a MESI snooping bus
+	SMT SMTPolicy
+	// Coherent asked for the removed MESI snoop bus; Configure refuses a
+	// model that sets it, so a model file saying "coherent": true fails
+	// instead of being ignored. It stays only because npb.RunKey encodes
+	// every Model field, and goes with the next memo.SchemaVersion bump.
+	Coherent bool
 
 	Costs Costs
 }
@@ -138,9 +134,10 @@ func (m Model) MaxThreads() int { return m.Chips * m.CoresPerChip * m.ThreadsPer
 func (m Model) Cores() int { return m.Chips * m.CoresPerChip }
 
 // Opteron270 models the paper's dual dual-core AMD Opteron 270 platform:
-// four cores, no SMT, private 1 MB L2 per core kept coherent by snooping,
-// two-level DTLB whose L2 holds no 2 MB entries (so 2 MB TLB reach is only
-// the 8 L1 entries = 16 MB).
+// four cores, no SMT, a private 1 MB L2 per core (the hardware keeps them
+// coherent by snooping; the model charges no coherence traffic), two-level
+// DTLB whose L2 holds no 2 MB entries (so 2 MB TLB reach is only the 8 L1
+// entries = 16 MB).
 func Opteron270() Model {
 	return Model{
 		Name:           "Opteron270",
@@ -165,11 +162,10 @@ func Opteron270() Model {
 				// No large-page entries in the Opteron L2 DTLB.
 			},
 		},
-		L1D:      cache.Config{SizeBytes: 64 * units.KB, Ways: 2},
-		L2:       cache.Config{SizeBytes: 1 * units.MB, Ways: 16},
-		SMT:      SMTNone,
-		Coherent: false, // set Coherent to attach the snoop bus
-		Costs:    DefaultCosts(),
+		L1D:   cache.Config{SizeBytes: 64 * units.KB, Ways: 2},
+		L2:    cache.Config{SizeBytes: 1 * units.MB, Ways: 16},
+		SMT:   SMTNone,
+		Costs: DefaultCosts(),
 	}
 }
 

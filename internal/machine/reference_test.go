@@ -21,9 +21,7 @@ func (c *Context) AccessRangeScalar(base units.Addr, n int, stride int64, write 
 	} else {
 		c.Ctr.Loads += uint64(n)
 	}
-	c.lockCore()
 	busy := c.rangeScalarRef(base, n, stride, write)
-	c.unlockCore()
 	c.Ctr.Busy += busy
 }
 
@@ -37,15 +35,12 @@ func (c *Context) AccessScalarRef(va units.Addr, write bool) {
 	} else {
 		c.Ctr.Loads++
 	}
-	c.lockCore()
 	busy := c.rangeScalarRef(va, 1, 0, write)
-	c.unlockCore()
 	c.Ctr.Busy += busy
 }
 
 // rangeScalarRef is the pristine per-element reference engine: every element
 // runs the full translate→TLB→L1→L2 cascade with a per-element drain poll.
-// Caller holds the core lock.
 func (c *Context) rangeScalarRef(base units.Addr, n int, stride int64, write bool) uint64 {
 	var busy uint64
 	for i := 0; i < n; i++ {
@@ -85,15 +80,12 @@ func (c *Context) indexedRangeScalar(base units.Addr, elemSize int64, idx []int6
 		c.Ctr.Loads += uint64(n)
 	}
 	sorted := c.sortedIndices(idx)
-	c.lockCore()
 	busy := c.gatherScalarRef(base, elemSize, sorted, write)
-	c.unlockCore()
 	c.Ctr.Busy += busy
 }
 
 // gatherScalarRef is the pristine per-element reference for the gather
-// paths: the full cascade per element, like rangeScalarRef. Caller holds the
-// core lock.
+// paths: the full cascade per element, like rangeScalarRef.
 func (c *Context) gatherScalarRef(base units.Addr, elemSize int64, sorted []int64, write bool) uint64 {
 	var busy uint64
 	for _, ix := range sorted {
@@ -115,13 +107,11 @@ func (c *Context) gatherScalarRef(base units.Addr, elemSize int64, sorted []int6
 func (c *Context) Fetch(va units.Addr) {
 	c.Ctr.Fetches++
 	cyc := c.costs.FetchCyc
-	c.lockCore()
 	if c.shootFlag.Load() {
 		c.drainShootdowns()
 	}
 	if !c.fetchCacheOK || va&^c.lastFetchMask != c.lastFetchBase {
 		cyc += c.translateFetch(va)
 	}
-	c.unlockCore()
 	c.Ctr.Busy += cyc
 }

@@ -86,19 +86,17 @@ func BenchmarkSnapshotForkSweep(b *testing.B) {
 }
 
 // minCGSpeedup4 is the parallel-efficiency floor: class-W CG on 4
-// simulated threads must beat 1 thread by this factor, or coherence or
+// simulated threads must beat 1 thread by this factor, or shared state or
 // counter contention has crept back into the parallel path.
 const minCGSpeedup4 = 1.5
 
-// cgRegionTime runs class-W CG's regions on a coherent Opteron 270 with the
-// given team size and returns their host wall time; setup (matrix
+// cgRegionTime runs class-W CG's regions on the default Opteron 270 with
+// the given team size and returns their host wall time; setup (matrix
 // generation) is not timed.
 func cgRegionTime(b *testing.B, threads int) time.Duration {
-	m := machine.Opteron270()
-	m.Coherent = true
 	shared := int64(64 * units.MB)
 	sys, err := core.NewSystem(core.Config{
-		Model: m, Policy: core.Policy4K, SharedBytes: shared, PhysBytes: 4 * shared,
+		Model: machine.Opteron270(), Policy: core.Policy4K, SharedBytes: shared, PhysBytes: 4 * shared,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -121,8 +121,8 @@ type RunConfig struct {
 	Threads    int
 	Policy     core.PagePolicy
 	Class      Class
-	Iterations int // 0 = kernel default
-	Sharing    machine.SharingMode
+	Iterations int                 // 0 = kernel default
+	Sharing    machine.SharingMode // must be SharePartition; kept only because RunKey encodes every field (see machine.SharingMode)
 	Barrier    omp.BarrierAlgo
 	Hugetlb    int // hugetlbfs mode; 0 = preallocate
 

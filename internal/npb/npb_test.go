@@ -169,43 +169,24 @@ func TestLCGDeterminism(t *testing.T) {
 	}
 }
 
-func TestCoherentTrueSharingIntegration(t *testing.T) {
-	// Exercise the MESI snoop bus and lock-serialised sharing under a full
-	// kernel: Opteron with coherent private L2s, true-sharing mode.
-	model := machine.Opteron270()
-	model.Coherent = true
-	k := NewMG()
-	res, err := Run(k, RunConfig{
-		Model:   model,
-		Threads: 4,
-		Policy:  core.Policy4K,
-		Class:   ClassT,
-		Sharing: machine.ShareTrue,
-	})
+// TestRefusesRemovedModes: a coherent model and any sharing mode but
+// partitioned are errors, cold and through a warm fork — never a run whose
+// counters depend on host scheduling.
+func TestRefusesRemovedModes(t *testing.T) {
+	base := RunConfig{Model: machine.Opteron270(), Threads: 2, Policy: core.Policy4K, Class: ClassT, Iterations: 1}
+	coherent, trueShared := base, base
+	coherent.Model.Coherent = true
+	trueShared.Sharing = machine.SharePartition + 1
+	w, err := NewWarm("CG", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles == 0 {
-		t.Fatal("no cycles")
-	}
-	// A direct producer/consumer pair must show a cache-to-cache
-	// intervention on the snoop bus.
-	sys, err := core.NewSystem(core.Config{Model: model, Policy: core.Policy4K, Sharing: machine.ShareTrue})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr := sys.MustArray("shared", 1024)
-	rt, err := sys.NewRT(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxs := rt.Contexts()
-	arr.Store(ctxs[0], 0, 1.0)
-	arr.Load(ctxs[1], 0)
-	if sys.Machine.Bus() == nil {
-		t.Fatal("coherent model without a bus")
-	}
-	if sys.Machine.Bus().Interventions() == 0 {
-		t.Error("no cache-to-cache interventions under true sharing")
+	for name, cfg := range map[string]RunConfig{"coherent": coherent, "true-shared": trueShared} {
+		if _, err := Run(NewCG(), cfg); err == nil {
+			t.Errorf("%s: cold run accepted", name)
+		}
+		if _, err := w.Run(cfg); err == nil {
+			t.Errorf("%s: warm run accepted", name)
+		}
 	}
 }

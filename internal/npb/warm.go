@@ -21,8 +21,7 @@ import (
 // The address-space-shaping fields of the template config — Policy, Class,
 // Hugetlb, HugePages — are fixed at capture time and must match on every
 // Run. Everything applied at or after NewRT is free per fork: Model (the
-// machine rebuilds its contexts from it), Sharing, Barrier, Threads,
-// Iterations. Fault plans fire during construction, which forks skip by
+// machine rebuilds its contexts from it), Barrier, Threads, Iterations. Fault plans fire during construction, which forks skip by
 // definition, so faulted configs must take the cold path (Run rejects them).
 type Warm struct {
 	base RunConfig
@@ -105,13 +104,11 @@ func (w *Warm) runOn(cfg RunConfig) (Result, Kernel, *core.System, *omp.RT, erro
 	fk, _ := forkKernel(w.kern)
 	sys := w.snap.Fork()
 	// Everything the runtime derives at NewRT time is free per fork: the
-	// machine rebuilds its contexts from Model/Sharing, the barrier comes
-	// from Cfg.
+	// machine rebuilds its contexts from Model, the barrier comes from Cfg.
 	sys.Cfg.Model = cfg.Model
 	sys.Cfg.Sharing = cfg.Sharing
 	sys.Cfg.Barrier = cfg.Barrier
 	sys.Machine.Model = cfg.Model
-	sys.Machine.Sharing = cfg.Sharing
 	rt, err := sys.NewRT(cfg.Threads)
 	if err != nil {
 		return Result{}, nil, nil, nil, err

@@ -19,7 +19,7 @@ type Request struct {
 	Model      string `json:"model"`                // Opteron270, XeonHT, NiagaraT1
 	Threads    int    `json:"threads"`              // team size; 0 = 1
 	Policy     string `json:"policy"`               // 4KB, 2MB, mixed, transparent
-	Sharing    string `json:"sharing,omitempty"`    // partitioned (default), true-shared
+	Sharing    string `json:"sharing,omitempty"`    // partitioned (default, the only mode; kept for npb.RunConfig.Sharing, see machine.SharingMode)
 	Barrier    string `json:"barrier,omitempty"`    // tree (default), central
 	Iterations int    `json:"iterations,omitempty"` // 0 = kernel default
 	HugePages  int    `json:"huge_pages,omitempty"` // hugetlbfs pool size; 0 = fit
@@ -148,13 +148,10 @@ func parsePolicy(s string) (core.PagePolicy, error) {
 }
 
 func parseSharing(s string) (machine.SharingMode, error) {
-	switch s {
-	case "partitioned", "":
-		return machine.SharePartition, nil
-	case "true-shared":
-		return machine.ShareTrue, nil
+	if s != "partitioned" && s != "" {
+		return 0, fmt.Errorf("simsrv: unknown sharing mode %q (only partitioned sharing is simulated)", s)
 	}
-	return 0, fmt.Errorf("simsrv: unknown sharing mode %q", s)
+	return machine.SharePartition, nil
 }
 
 func parseBarrier(s string) (omp.BarrierAlgo, error) {

@@ -448,6 +448,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"not json", `kernel=CG`, 400},
 		{"oversized", `{"kernel":"CG","junk":"` + strings.Repeat("x", 4096) + `"}`, 413},
 		{"inject disabled", `{"kernel":"CG","class":"T","model":"Opteron270","threads":1,"policy":"4KB","inject":"panic"}`, 400},
+		{"true-shared", `{"kernel":"CG","class":"T","model":"XeonHT","threads":8,"policy":"4KB","sharing":"true-shared"}`, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -518,13 +519,28 @@ func TestBudgetCap(t *testing.T) {
 	}
 }
 
+// TestServerOddSharerCounts: thread counts that leave a shared cache with a
+// sharer count not dividing its sets — three contexts on a XeonHT chip at 5
+// threads, three on the NiagaraT1 L2 — are simulated, not answered 500.
+func TestServerOddSharerCounts(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, req := range []Request{
+		{Kernel: "CG", Class: "T", Model: "XeonHT", Threads: 5, Policy: "4KB", Iterations: 1},
+		{Kernel: "MG", Class: "T", Model: "NiagaraT1", Threads: 3, Policy: "2MB", Iterations: 1},
+	} {
+		if resp, body := postRun(t, ts, req); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s at %d threads: %d %s", req.Model, req.Threads, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestTemplateReuse: requests differing only in fork-free fields share one
 // warm template.
 func TestTemplateReuse(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, req := range []Request{
 		baseReq,
-		{Kernel: "CG", Class: "T", Model: "XeonHT", Threads: 4, Policy: "2MB", Sharing: "true-shared", Barrier: "central"},
+		{Kernel: "CG", Class: "T", Model: "XeonHT", Threads: 4, Policy: "2MB", Sharing: "partitioned", Barrier: "central"},
 		{Kernel: "CG", Class: "T", Model: "Opteron270", Threads: 1, Policy: "2MB", Iterations: 3},
 	} {
 		if resp, body := postRun(t, ts, req); resp.StatusCode != http.StatusOK {

@@ -14,7 +14,7 @@ func FuzzHierarchy(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 128, 128, 255})
 	f.Add([]byte{42})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		h := NewHierarchy(Spec{
+		h := mustHierarchy(t, Spec{
 			L1: LevelSpec{
 				E4K: Config{Entries: 8, Ways: 2},
 				E2M: Config{Entries: 4},

@@ -99,13 +99,24 @@ type Hierarchy struct {
 	filtMask [units.NumPageSizes]uint64
 }
 
-// NewHierarchy instantiates spec.
-func NewHierarchy(spec Spec) *Hierarchy {
+// NewHierarchy instantiates spec, or reports the first structure whose
+// geometry is invalid.
+func NewHierarchy(spec Spec) (*Hierarchy, error) {
 	h := &Hierarchy{spec: spec}
-	h.l1[units.Size4K] = New(spec.L1.E4K)
-	h.l1[units.Size2M] = New(spec.L1.E2M)
-	h.l2[units.Size4K] = New(spec.L2.E4K)
-	h.l2[units.Size2M] = New(spec.L2.E2M)
+	for _, s := range []struct {
+		at  **TLB
+		cfg Config
+	}{
+		{at: &h.l1[units.Size4K], cfg: spec.L1.E4K},
+		{at: &h.l1[units.Size2M], cfg: spec.L1.E2M},
+		{at: &h.l2[units.Size4K], cfg: spec.L2.E4K},
+		{at: &h.l2[units.Size2M], cfg: spec.L2.E2M},
+	} {
+		var err error
+		if *s.at, err = New(s.cfg); err != nil {
+			return nil, fmt.Errorf("%s: %w", spec.Name, err)
+		}
+	}
 	for _, size := range [...]units.PageSize{units.Size4K, units.Size2M} {
 		total := h.l1[size].Entries() + h.l2[size].Entries()
 		if total == 0 {
@@ -118,7 +129,7 @@ func NewHierarchy(spec Spec) *Hierarchy {
 		h.filt[size] = make([]uint16, slots)
 		h.filtMask[size] = uint64(slots - 1)
 	}
-	return h
+	return h, nil
 }
 
 func (h *Hierarchy) unionAdd(size units.PageSize, vpn uint64) {

@@ -20,7 +20,7 @@ func opteronDTLB() Spec {
 }
 
 func TestHierarchyMissFillHit(t *testing.T) {
-	h := NewHierarchy(opteronDTLB())
+	h := mustHierarchy(t, opteronDTLB())
 	if got := h.Access(5, units.Size4K, false); got != Miss {
 		t.Fatalf("first access = %v, want Miss", got)
 	}
@@ -31,7 +31,7 @@ func TestHierarchyMissFillHit(t *testing.T) {
 }
 
 func TestHierarchyL2Promotion(t *testing.T) {
-	h := NewHierarchy(opteronDTLB())
+	h := mustHierarchy(t, opteronDTLB())
 	// Fill 33 pages: page 0 is evicted from the 32-entry L1 into L2.
 	for vpn := uint64(0); vpn < 33; vpn++ {
 		h.Fill(vpn, units.Size4K, true)
@@ -49,7 +49,7 @@ func TestHierarchyL2Promotion(t *testing.T) {
 func TestOpteronNo2ML2(t *testing.T) {
 	// The Opteron L2 DTLB holds no 2MB entries: filling 9 large pages must
 	// evict one entirely (L1 capacity 8, no L2 backstop).
-	h := NewHierarchy(opteronDTLB())
+	h := mustHierarchy(t, opteronDTLB())
 	for vpn := uint64(0); vpn < 9; vpn++ {
 		h.Fill(vpn, units.Size2M, true)
 	}
@@ -65,7 +65,7 @@ func TestOpteronNo2ML2(t *testing.T) {
 }
 
 func TestSizeClassesIndependent(t *testing.T) {
-	h := NewHierarchy(opteronDTLB())
+	h := mustHierarchy(t, opteronDTLB())
 	h.Fill(7, units.Size4K, true)
 	if got := h.Access(7, units.Size2M, false); got != Miss {
 		t.Errorf("2M probe of 4K-filled vpn = %v, want Miss (classes are separate arrays)", got)
@@ -101,7 +101,7 @@ func TestCoverage(t *testing.T) {
 }
 
 func TestInvalidateShootdown(t *testing.T) {
-	h := NewHierarchy(opteronDTLB())
+	h := mustHierarchy(t, opteronDTLB())
 	h.Fill(11, units.Size4K, true)
 	h.Invalidate(11, units.Size4K)
 	if got := h.Access(11, units.Size4K, false); got != Miss {
@@ -110,7 +110,7 @@ func TestInvalidateShootdown(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	h := NewHierarchy(opteronDTLB())
+	h := mustHierarchy(t, opteronDTLB())
 	for vpn := uint64(0); vpn < 100; vpn++ {
 		h.Fill(vpn, units.Size4K, true)
 	}
@@ -126,7 +126,7 @@ func TestFlush(t *testing.T) {
 // accessed round-robin never misses after warmup (exclusive-ish two-level
 // stack behaves as one big TLB).
 func TestAggregateCapacity(t *testing.T) {
-	h := NewHierarchy(Spec{
+	h := mustHierarchy(t, Spec{
 		L1: LevelSpec{E4K: Config{Entries: 4}},
 		L2: LevelSpec{E4K: Config{Entries: 12}},
 	})

@@ -5,9 +5,8 @@
 // paper reports for the Opteron and Xeon (its Table 1).
 //
 // A TLB is owned by a single simulated hardware context and is not
-// goroutine-safe; the machine layer enforces single-owner access (its
-// default resource-partitioned SMT model) or wraps accesses in a lock (the
-// true-shared ablation).
+// goroutine-safe; SMT siblings each get their own partitioned structures
+// (Spec.Halve), never a shared one.
 //
 // The implementation simulates an associative structure without paying
 // associative host cost on the common paths:
@@ -87,12 +86,15 @@ type TLB struct {
 	misses uint64
 }
 
-// New builds a TLB from cfg. It returns nil for an absent structure
-// (cfg.Entries == 0); all methods on a nil *TLB behave as a structure that
-// never hits.
-func New(cfg Config) *TLB {
+// New builds a TLB from cfg, or reports why its geometry is invalid. It
+// returns nil for an absent structure (cfg.Entries == 0); all methods on a
+// nil *TLB behave as a structure that never hits.
+func New(cfg Config) (*TLB, error) {
 	if cfg.Entries == 0 {
-		return nil
+		return nil, nil
+	}
+	if cfg.Entries < 0 {
+		return nil, fmt.Errorf("tlb: %d entries", cfg.Entries)
 	}
 	assoc := cfg.Ways
 	if assoc <= 0 || assoc > cfg.Entries {
@@ -100,16 +102,16 @@ func New(cfg Config) *TLB {
 	}
 	sets := cfg.Entries / assoc
 	if sets*assoc != cfg.Entries {
-		panic(fmt.Sprintf("tlb: entries %d not divisible by ways %d", cfg.Entries, assoc))
+		return nil, fmt.Errorf("tlb: entries %d not divisible by ways %d", cfg.Entries, assoc)
 	}
 	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("tlb: set count %d not a power of two", sets))
+		return nil, fmt.Errorf("tlb: set count %d not a power of two", sets)
 	}
 	if cfg.Entries > 1<<16 {
-		panic(fmt.Sprintf("tlb: %d entries exceed recency-link width", cfg.Entries))
+		return nil, fmt.Errorf("tlb: %d entries exceed recency-link width", cfg.Entries)
 	}
 	if assoc > 256 {
-		panic(fmt.Sprintf("tlb: associativity %d exceeds recency-byte width", assoc))
+		return nil, fmt.Errorf("tlb: associativity %d exceeds recency-byte width", assoc)
 	}
 	// The counting filter earns its keep only when it spares a wide scan:
 	// for associativities of eight or fewer ways the whole set's VPNs fit
@@ -139,7 +141,7 @@ func New(cfg Config) *TLB {
 		t.filtMask = uint64(filtSlots - 1)
 	}
 	t.resetOrder()
-	return t
+	return t, nil
 }
 
 // resetOrder writes the identity permutation into every set's recency

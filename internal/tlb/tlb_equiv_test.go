@@ -10,7 +10,7 @@ import (
 // entries, eviction results, stats and live counts.
 func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 	t.Helper()
-	n := New(cfg)
+	n := mustNew(t, cfg)
 	r := newRefTLB(cfg)
 	for k := 0; k+1 < len(ops); k += 2 {
 		op, arg := ops[k], ops[k+1]

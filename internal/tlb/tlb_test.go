@@ -5,8 +5,28 @@ import (
 	"testing/quick"
 )
 
+// mustNew builds a TLB whose geometry the test knows to be valid.
+func mustNew(t testing.TB, cfg Config) *TLB {
+	t.Helper()
+	tl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
+// mustHierarchy builds a TLB stack whose geometry the test knows to be valid.
+func mustHierarchy(t testing.TB, spec Spec) *Hierarchy {
+	t.Helper()
+	h, err := NewHierarchy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestNilTLBNeverHits(t *testing.T) {
-	var nilTLB *TLB = New(Config{Entries: 0})
+	var nilTLB *TLB = mustNew(t, Config{Entries: 0})
 	if nilTLB != nil {
 		t.Fatal("Entries:0 should yield nil TLB")
 	}
@@ -21,7 +41,7 @@ func TestNilTLBNeverHits(t *testing.T) {
 }
 
 func TestHitAfterInsert(t *testing.T) {
-	tl := New(Config{Entries: 8})
+	tl := mustNew(t, Config{Entries: 8})
 	if tl.Lookup(100, false) {
 		t.Error("hit on empty TLB")
 	}
@@ -32,7 +52,7 @@ func TestHitAfterInsert(t *testing.T) {
 }
 
 func TestLRUEvictionFullyAssociative(t *testing.T) {
-	tl := New(Config{Entries: 4})
+	tl := mustNew(t, Config{Entries: 4})
 	for vpn := uint64(0); vpn < 4; vpn++ {
 		tl.Insert(vpn, true)
 	}
@@ -56,7 +76,7 @@ func TestLRUEvictionFullyAssociative(t *testing.T) {
 
 func TestSetAssociativeConflicts(t *testing.T) {
 	// 8 entries, 2 ways -> 4 sets. VPNs congruent mod 4 conflict.
-	tl := New(Config{Entries: 8, Ways: 2})
+	tl := mustNew(t, Config{Entries: 8, Ways: 2})
 	tl.Insert(0, true)
 	tl.Insert(4, true)
 	tl.Insert(8, true) // evicts 0 (LRU in set 0)
@@ -74,7 +94,7 @@ func TestSetAssociativeConflicts(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	tl := New(Config{Entries: 4})
+	tl := mustNew(t, Config{Entries: 4})
 	tl.Insert(7, true)
 	if !tl.Invalidate(7) {
 		t.Error("invalidate should find 7")
@@ -89,7 +109,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestLiveNeverExceedsCapacity(t *testing.T) {
 	f := func(vpns []uint16) bool {
-		tl := New(Config{Entries: 16, Ways: 4})
+		tl := mustNew(t, Config{Entries: 16, Ways: 4})
 		for _, v := range vpns {
 			tl.Insert(uint64(v), true)
 			if tl.Live() > 16 {
@@ -108,7 +128,7 @@ func TestLiveNeverExceedsCapacity(t *testing.T) {
 // history (the entry can't be evicted before any intervening insert).
 func TestInsertThenLookupHits(t *testing.T) {
 	f := func(vpns []uint16) bool {
-		tl := New(Config{Entries: 8, Ways: 2})
+		tl := mustNew(t, Config{Entries: 8, Ways: 2})
 		for _, v := range vpns {
 			tl.Insert(uint64(v), true)
 			if !tl.Lookup(uint64(v), false) {
@@ -126,7 +146,7 @@ func TestInsertThenLookupHits(t *testing.T) {
 // evicted under LRU (stack property for fully-associative TLBs).
 func TestLRUStackProperty(t *testing.T) {
 	f := func(accesses []uint8) bool {
-		tl := New(Config{Entries: 8}) // fully associative
+		tl := mustNew(t, Config{Entries: 8}) // fully associative
 		hot := []uint64{1000, 1001, 1002, 1003}
 		for _, h := range hot {
 			tl.Insert(h, true)
@@ -152,7 +172,7 @@ func TestLRUStackProperty(t *testing.T) {
 }
 
 func TestStatsCount(t *testing.T) {
-	tl := New(Config{Entries: 2})
+	tl := mustNew(t, Config{Entries: 2})
 	tl.Lookup(1, false) // miss
 	tl.Insert(1, true)
 	tl.Lookup(1, false) // hit
@@ -163,24 +183,24 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
-func TestBadConfigsPanic(t *testing.T) {
+func TestBadConfigsError(t *testing.T) {
 	for _, cfg := range []Config{
 		{Entries: 10, Ways: 4}, // not divisible
 		{Entries: 24, Ways: 8}, // 3 sets: not a power of two
+		{Entries: -8},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v should panic", cfg)
-				}
-			}()
-			New(cfg)
-		}()
+		if _, err := New(cfg); err == nil {
+			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+	bad := Spec{Name: "bad", L1: LevelSpec{E4K: Config{Entries: 12, Ways: 8}}}
+	if _, err := NewHierarchy(bad); err == nil {
+		t.Error("hierarchy with an invalid structure accepted")
 	}
 }
 
 func TestWriteBitMicrofault(t *testing.T) {
-	tl := New(Config{Entries: 4})
+	tl := mustNew(t, Config{Entries: 4})
 	tl.Insert(5, false) // filled by a read of a read-only page
 	if !tl.Lookup(5, false) {
 		t.Error("read of read-filled entry should hit")
