@@ -111,7 +111,9 @@ func TestCapacityInvariant(t *testing.T) {
 	}
 }
 
-func TestBadConfigErrors(t *testing.T) {
+// TestBadConfigPanics: the geometries New cannot build, which once
+// panicked inside Configure, come back as errors instead.
+func TestBadConfigPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 3 * 64, Ways: 1},                     // 3 sets
 		{SizeBytes: 10922 * 64, Ways: 8},                 // lines not divisible by ways

@@ -225,6 +225,39 @@ func TestFetchITLB(t *testing.T) {
 	}
 }
 
+// TestTrueSharingMode: SMT siblings never truly share a structure — each
+// owns its DTLB and caches (the paper's §3.2 partitioning), so a page or
+// line one sibling loaded is a walk and a miss for the other.
+func TestTrueSharingMode(t *testing.T) {
+	pt := pagetable.New()
+	mapRange(t, pt, 0, units.MB, units.Size4K)
+	m := New(XeonHT())
+	m.AttachProcess(pt)
+	ctxs, err := m.Configure(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sib *Context
+	for _, c := range ctxs[1:] {
+		if m.CoreOf(c) == m.CoreOf(ctxs[0]) {
+			sib = c
+			break
+		}
+	}
+	if sib == nil {
+		t.Fatal("no sibling found")
+	}
+	if ctxs[0].dtlb == sib.dtlb || ctxs[0].l1 == sib.l1 || ctxs[0].l2 == sib.l2 {
+		t.Error("SMT siblings share a DTLB or cache object")
+	}
+	ctxs[0].Load(0)
+	sib.Load(8)
+	if sib.Ctr.DTLBWalks() != 1 || sib.Ctr.L1Misses != 1 {
+		t.Errorf("sibling saw its twin's fill: %d walks, %d L1 misses, want 1 and 1",
+			sib.Ctr.DTLBWalks(), sib.Ctr.L1Misses)
+	}
+}
+
 // TestConfigureEveryThreadCount: every built-in model builds its contexts
 // at every thread count its hardware has — sharer counts that do not divide
 // a shared cache's set count (XeonHT's per-chip L2 at 5–7 threads,

@@ -169,10 +169,10 @@ func TestLCGDeterminism(t *testing.T) {
 	}
 }
 
-// TestRefusesRemovedModes: a coherent model and any sharing mode but
-// partitioned are errors, cold and through a warm fork — never a run whose
-// counters depend on host scheduling.
-func TestRefusesRemovedModes(t *testing.T) {
+// TestCoherentTrueSharingIntegration: a coherent model and any sharing mode
+// but partitioned reach a kernel run only as errors, cold and through a warm
+// fork — never a run whose counters depend on host scheduling.
+func TestCoherentTrueSharingIntegration(t *testing.T) {
 	base := RunConfig{Model: machine.Opteron270(), Threads: 2, Policy: core.Policy4K, Class: ClassT, Iterations: 1}
 	coherent, trueShared := base, base
 	coherent.Model.Coherent = true

@@ -183,7 +183,9 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
-func TestBadConfigsError(t *testing.T) {
+// TestBadConfigsPanic: the geometries New and NewHierarchy cannot build,
+// which once panicked, come back as errors instead.
+func TestBadConfigsPanic(t *testing.T) {
 	for _, cfg := range []Config{
 		{Entries: 10, Ways: 4}, // not divisible
 		{Entries: 24, Ways: 8}, // 3 sets: not a power of two
