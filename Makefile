@@ -76,9 +76,10 @@ simd-smoke:
 # over a populated shared disk cache must beat the no-disk-cache
 # single-template baseline by >= 3x. Also run as part of `make bench`; the
 # tier-1 TestServiceWarmRestart checks the same load is answered entirely
-# from cache.
+# from cache. BenchmarkServeHit reports ns/op and allocs/op of one /run
+# answered from the memo and from disk, with no floor.
 serve-bench:
-	$(GO) test -run '^$$' -bench ServiceWarmRestart ./internal/simsrv/
+	$(GO) test -run '^$$' -bench 'ServiceWarmRestart|ServeHit' ./internal/simsrv/
 
 race:
 	$(GO) test -race ./internal/omp/ ./internal/npb/ ./internal/machine/ ./internal/mpi/ ./internal/par/ ./internal/bench/
@@ -91,7 +92,8 @@ race:
 #   snapshot fork + result memo than cold, with exactly 12 memo hits; and
 #   4-thread CG >= 1.5x faster than 1-thread (skipped with a note on hosts
 #   with fewer than 4 procs, where a time-sliced team cannot speed up);
-# - internal/simsrv: the serve-bench floor.
+# - internal/simsrv: the serve-bench floor, and the memo- and disk-hit
+#   request cost without one.
 # End-to-end throughput is perfbench's (see BENCHMARK.json).
 bench:
 	$(GO) test -v -run '^$$' -bench . ./internal/machine/ ./internal/npb/ ./internal/simsrv/

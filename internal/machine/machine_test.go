@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"hugeomp/internal/pagetable"
@@ -349,5 +350,24 @@ func TestNiagaraInterleavedScaling(t *testing.T) {
 	}
 	if _, ok := ModelByName("NiagaraT1"); !ok {
 		t.Error("NiagaraT1 not discoverable by name")
+	}
+}
+
+// TestModelByNameMatchesAllModels keeps the name lookup from drifting from
+// the constructors: every built-in model comes back from ModelByName equal to
+// the one AllModels builds, and an unknown name finds nothing.
+func TestModelByNameMatchesAllModels(t *testing.T) {
+	for _, want := range AllModels() {
+		got, ok := ModelByName(want.Name)
+		if !ok {
+			t.Errorf("%s not found by name", want.Name)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ModelByName(%q) = %+v, want %+v", want.Name, got, want)
+		}
+	}
+	if m, ok := ModelByName("Opteron"); ok {
+		t.Errorf("unknown name found %+v", m)
 	}
 }

@@ -256,12 +256,15 @@ func Models() []Model { return []Model{Opteron270(), XeonHT()} }
 func AllModels() []Model { return []Model{Opteron270(), XeonHT(), NiagaraT1()} }
 
 // ModelByName looks up a platform model by name ("Opteron270", "XeonHT" or
-// "NiagaraT1").
+// "NiagaraT1"), building only the model it returns.
 func ModelByName(name string) (Model, bool) {
-	for _, m := range AllModels() {
-		if m.Name == name {
-			return m, true
-		}
+	switch name {
+	case "Opteron270":
+		return Opteron270(), true
+	case "XeonHT":
+		return XeonHT(), true
+	case "NiagaraT1":
+		return NiagaraT1(), true
 	}
 	return Model{}, false
 }

@@ -6,9 +6,11 @@
 // back without simulating.
 //
 // Results are stored as their canonical JSON encoding (content-addressed
-// bytes), so a hit decodes into the caller's result type without retaining
-// any reference to the run that produced it, and any JSON-encodable result
-// type works.
+// bytes), and any JSON-encodable result type works. GetOrComputeBytes hands
+// back those stored bytes as they are, for callers that only pass them on
+// (simsrv writes them into its response unchanged); GetOrCompute decodes
+// them into a fresh value of the caller's result type, which retains no
+// reference to the run that produced it or to the cache.
 //
 // Only successful computations are memoized. A compute that returns an error
 // is reported to every caller collapsed onto it and then forgotten, so the
@@ -62,7 +64,7 @@ func MustKey(parts ...any) string {
 
 // entry is one cached computation. once gives per-key single-flight: the
 // first caller computes, concurrent callers with the same key block on the
-// same once and then decode the stored bytes — so a sweep whose grid repeats
+// same once and then read the stored bytes — so a sweep whose grid repeats
 // a (config, seed) point simulates it exactly once even under internal/par.
 // backed records that the flight was answered by the backing store without
 // running compute (a cross-process hit).
@@ -134,19 +136,19 @@ func NewBounded(capacity int) *Cache {
 // GetOrCompute.
 func (c *Cache) SetBacking(b Backing) { c.backing = b }
 
-// GetOrCompute returns the result stored under key, computing and storing it
-// on first use. compute's result is encoded to canonical JSON at store time
-// and decoded into out (a non-nil pointer) on every return, hit or miss —
-// so callers always observe the round-tripped value and a hit can never leak
-// shared mutable state from the computing run. The returned bool reports
-// whether the result came from a cache layer — this process's memory or the
-// backing store (true) — or compute ran (false).
+// GetOrComputeBytes returns the canonical JSON stored under key, computing
+// and storing it on first use: compute's result is encoded with json.Marshal
+// once, on the miss, and every caller — the leader, waiters collapsed onto
+// its flight, later hits — receives that same stored slice. Callers must not
+// modify the returned bytes. The returned bool reports whether the result
+// came from a cache layer — this process's memory or the backing store
+// (true) — or compute ran (false).
 //
 // If compute fails, every caller collapsed onto that flight observes its
 // error and the key is forgotten, so a later identical request retries
 // instead of replaying a stale failure. Nothing is published to the backing
 // store on failure either, so the key stays retryable across processes.
-func (c *Cache) GetOrCompute(key string, compute func() (any, error), out any) (bool, error) {
+func (c *Cache) GetOrComputeBytes(key string, compute func() (any, error)) ([]byte, bool, error) {
 	c.mu.Lock()
 	e, hit := c.entries[key]
 	if !hit {
@@ -186,12 +188,24 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error), out any) (
 	})
 	if e.err != nil {
 		c.forget(e)
-		return hit, e.err
+		return nil, hit, e.err
 	}
-	if err := json.Unmarshal(e.data, out); err != nil {
-		return hit, fmt.Errorf("memo: decode %s: %w", key[:8], err)
+	return e.data, hit || e.backed, nil
+}
+
+// GetOrCompute is GetOrComputeBytes decoding the stored bytes into out (a
+// non-nil pointer) on every return, hit or miss — so callers always observe
+// the round-tripped value, and mutating it can never reach the cache or
+// another caller.
+func (c *Cache) GetOrCompute(key string, compute func() (any, error), out any) (bool, error) {
+	data, cached, err := c.GetOrComputeBytes(key, compute)
+	if err != nil {
+		return cached, err
 	}
-	return hit || e.backed, nil
+	if err := json.Unmarshal(data, out); err != nil {
+		return cached, fmt.Errorf("memo: decode %.8s: %w", key, err)
+	}
+	return cached, nil
 }
 
 // evictLocked trims the cache back to capacity, oldest insertion first. Order

@@ -1,11 +1,14 @@
 package memo
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,6 +129,18 @@ func TestGetOrComputeErrorNotMemoized(t *testing.T) {
 	}
 }
 
+// TestGetOrComputeDecodeError: stored bytes that do not decode into the
+// caller's type are reported as an error naming the key, whatever its
+// length, not a panic.
+func TestGetOrComputeDecodeError(t *testing.T) {
+	c := New()
+	var out struct{ Cycles uint64 }
+	_, err := c.GetOrCompute("k", func() (any, error) { return "CG", nil }, &out)
+	if err == nil || !strings.Contains(err.Error(), "memo: decode k:") {
+		t.Errorf("err = %v, want a decode error for key k", err)
+	}
+}
+
 func TestForget(t *testing.T) {
 	c := New()
 	calls := 0
@@ -207,40 +222,83 @@ func TestBoundedEvictionSkipsForgotten(t *testing.T) {
 	}
 }
 
-// TestGetOrComputeSingleFlight: concurrent callers of one key run compute
-// exactly once and all decode the same stored bytes — a sweep whose grid
-// repeats a point simulates it once even under internal/par.
+// TestGetOrComputeSingleFlight: concurrent callers of one key, through
+// either form, run compute exactly once and all observe the same stored
+// bytes — a sweep whose grid repeats a point simulates it once even under
+// internal/par. The bytes form hands the leader, every collapsed waiter and
+// every later hit the one stored slice, equal to json.Marshal of the
+// computed value; a failed compute is still forgotten.
 func TestGetOrComputeSingleFlight(t *testing.T) {
 	c := New()
+	type result struct {
+		Cycles  uint64
+		Regions []string
+	}
+	want := result{Cycles: 42, Regions: []string{"cg.matvec", "cg.dot"}}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var calls atomic.Int64
+	compute := func() (any, error) {
+		calls.Add(1)
+		return want, nil
+	}
 	const workers = 16
-	results := make([]uint64, workers)
+	decoded := make([]result, workers)
+	raw := make([][]byte, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var v uint64
-			if _, err := c.GetOrCompute("k", func() (any, error) {
-				calls.Add(1)
-				return uint64(42), nil
-			}, &v); err != nil {
+			var err error
+			if i%2 == 0 {
+				raw[i], _, err = c.GetOrComputeBytes("k", compute)
+			} else {
+				_, err = c.GetOrCompute("k", compute, &decoded[i])
+			}
+			if err != nil {
 				t.Error(err)
 			}
-			results[i] = v
 		}(i)
 	}
 	wg.Wait()
 	if calls.Load() != 1 {
 		t.Errorf("compute ran %d times under contention, want 1", calls.Load())
 	}
-	for i, v := range results {
-		if v != 42 {
-			t.Errorf("worker %d decoded %d, want 42", i, v)
-		}
-	}
 	if hits, misses := c.Stats(); hits+misses != workers || misses < 1 {
 		t.Errorf("stats = (%d, %d), want %d total with >= 1 miss", hits, misses, workers)
+	}
+	later, hit, err := c.GetOrComputeBytes("k", compute)
+	if err != nil || !hit {
+		t.Fatalf("later bytes hit: hit=%v err=%v", hit, err)
+	}
+	if !bytes.Equal(later, wantJSON) {
+		t.Errorf("stored bytes %s, want json.Marshal of the computed value %s", later, wantJSON)
+	}
+	for i := 0; i < workers; i++ {
+		if i%2 == 1 {
+			if !reflect.DeepEqual(decoded[i], want) {
+				t.Errorf("worker %d decoded %+v, want %+v", i, decoded[i], want)
+			}
+			continue
+		}
+		if len(raw[i]) == 0 || &raw[i][0] != &later[0] {
+			t.Errorf("worker %d got %s, not the stored slice %s", i, raw[i], later)
+		}
+	}
+
+	boom := errors.New("boom")
+	if _, _, err := c.GetOrComputeBytes("fail", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failed compute: err = %v, want boom", err)
+	}
+	if c.Len() != 1 {
+		t.Errorf("failed compute retained: len = %d, want 1", c.Len())
+	}
+	data, hit, err := c.GetOrComputeBytes("fail", func() (any, error) { return want, nil })
+	if err != nil || hit || !bytes.Equal(data, wantJSON) {
+		t.Errorf("retry after failure: %s hit=%v err=%v", data, hit, err)
 	}
 }
 
@@ -290,20 +348,21 @@ func TestSchemaVersionFolded(t *testing.T) {
 
 // TestBackingServesCrossProcessHits: a value published through one cache is
 // served to a fresh cache (a restarted process) from the shared backing,
-// without running compute, and reported as cached.
+// without running compute, and reported as cached — decoded by
+// GetOrCompute, and by GetOrComputeBytes as the very bytes the first cache
+// published.
 func TestBackingServesCrossProcessHits(t *testing.T) {
 	b := newFakeBacking()
 	c1 := New()
 	c1.SetBacking(b)
-	var v int
-	hit, err := c1.GetOrCompute("k", func() (any, error) { return 7, nil }, &v)
-	if err != nil || hit || v != 7 {
-		t.Fatalf("first compute: hit=%v v=%d err=%v", hit, v, err)
+	published, hit, err := c1.GetOrComputeBytes("k", func() (any, error) { return 7, nil })
+	if err != nil || hit || string(published) != "7" {
+		t.Fatalf("first compute: %s hit=%v err=%v", published, hit, err)
 	}
 	c2 := New() // restart: empty memory, same backing
 	c2.SetBacking(b)
 	ran := false
-	v = 0
+	var v int
 	hit, err = c2.GetOrCompute("k", func() (any, error) { ran = true; return 0, nil }, &v)
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +382,20 @@ func TestBackingServesCrossProcessHits(t *testing.T) {
 	// A second call on c2 is a pure memory hit: the backing is not touched.
 	if hit, _ = c2.GetOrCompute("k", func() (any, error) { return 0, nil }, &v); !hit || b.hits != 1 {
 		t.Errorf("memory layer did not absorb the repeat (hit=%v backing hits=%d)", hit, b.hits)
+	}
+
+	c3 := New() // another restart, served through the bytes form
+	c3.SetBacking(b)
+	data, hit, err := c3.GetOrComputeBytes("k", func() (any, error) { ran = true; return 0, nil })
+	if err != nil || ran || !hit {
+		t.Fatalf("bytes-form backing hit: hit=%v ran=%v err=%v", hit, ran, err)
+	}
+	if !bytes.Equal(data, published) {
+		t.Errorf("backing served %s, first cache published %s", data, published)
+	}
+	again, hit, err := c3.GetOrComputeBytes("k", func() (any, error) { return 0, nil })
+	if err != nil || !hit || b.hits != 2 || !bytes.Equal(again, published) {
+		t.Errorf("bytes-form repeat: %s hit=%v backing hits=%d err=%v, want %s from memory", again, hit, b.hits, err, published)
 	}
 }
 

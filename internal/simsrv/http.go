@@ -4,9 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"strconv"
 
-	"hugeomp/internal/npb"
 	"hugeomp/internal/omp"
 )
 
@@ -59,17 +60,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	s.ctr.requests.Add(1)
-	var (
-		res npb.Result
-		hit bool
-	)
 	if req.Inject != "" {
 		// Injected faults bypass the memo: a poisoned session must never
-		// publish — or be answered from — a content-addressed result.
-		res, err = s.dispatch(ctx, cfg, req.Kernel, req.Inject)
-	} else {
-		res, hit, err = s.run(ctx, cfg, req.Kernel, key)
+		// publish — or be answered from — a content-addressed result. compile
+		// admits only "panic", which session raises once the template is
+		// built, so this branch always answers an error.
+		_, err = s.dispatch(ctx, cfg, req.Kernel, req.Inject)
+		s.writeRunError(w, err)
+		return
 	}
+	result, hit, err := s.run(ctx, cfg, req.Kernel, key)
 	if err != nil {
 		s.writeRunError(w, err)
 		return
@@ -78,7 +78,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		s.ctr.cacheHits.Add(1)
 	}
-	writeJSON(w, http.StatusOK, Response{Key: key, Cached: hit, Result: res})
+	writeResult(w, key, hit, result)
 }
 
 // writeRunError maps a failed session onto status, typed kind, and counters.
@@ -131,6 +131,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MemoLen:  s.memo.Len(),
 		MemoCap:  s.memo.Capacity(),
 	})
+}
+
+// writeResult answers 200 with the Response envelope around result, the
+// canonical JSON the memo stores, written as it is: the same bytes
+// json.NewEncoder(w).Encode(Response{...}) would write for the decoded
+// result, without decoding or re-encoding it. key is a hex content hash, so
+// it needs no escaping.
+func writeResult(w http.ResponseWriter, key string, cached bool, result []byte) {
+	const head, tail = `{"key":"`, "}\n"
+	mid := `","cached":false,"result":`
+	if cached {
+		mid = `","cached":true,"result":`
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(key)+len(mid)+len(result)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	// Write errors mean the client went away; there is no one left to tell.
+	_, _ = io.WriteString(w, head)
+	_, _ = io.WriteString(w, key)
+	_, _ = io.WriteString(w, mid)
+	_, _ = w.Write(result)
+	_, _ = io.WriteString(w, tail)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -32,10 +32,14 @@ type Request struct {
 	Inject string `json:"inject,omitempty"`
 }
 
-// Response is the wire form of a completed simulation.
+// Response is the wire form of a completed simulation: the type clients
+// decode a /run answer into. The server does not encode it: writeResult
+// writes the same bytes by hand around the result's stored canonical JSON,
+// so a field added here must be added there too (TestServerWarmRestartFromDisk
+// checks that every answer re-encodes to itself through this type).
 type Response struct {
 	Key    string     `json:"key"`    // canonical content key of the run
-	Cached bool       `json:"cached"` // true if answered from the memo
+	Cached bool       `json:"cached"` // true if answered from the memo or the disk cache
 	Result npb.Result `json:"result"`
 }
 

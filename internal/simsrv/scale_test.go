@@ -1,11 +1,12 @@
 package simsrv
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"reflect"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,31 +328,61 @@ func TestStatsGauges(t *testing.T) {
 
 // TestServerWarmRestartFromDisk: a second server on the same cache directory
 // — a restart, or another process — answers a previously computed request as
-// a cache hit without running a simulation.
+// a cache hit without running a simulation. One config is served three ways
+// — a miss on the first server, a disk hit and then a memo hit on the second
+// — and every answer's result section is byte-equal to json.Marshal of a
+// cold npb.Run, while every whole body is exactly what encoding its decoded
+// Response writes: the hand-written envelope cannot drift from the type.
 func TestServerWarmRestartFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	_, ts1 := newTestServer(t, Config{CacheDir: dir})
-	_, body1 := postRun(t, ts1, baseReq)
-	r1 := decodeResponse(t, body1)
-	if r1.Cached {
-		t.Fatal("first-ever run reported cached")
-	}
-
 	s2, ts2 := newTestServer(t, Config{CacheDir: dir})
-	resp, body2 := postRun(t, ts2, baseReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("restart run: %d %s", resp.StatusCode, body2)
-	}
-	r2 := decodeResponse(t, body2)
-	if !r2.Cached {
-		t.Error("warm-restart run not served as a cache hit")
-	}
-	if r2.Key != r1.Key || !reflect.DeepEqual(r2.Result, r1.Result) {
-		t.Errorf("disk round trip changed the result:\nfirst:   %+v\nrestart: %+v", r1, r2)
+	cold := coldResultJSON(t, baseReq)
+	var key string
+	for i, tier := range []struct {
+		name   string
+		ts     *httptest.Server
+		cached bool
+	}{{"miss", ts1, false}, {"disk hit", ts2, true}, {"memo hit", ts2, true}} {
+		resp, body := postRun(t, tier.ts, baseReq)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", tier.name, resp.StatusCode, body)
+		}
+		r := decodeResponse(t, body)
+		if r.Cached != tier.cached {
+			t.Errorf("%s: cached = %v, want %v", tier.name, r.Cached, tier.cached)
+		}
+		if i == 0 {
+			key = r.Key
+		} else if r.Key != key {
+			t.Errorf("%s: keyed %s, the miss %s", tier.name, r.Key, key)
+		}
+		var raw struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw.Result, cold) {
+			t.Errorf("%s: result section differs from a cold npb.Run:\ncold:   %s\nserved: %s", tier.name, cold, raw.Result)
+		}
+		reencoded, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(reencoded, '\n'); !bytes.Equal(body, want) {
+			t.Errorf("%s: body is not its Response's encoding:\nbody: %s\nwant: %s", tier.name, body, want)
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: Content-Length %d for a %d-byte body", tier.name, resp.ContentLength, len(body))
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", tier.name, ct)
+		}
 	}
 	ctr := s2.Counters()
-	if ctr.CacheHits != 1 {
-		t.Errorf("cache hits = %d, want 1", ctr.CacheHits)
+	if ctr.CacheHits != 2 {
+		t.Errorf("cache hits = %d, want 2", ctr.CacheHits)
 	}
 	g := s2.Gauges()
 	if g.DiskHits != 1 {

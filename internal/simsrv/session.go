@@ -11,22 +11,23 @@ import (
 )
 
 // run answers one compiled request: memoized, single-flighted, admitted by
-// the scheduler and executed under ctx's deadline budget.
+// the scheduler and executed under ctx's deadline budget. It returns the
+// result's canonical JSON as the memo stores it — encoded once, by the memo,
+// on the miss that computed it — which the caller must not modify.
 //
 // The memo collapses concurrent identical requests onto one flight. When
 // that flight's leader is cancelled, its abort error is reported to every
 // collapsed waiter and the key is forgotten — so a waiter whose own budget
 // is still live retries and becomes the new leader, keeping retries
 // idempotent: the first request to actually finish publishes the
-// bit-deterministic result everyone else decodes.
-func (s *Server) run(ctx context.Context, cfg npb.RunConfig, kernel, key string) (npb.Result, bool, error) {
+// bit-deterministic result everyone else is served.
+func (s *Server) run(ctx context.Context, cfg npb.RunConfig, kernel, key string) ([]byte, bool, error) {
 	for {
-		var res npb.Result
-		hit, err := s.memo.GetOrCompute(key, func() (any, error) {
+		data, hit, err := s.memo.GetOrComputeBytes(key, func() (any, error) {
 			return s.dispatch(ctx, cfg, kernel, "")
-		}, &res)
+		})
 		if err == nil {
-			return res, hit, nil
+			return data, hit, nil
 		}
 		if errors.Is(err, omp.ErrAborted) && ctx.Err() == nil {
 			// The flight we were collapsed onto died with its leader's
@@ -34,7 +35,7 @@ func (s *Server) run(ctx context.Context, cfg npb.RunConfig, kernel, key string)
 			s.ctr.retries.Add(1)
 			continue
 		}
-		return npb.Result{}, false, err
+		return nil, false, err
 	}
 }
 

@@ -27,7 +27,9 @@
 //   - Idempotent retries. Results are memoized under the canonical content
 //     key of the simulated configuration (internal/memo), so a client retry
 //     — or a concurrent duplicate, collapsed by the memo's single-flight —
-//     observes bit-identical counters without a second simulation.
+//     observes bit-identical counters without a second simulation. Every
+//     answer carries the result's stored canonical JSON as it is, never
+//     decoded and re-encoded.
 //
 // See docs/ROBUSTNESS.md ("Service failure model") for the contract each
 // piece upholds.
@@ -113,10 +115,14 @@ func (c Config) withDefaults() Config {
 
 // Counters are the service's typed event counts, one per observable outcome
 // class, exposed by /stats and asserted by the soak harness.
+//
+// MemoMisses counts the simulations started only when no disk cache is
+// configured. With CacheDir set, a memo miss that the disk answers runs no
+// simulation; Gauges.DiskMisses counts the simulations started then.
 type Counters struct {
 	Requests    uint64 `json:"requests"`     // admitted /run requests
 	Completed   uint64 `json:"completed"`    // answered with a result
-	CacheHits   uint64 `json:"cache_hits"`   // answered from the memo
+	CacheHits   uint64 `json:"cache_hits"`   // answered from the memo or the disk cache
 	Aborted     uint64 `json:"aborted"`      // cancelled or deadline-expired
 	Panicked    uint64 `json:"panicked"`     // sessions recovered at the boundary
 	Quarantined uint64 `json:"quarantined"`  // templates evicted after a failed audit
@@ -125,7 +131,7 @@ type Counters struct {
 	Invalid     uint64 `json:"invalid"`      // malformed or oversized requests (4xx)
 	Failed      uint64 `json:"failed"`       // other run failures (500)
 	Retries     uint64 `json:"retries"`      // single-flight retries after a leader abort
-	MemoMisses  uint64 `json:"memo_misses"`  // simulations actually run
+	MemoMisses  uint64 `json:"memo_misses"`  // lookups the in-memory memo missed (see above)
 	MemoEvicted uint64 `json:"memo_evicted"` // results dropped by the capacity bound
 }
 
@@ -266,7 +272,8 @@ type Gauges struct {
 	TemplateEvictions   uint64 `json:"template_evictions"`
 	TemplateBuilds      uint64 `json:"template_builds"`
 	// Shared disk cache (zero-valued with DiskEnabled=false when no
-	// -cache-dir was given).
+	// -cache-dir was given). With it on, DiskMisses counts the simulations
+	// started, aborted ones included.
 	DiskEnabled       bool   `json:"disk_enabled"`
 	DiskHits          uint64 `json:"disk_hits"`
 	DiskMisses        uint64 `json:"disk_misses"`

@@ -119,10 +119,20 @@ func TestServiceWarmRestart(t *testing.T) {
 		t.Errorf("warm restart built %d templates", g.TemplateBuilds)
 	}
 
-	req := reqs[0]
+	if want := coldResultJSON(t, reqs[0]); !bytes.Equal(first, want) {
+		t.Errorf("served result differs from a cold npb.Run:\ncold:   %s\nserved: %s", want, first)
+	}
+}
+
+// coldResultJSON runs req's class-T configuration cold through npb.Run,
+// mirroring compile's defaults (partitioned sharing, tree barrier), and
+// returns the result's canonical JSON: the ground truth a served result
+// section must equal byte for byte.
+func coldResultJSON(tb testing.TB, req Request) []byte {
+	tb.Helper()
 	k, err := npb.New(req.Kernel)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	model, _ := machine.ModelByName(req.Model)
 	policy := core.Policy4K
@@ -134,15 +144,13 @@ func TestServiceWarmRestart(t *testing.T) {
 		Sharing: machine.SharePartition, Barrier: omp.TreeBarrier,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	want, err := json.Marshal(cold)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if !bytes.Equal(first, want) {
-		t.Errorf("served result differs from a cold npb.Run:\ncold:   %s\nserved: %s", want, first)
-	}
+	return want
 }
 
 // minServiceSpeedup is the floor BenchmarkServiceWarmRestart enforces.
@@ -185,4 +193,60 @@ func BenchmarkServiceWarmRestart(b *testing.B) {
 		b.Fatalf("warm-restarted service %.2fx faster than the no-disk-cache single-template baseline, floor %.1fx",
 			speedup, minServiceSpeedup)
 	}
+}
+
+// BenchmarkServeHit times one /run request answered from a cache layer,
+// in-process through Handler() (the httptest request and recorder count
+// towards each op's time and allocations): memo-hit repeats one answered
+// request; disk-hit alternates two configurations on a server whose memo
+// holds one result, over a disk cache holding both, so every request misses
+// the memo and is served from disk. It reports ns/op and allocs/op and
+// enforces no floor.
+func BenchmarkServeHit(b *testing.B) {
+	grid, _ := serviceGrid(1)
+	bodies := make([][]byte, 2)
+	for i := range bodies {
+		body, err := json.Marshal(grid[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	dir := populatedCache(b, grid[:2])
+	serve := func(b *testing.B, s *Server, alternate int) {
+		h := s.Handler()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := httptest.NewRequest("POST", "/run", bytes.NewReader(bodies[i%alternate]))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			if w.Code != 200 {
+				b.Fatalf("service answered %d: %s", w.Code, w.Body.String())
+			}
+		}
+	}
+	b.Run("memo-hit", func(b *testing.B) {
+		s, err := NewServer(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		driveService(b, s, grid[:1])
+		serve(b, s, 1)
+		if ctr := s.Counters(); ctr.CacheHits != uint64(b.N) {
+			b.Fatalf("%d of %d requests answered from the memo", ctr.CacheHits, b.N)
+		}
+	})
+	b.Run("disk-hit", func(b *testing.B) {
+		s, err := NewServer(Config{CacheDir: dir, MemoCapacity: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		serve(b, s, 2)
+		if g := s.Gauges(); g.DiskHits != uint64(b.N) || g.DiskMisses != 0 {
+			b.Fatalf("%d disk hits and %d disk misses over %d requests", g.DiskHits, g.DiskMisses, b.N)
+		}
+	})
 }
