@@ -112,6 +112,7 @@ examples:
 	$(GO) run ./examples/stride
 	$(GO) run ./examples/smt
 	$(GO) run ./examples/mpihalo
+	$(GO) run ./examples/custommachine
 
 fuzz:
 	$(GO) test -fuzz FuzzHierarchy -fuzztime 30s ./internal/tlb/

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"hugeomp/internal/machine"
-	"hugeomp/internal/pagetable"
 	"hugeomp/internal/profile"
 	"hugeomp/internal/tlb"
 	"hugeomp/internal/units"
@@ -61,8 +60,7 @@ func Counters(c profile.Counters) error {
 
 // TLBs audits one context's resident TLB entries against the live page table:
 // every valid entry must correspond to a current mapping of the same page-size
-// class that permits reads, and an entry carrying the W bit must map a page
-// that still permits writes. Queued shootdowns are delivered first (the
+// class. Queued shootdowns are delivered first (the
 // mailbox contract makes undelivered invalidations legal until the next
 // access, so the audit observes the post-delivery state). Call only while the
 // context is quiescent.
@@ -84,17 +82,6 @@ func TLBs(ctx *machine.Context) error {
 				errs = append(errs, fmt.Errorf(
 					"check: ctx %d %s L%d: entry for va %#x cached as %s but the table maps it %s (missed shootdown on a size change)",
 					ctx.ID, name, level, va, size, wr.Entry.Size))
-				return
-			}
-			if wr.Entry.Prot&pagetable.ProtRead == 0 {
-				errs = append(errs, fmt.Errorf(
-					"check: ctx %d %s L%d: entry for va %#x maps a page with no read permission",
-					ctx.ID, name, level, va))
-			}
-			if e.Writable && wr.Entry.Prot&pagetable.ProtWrite == 0 {
-				errs = append(errs, fmt.Errorf(
-					"check: ctx %d %s L%d: entry for va %#x carries the W bit but the table revoked write permission",
-					ctx.ID, name, level, va))
 			}
 		})
 	}

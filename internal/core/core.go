@@ -264,8 +264,8 @@ func (s *System) mount2M(cfg Config) error {
 
 // OSCounters aggregates the run's OS-level degraded-path events: huge-page
 // fallbacks, THP demotions and broken reservations, and absorbed transient
-// map failures. DSM refetch counts live with the DSM itself (cluster mode);
-// an intra-node System reports zero there.
+// map failures. DSMRefetches is always zero: the SCASH software DSM is not
+// modelled.
 func (s *System) OSCounters() profile.OSCounters {
 	var o profile.OSCounters
 	o.PTMapRetries = s.PT.MapRetries()

@@ -1,15 +1,21 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"hugeomp/internal/machine"
+)
 
 // Fork returns an independent copy of the assembled system: physical memory,
 // page table (copy-on-write — PGD entries are aliased and privatized on
 // first mutation, so the fork is O(metadata), not O(mapped pages)), the
-// hugetlbfs mount, both SCASH spaces, the THP manager and the machine. The
-// fork is the warm-construction replacement for NewSystem + kernel Setup:
-// calling NewRT on it configures fresh (cold) hardware contexts exactly as a
-// cold-built system would, so a forked run's counters are bit-identical to a
-// cold run's while skipping the expensive address-space construction.
+// hugetlbfs mount, both SCASH spaces and the THP manager, on a machine of
+// the same model with no hardware contexts yet. The fork is the
+// warm-construction replacement for NewSystem + kernel Setup: calling NewRT
+// on it configures fresh (cold) hardware contexts exactly as a cold-built
+// system would, so a forked run's counters are bit-identical to a cold
+// run's while skipping the expensive address-space construction. A fork
+// carries no hardware state: TLBs, caches and counters start cold in NewRT.
 //
 // Fault plans are not re-armed on the fork: injected faults fire during
 // construction (hugetlbfs reservation, page mapping), which the fork skips
@@ -21,11 +27,12 @@ func (s *System) Fork() *System {
 		Cfg:       s.Cfg,
 		Phys:      s.Phys.Fork(),
 		PT:        pt,
-		Machine:   s.Machine.Fork(pt),
+		Machine:   machine.New(s.Machine.Model),
 		Degraded:  s.Degraded,
 		codeAlloc: s.codeAlloc.Fork(),
 		codeUsed:  s.codeUsed,
 	}
+	ns.Machine.AttachProcess(pt)
 	ns.Cfg.Fault = nil
 	if s.FS != nil {
 		ns.FS = s.FS.Fork(ns.Phys)

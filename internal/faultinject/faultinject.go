@@ -61,9 +61,6 @@ const (
 	// SiteMPIDup duplicates an MPI control message so the receiver drops one,
 	// keyed by the pair's receive sequence.
 	SiteMPIDup Site = "mpi/dup"
-	// SiteSCASHFetch loses a DSM page-fetch reply so the faulting process
-	// refetches, keyed by occurrence.
-	SiteSCASHFetch Site = "scash/fetch"
 )
 
 // Sites lists every known injection site (for cmd/chaos plan generation).
@@ -73,7 +70,6 @@ func Sites() []Site {
 		SiteTHPAlloc, SiteTHPPressure,
 		SitePTMap,
 		SiteMPILoss, SiteMPIDup,
-		SiteSCASHFetch,
 	}
 }
 

@@ -70,8 +70,8 @@ var Analyzer = &analysis.Analyzer{
 // qualified mutex field ("Context.shootMu") or a bare owner type
 // ("Snapshot", matching any mutex field it owns). Every context owns its
 // TLBs and caches, so the simulator's one ranked lock is Snapshot's (fork
-// template freeze): it holds its mutex while forking the page table and
-// machine, never the reverse. The driver exposes it as -lockorder.order.
+// template freeze): it holds its mutex while forking the system, never the
+// reverse. The driver exposes it as -lockorder.order.
 var Order = "Snapshot"
 
 // Packages limits *reporting* to the packages that participate in the

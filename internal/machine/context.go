@@ -16,9 +16,9 @@ import (
 
 const lineShift = 6 // 64-byte cache lines
 
-// FaultHandler services a protection fault raised during simulated access.
-// The SCASH coherence protocol installs one; after it returns nil the access
-// is retried.
+// FaultHandler services a page fault on an unmapped address raised during
+// simulated access — demand paging, as the transparent-huge-page manager
+// does. After it returns nil the access is retried.
 type FaultHandler func(va units.Addr, write bool) error
 
 // Context is one hardware thread context: the unit a simulated OpenMP thread
@@ -50,7 +50,8 @@ type Context struct {
 	hasSibling bool // another context is co-scheduled on this core
 	smtFlush   bool // flush-on-switch SMT penalty applies
 
-	// OnFault, if set, services protection faults (SCASH coherence traps).
+	// OnFault, if set, services faults on unmapped addresses (demand
+	// paging). A write to a read-only page is never serviced: it is fatal.
 	OnFault FaultHandler
 
 	// Page-size probe hints (most processes use one size class per segment).
@@ -135,25 +136,24 @@ func (c *Context) SetPageHint(s units.PageSize) {
 }
 
 // translateData resolves va through the DTLB stack, walking the page table
-// on a full miss (or a write hitting a non-writable entry). It returns the
-// mapped page size, whether the filled entry is writable, and the cycle cost
-// beyond a first-level hit.
-func (c *Context) translateData(va units.Addr, write bool) (units.PageSize, bool, uint64) {
+// on a full miss. It returns the mapped page size and the cycle cost beyond
+// a first-level hit.
+func (c *Context) translateData(va units.Addr, write bool) (units.PageSize, uint64) {
 	order := [2]units.PageSize{c.dataHint, c.dataHint ^ 1}
 	for _, s := range order {
 		vpn := s.VPN(va)
-		switch c.dtlb.Access(vpn, s, write) {
+		switch c.dtlb.Access(vpn, s) {
 		case tlb.HitL1:
 			c.dataHint = s
-			return s, write, 0
+			return s, 0
 		case tlb.HitL2:
 			c.dataHint = s
 			c.countL1Miss(s)
 			c.Ctr.DTLBL2Hit++
-			return s, write, c.costs.TLBL2Cyc
+			return s, c.costs.TLBL2Cyc
 		}
 	}
-	// Full miss: hardware page walk (servicing protection faults first).
+	// Full miss: hardware page walk (servicing demand faults first).
 	wr := c.walk(va, write)
 	size := wr.Entry.Size
 	c.countL1Miss(size)
@@ -164,10 +164,9 @@ func (c *Context) translateData(va units.Addr, write bool) (units.PageSize, bool
 	}
 	cyc := uint64(wr.MemRefs) * c.costs.WalkRefCyc
 	c.Ctr.WalkCyc += cyc
-	writable := wr.Entry.Prot&pagetable.ProtWrite != 0
-	c.dtlb.Fill(size.VPN(va), size, writable)
+	c.dtlb.Fill(size.VPN(va), size)
 	c.dataHint = size
-	return size, writable, cyc
+	return size, cyc
 }
 
 func (c *Context) countL1Miss(s units.PageSize) {
@@ -184,12 +183,12 @@ func (c *Context) countL1Miss(s units.PageSize) {
 // filled under (xlatGen), so while that stamp still equals Gen() the table
 // has not mutated and every cached result is exactly what a fresh walk would
 // return — without taking the table's RWMutex. A stale stamp lazily wipes
-// the cache; a protection mismatch (which must reach OnFault) just falls
-// through to the locked walk. Invalidation is purely monotonic: Map/Unmap/
-// Protect bump the generation, and the TLB-level consequences are already
-// handled by the shootdown mailbox. A walk that races a table mutation
-// installs a result the sweep will discard at the next walk (xlatGen is only
-// synced at entry, so it can never run ahead and validate a stale slot).
+// the cache; a write to a read-only page (which is fatal) just falls through
+// to the locked walk. Invalidation is purely monotonic: Map and Unmap bump
+// the generation, and the TLB-level consequences are already handled by the
+// shootdown mailbox. A walk that races a table mutation installs a result
+// the sweep will discard at the next walk (xlatGen is only synced at entry,
+// so it can never run ahead and validate a stale slot).
 func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
 	vpn := uint64(va) >> units.PageShift4K
 	if gen := c.pt.Gen(); gen != c.xlatGen {
@@ -199,11 +198,7 @@ func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
 	slot := &c.xlat[vpn&(xlatSlots-1)]
 	if slot.key == vpn<<1|1 {
 		wr := pagetable.UnpackWalk(slot.wr)
-		need := pagetable.ProtRead
-		if write {
-			need = pagetable.ProtWrite
-		}
-		if wr.Entry.Prot&need != 0 {
+		if !write || wr.Entry.Prot&pagetable.ProtWrite != 0 {
 			return wr
 		}
 	}
@@ -215,12 +210,9 @@ func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
 			}
 			return wr
 		}
-		faultable := errors.Is(err, pagetable.ErrProtViolation) ||
-			errors.Is(err, pagetable.ErrNotMapped)
-		if faultable && c.OnFault != nil {
-			// Soft fault: protection trap (SCASH coherence) or demand
-			// paging (transparent huge pages). Charge the kernel
-			// entry/exit and fill cost to this context.
+		if errors.Is(err, pagetable.ErrNotMapped) && c.OnFault != nil {
+			// Soft fault: demand paging (transparent huge pages). Charge
+			// the kernel entry/exit and fill cost to this context.
 			if ferr := c.OnFault(va, write); ferr != nil {
 				panic(fmt.Sprintf("machine: context %d fault handler failed at %#x: %v", c.ID, va, ferr))
 			}
@@ -284,7 +276,7 @@ func (c *Context) dataAccess(va units.Addr, write bool) {
 	if c.shootFlag.Load() {
 		c.drainShootdowns()
 	}
-	_, _, cyc := c.translateData(va, write)
+	_, cyc := c.translateData(va, write)
 	cyc += c.costs.ExecCyc + c.cacheAccess(uint64(va)>>lineShift, write)
 	c.Ctr.Busy += cyc
 }
@@ -326,26 +318,25 @@ const drainWindow = 64
 
 // rangeBulk is the range engine. The range is decomposed into segments —
 // a segment ends at a page edge or a drain-window boundary — with one
-// translation per page (exactly what the per-element micro-TLB check would
-// do, since the write-upgrade re-probe can only fire on a page's first
-// element) and each segment into cache-line runs: after a run's head access
-// the line is resident, so the remaining same-line accesses are L1 hits by
-// construction and are accounted in bulk. Skipping their individual probes
-// also skips LRU stamp refreshes, but a skip only happens inside a run of
-// accesses to one line, so the relative recency of distinct lines — all
-// that LRU replacement observes — is unchanged. A drain re-translates and
+// translation per page (after a page's first element its translation is an
+// L1 DTLB hit by construction) and each segment into cache-line runs: after
+// a run's head access the line is resident, so the remaining same-line
+// accesses are L1 hits by construction and are accounted in bulk. Skipping
+// their individual probes also skips LRU stamp refreshes, but a skip only
+// happens inside a run of accesses to one line, so the relative recency of
+// distinct lines — all that LRU replacement observes — is unchanged. A drain re-translates and
 // re-probes the element it lands on. Negative strides walk the same
 // decomposition in descending address order: a segment ends when the
 // address drops below the page base, a run when it drops below the line
-// base. A zero stride is one run per segment. Fault-handler contexts (SCASH
-// coherence, transparent huge pages) take the same path: a fault is served
-// inside the segment's translation, and any shootdown it queues drains at
-// the next window boundary.
+// base. A zero stride is one run per segment. Fault-handler contexts
+// (transparent huge pages) take the same path: a fault is served inside the
+// segment's translation, and any shootdown it queues drains at the next
+// window boundary.
 func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) uint64 {
 	var busy uint64
 	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
 	var pageBase, pageMask units.Addr
-	var pageW, pageOK bool
+	var pageOK bool
 	pageEnd := 0 // index one past the last element on the translated page
 	abs := stride
 	if abs < 0 {
@@ -364,11 +355,11 @@ func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) ui
 			pageOK = false
 		}
 		va := base + units.Addr(int64(i)*stride)
-		if !pageOK || va&^pageMask != pageBase || (write && !pageW) {
-			size, w, tcyc := c.translateData(va, write)
+		if !pageOK || va&^pageMask != pageBase {
+			size, tcyc := c.translateData(va, write)
 			busy += tcyc
 			pageMask = size.Mask()
-			pageBase, pageW, pageOK = va&^pageMask, w, true
+			pageBase, pageOK = va&^pageMask, true
 			// Elements landing on this page: ascending,
 			// ceil((pageEnd−va)/stride); descending, those down to the page
 			// base inclusive; zero stride, all of them.
@@ -458,19 +449,18 @@ func (c *Context) indexedRange(base units.Addr, elemSize int64, idx []int64, wri
 
 // gatherBulk is the indexed engine over an already-sorted index list.
 // Ascending order makes the rangeBulk argument carry over unchanged: all
-// elements on one page are consecutive, so the write-upgrade re-probe can
-// only fire on a page's first element and one translation per page matches
-// the per-element micro-TLB behaviour; all elements on one line are
-// consecutive, so after the run head's probe the rest are L1 hits by
-// construction (skipped LRU refreshes stay within a single line's run, so
-// the relative recency of distinct lines is unchanged). Drain polls, fault
-// handling and segment ends at drain-window boundaries are those of
-// rangeBulk. elemSize must be positive.
+// elements on one page are consecutive, so one translation per page matches
+// the per-element behaviour; all elements on one line are consecutive, so
+// after the run head's probe the rest are L1 hits by construction (skipped
+// LRU refreshes stay within a single line's run, so the relative recency of
+// distinct lines is unchanged). Drain polls, fault handling and segment
+// ends at drain-window boundaries are those of rangeBulk. elemSize must be
+// positive.
 func (c *Context) gatherBulk(base units.Addr, elemSize int64, sorted []int64, write bool) uint64 {
 	var busy uint64
 	hitCyc := c.costs.ExecCyc + c.costs.L1HitCyc
 	var pageBase, pageMask units.Addr
-	var pageW, pageOK bool
+	var pageOK bool
 	n := len(sorted)
 	for i := 0; i < n; {
 		if i&(drainWindow-1) == 0 && c.shootFlag.Load() {
@@ -478,11 +468,11 @@ func (c *Context) gatherBulk(base units.Addr, elemSize int64, sorted []int64, wr
 			pageOK = false
 		}
 		va := base + units.Addr(sorted[i]*elemSize)
-		if !pageOK || va&^pageMask != pageBase || (write && !pageW) {
-			size, w, tcyc := c.translateData(va, write)
+		if !pageOK || va&^pageMask != pageBase {
+			size, tcyc := c.translateData(va, write)
 			busy += tcyc
 			pageMask = size.Mask()
-			pageBase, pageW, pageOK = va&^pageMask, w, true
+			pageBase, pageOK = va&^pageMask, true
 		}
 		pageLast := pageBase + pageMask
 		segEnd := min(n, (i|(drainWindow-1))+1)
@@ -565,7 +555,7 @@ func (c *Context) translateFetch(va units.Addr) uint64 {
 	var size units.PageSize
 	for _, s := range order {
 		vpn := s.VPN(va)
-		if o := c.itlb.Access(vpn, s, false); o != tlb.Miss {
+		if o := c.itlb.Access(vpn, s); o != tlb.Miss {
 			if o == tlb.HitL2 {
 				cyc += c.costs.TLBL2Cyc
 			}
@@ -581,7 +571,7 @@ func (c *Context) translateFetch(va units.Addr) uint64 {
 		w := uint64(wr.MemRefs) * c.costs.WalkRefCyc
 		c.Ctr.WalkCyc += w
 		cyc += w
-		c.itlb.Fill(size.VPN(va), size, false)
+		c.itlb.Fill(size.VPN(va), size)
 	}
 	c.fetchHint = size
 	c.lastFetchMask = size.Mask()
@@ -595,43 +585,28 @@ func (c *Context) translateFetch(va units.Addr) uint64 {
 // probe over each page the way rangeBulk does for data: a page segment's
 // blocks after the first are fetch micro-TLB hits by construction, so they
 // are bulk-accounted at FetchCyc each. Counter-equivalent to calling Fetch
-// per block (TestFetchRangeEquivalenceProperty); non-positive strides fall
-// back to the per-block loop.
+// per block (TestFetchRangeEquivalenceProperty). stride must be positive.
 func (c *Context) FetchRange(base units.Addr, n int, stride int64) {
 	if n <= 0 {
 		return
 	}
 	c.Ctr.Fetches += uint64(n)
 	var busy uint64
-	if stride <= 0 {
-		for i := 0; i < n; i++ {
-			va := base + units.Addr(int64(i)*stride)
-			cyc := c.costs.FetchCyc
-			if c.shootFlag.Load() {
-				c.drainShootdowns()
-			}
-			if !c.fetchCacheOK || va&^c.lastFetchMask != c.lastFetchBase {
-				cyc += c.translateFetch(va)
-			}
-			busy += cyc
+	for i := 0; i < n; {
+		if c.shootFlag.Load() {
+			c.drainShootdowns()
 		}
-	} else {
-		for i := 0; i < n; {
-			if c.shootFlag.Load() {
-				c.drainShootdowns()
-			}
-			va := base + units.Addr(int64(i)*stride)
-			if !c.fetchCacheOK || va&^c.lastFetchMask != c.lastFetchBase {
-				busy += c.translateFetch(va)
-			}
-			pageEnd := int64(c.lastFetchBase) + int64(c.lastFetchMask) + 1
-			segN := int((pageEnd - int64(va) + stride - 1) / stride)
-			if segN > n-i {
-				segN = n - i
-			}
-			busy += uint64(segN) * c.costs.FetchCyc
-			i += segN
+		va := base + units.Addr(int64(i)*stride)
+		if !c.fetchCacheOK || va&^c.lastFetchMask != c.lastFetchBase {
+			busy += c.translateFetch(va)
 		}
+		pageEnd := int64(c.lastFetchBase) + int64(c.lastFetchMask) + 1
+		segN := int((pageEnd - int64(va) + stride - 1) / stride)
+		if segN > n-i {
+			segN = n - i
+		}
+		busy += uint64(segN) * c.costs.FetchCyc
+		i += segN
 	}
 	c.Ctr.Busy += busy
 }
@@ -648,7 +623,7 @@ func (c *Context) Wait(cyc uint64) {
 }
 
 // InvalidatePage requests a TLB shootdown for the page of the given size at
-// va (used when SCASH changes page protections or THP promotes a chunk).
+// va (used when THP promotes or demotes a chunk).
 // Like a real IPI it is asynchronous: the invalidation is applied by the
 // owning context at its next memory access.
 func (c *Context) InvalidatePage(va units.Addr, size units.PageSize) {

@@ -140,10 +140,9 @@ func TestAccessRangeNegativeStrideEquivalence(t *testing.T) {
 	}
 }
 
-// TestAccessRangeWriteUpgradeEquivalence covers the write-upgrade edge: a
-// read range primes the micro-TLB with a read-only-checked entry, and the
-// following write range over the same pages must re-probe for writability on
-// each segment head exactly as the scalar path does per element.
+// TestAccessRangeWriteUpgradeEquivalence covers a write range over pages a
+// read range just translated: the warm DTLB entries serve the stores, and
+// the bulk and scalar paths must agree on every counter.
 func TestAccessRangeWriteUpgradeEquivalence(t *testing.T) {
 	for _, cfg := range equivConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -263,11 +262,10 @@ func TestInvalidatePageForcesRewalk(t *testing.T) {
 	}
 }
 
+// TestFaultHandlerRetries: a demand-paging handler maps the page a store
+// faults on, and the store retries and completes.
 func TestFaultHandlerRetries(t *testing.T) {
-	pt := pagetable.New()
-	if err := pt.Map(0, units.Size4K, 1, pagetable.ProtRead); err != nil {
-		t.Fatal(err)
-	}
+	pt := pagetable.New() // nothing mapped
 	m := New(Opteron270())
 	m.AttachProcess(pt)
 	ctxs, _ := m.Configure(1)
@@ -275,29 +273,50 @@ func TestFaultHandlerRetries(t *testing.T) {
 	faults := 0
 	c.OnFault = func(va units.Addr, write bool) error {
 		faults++
-		_, err := pt.Protect(0, pagetable.ProtRW)
-		return err
+		return pt.Map(va&^units.Addr(units.PageSize4K-1), units.Size4K, 1, pagetable.ProtRW)
 	}
-	c.Store(0x10) // write to a read-only page: trap, upgrade, retry
+	c.Store(0x10) // store to an unmapped page: fault, map, retry
 	if faults != 1 {
 		t.Errorf("fault handler ran %d times, want 1", faults)
 	}
-	if c.Ctr.Stores != 1 {
-		t.Error("store not completed after fault service")
+	if c.Ctr.Stores != 1 || c.Ctr.SoftFaults != 1 {
+		t.Errorf("stores=%d soft faults=%d after fault service, want 1 and 1", c.Ctr.Stores, c.Ctr.SoftFaults)
 	}
 }
 
+// TestUnhandledFaultPanics: an access no handler can service is a
+// simulation bug and panics — a load of unmapped memory with no handler,
+// and a store whose walk finds a read-only page even with a handler
+// installed, which never sees it.
 func TestUnhandledFaultPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s should panic (simulation bug trap)", name)
+			}
+		}()
+		f()
+	}
 	pt := pagetable.New() // nothing mapped
 	m := New(Opteron270())
 	m.AttachProcess(pt)
 	ctxs, _ := m.Configure(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("access to unmapped memory should panic (simulation bug trap)")
-		}
-	}()
-	ctxs[0].Load(0xdead000)
+	mustPanic("access to unmapped memory", func() { ctxs[0].Load(0xdead000) })
+
+	if err := pt.Map(0, units.Size4K, 1, pagetable.ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	c := ctxs[0]
+	c.OnFault = func(va units.Addr, write bool) error {
+		t.Errorf("handler called for a write to a read-only page at %#x", va)
+		return nil
+	}
+	mustPanic("store to a read-only page", func() { c.Store(0x10) })
+	c.Load(0x10) // a read of a read-only page is fine
+	if c.Ctr.SoftFaults != 0 {
+		t.Errorf("soft faults = %d, want 0", c.Ctr.SoftFaults)
+	}
 }
 
 func TestSMTInterleavePolicyNoFlush(t *testing.T) {
@@ -359,7 +378,7 @@ func TestShootdownMailboxIsAsynchronous(t *testing.T) {
 	if !victim.shootFlag.Load() {
 		t.Fatal("shootdown not queued")
 	}
-	if victim.dtlb.Access(units.Size4K.VPN(0), units.Size4K, false) == tlb.Miss {
+	if victim.dtlb.Access(units.Size4K.VPN(0), units.Size4K) == tlb.Miss {
 		t.Fatal("shootdown mutated the TLB before the owner drained it")
 	}
 	victim.Load(8) // drains the mailbox, then must re-walk

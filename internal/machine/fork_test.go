@@ -70,18 +70,24 @@ func applyForkOp(t testing.TB, w fuzzWorld, op byte, a1, a2 int64) bool {
 	return true
 }
 
-// FuzzForkEquivalence is the correctness bar of the machine-level snapshot:
-// after any warmup prefix of random operations, a Snapshot+Fork of the warm
-// world must continue byte-identically — every counter after every op — to a
-// world that never forked, and the act of snapshotting must leave the parent
-// untouched. The op stream mixes scalar loads/stores, ranges, gathers,
-// shootdowns, full flushes, 2MB→4KB degradation, post-fork page faults, and
-// an abort op (op%11 == 10): the first abort after the fork point abandons
-// the forked world mid-stream — exactly what a cancelled service request
-// does — then forks a *sibling* from the same snapshot, replays the
-// post-capture stream, and requires the sibling to land on the control's
-// counters byte-for-byte before continuing in lockstep. An abandoned fork
-// must never have leaked into the snapshot it came from.
+// FuzzForkEquivalence is the correctness bar of the page-table fork that
+// every warm run starts from. It forks the way npb.Warm does: the fork is
+// taken before the runtime exists, and NewRT then configures cold hardware
+// on the forked table. After any warmup prefix of random operations, the
+// parent's table is frozen with Table.Fork, and a fork of the frozen table
+// with a freshly configured context must continue byte-identically —
+// every counter after every op — to a control that never forked its table
+// and got a fresh context at the same op. Freezing must leave the parent
+// untouched, which a second control that neither forks nor swaps contexts
+// checks. The op stream mixes scalar loads/stores, ranges, gathers,
+// shootdowns, full flushes, 2MB→4KB demotions and page faults (post-fork,
+// both go through the page table's copy-on-write barrier), and an abort op
+// (op%11 == 10): the first abort after the fork point abandons the forked
+// world mid-stream — exactly what a cancelled service request does — then
+// forks a *sibling* from the same frozen table, replays the post-fork
+// stream, and requires the sibling to land on the control's counters
+// byte-for-byte before continuing in lockstep. An abandoned fork must never
+// have leaked into the table it came from.
 //
 // Byte 0 picks the page-size policy, byte 1 the fork point; each op is 3
 // bytes (op, a1, a2) as in FuzzScalarFastPath.
@@ -102,41 +108,37 @@ func FuzzForkEquivalence(f *testing.F) {
 		nops := (len(data) - 2) / 3
 		split := int(data[1]) % (nops + 1)
 
-		orig := mkFuzzWorld(t, ps) // parent: snapshotted mid-stream
-		ctrl := mkFuzzWorld(t, ps) // control: never forked
-		var snap *Snapshot
+		orig := mkFuzzWorld(t, ps)  // parent: its table frozen mid-stream
+		ctrlP := mkFuzzWorld(t, ps) // the parent's control: never forked
+		ctrl := mkFuzzWorld(t, ps)  // the fork's control: fresh context at the fork point
+		var frozen *pagetable.Table
 		var forked fuzzWorld
 		haveFork := false
 		abortedOnce := false
-		var replay [][3]byte // ops applied to the fork since capture
+		var replay [][3]byte // ops applied to the fork since it was taken
 
 		opIdx := 0
 		for i := 2; i+2 < len(data); i += 3 {
 			if opIdx == split && !haveFork {
-				snap = orig.c.machine.Snapshot()
-				fm, fpt := snap.Fork()
-				forked = fuzzWorld{c: fm.Contexts()[0], pt: fpt}
+				frozen = orig.pt.Fork()
+				forked = freshWorld(t, frozen.Fork(), ps)
+				ctrl = freshWorld(t, ctrl.pt, ps)
 				haveFork = true
-				if forked.c.Ctr != ctrl.c.Ctr {
-					t.Fatalf("fork at op %d: counters differ at capture:\nforked: %+v\ncontrol: %+v",
-						opIdx, forked.c.Ctr, ctrl.c.Ctr)
-				}
 			}
 			op, a1, a2 := data[i], int64(data[i+1]), int64(data[i+2])
 			if op%11 == 10 {
 				// Abort: abandon the fork exactly here, mid-stream, and prove
-				// the snapshot is unperturbed — a fresh sibling replaying the
-				// same post-capture stream must land on the control's
+				// the frozen table is unperturbed — a fresh sibling replaying
+				// the same post-fork stream must land on the control's
 				// counters. The sibling then takes over the lockstep.
 				if haveFork && !abortedOnce {
 					abortedOnce = true
-					fm, fpt := snap.Fork()
-					sib := fuzzWorld{c: fm.Contexts()[0], pt: fpt}
+					sib := freshWorld(t, frozen.Fork(), ps)
 					for _, r := range replay {
 						applyForkOp(t, sib, r[0], int64(r[1]), int64(r[2]))
 					}
 					if sib.c.Ctr != ctrl.c.Ctr {
-						t.Fatalf("abort at op %d: sibling fork replay diverged — the abandoned fork leaked into the snapshot:\nsibling: %+v\ncontrol: %+v",
+						t.Fatalf("abort at op %d: sibling fork replay diverged — the abandoned fork leaked into the frozen table:\nsibling: %+v\ncontrol: %+v",
 							opIdx, sib.c.Ctr, ctrl.c.Ctr)
 					}
 					forked = sib
@@ -144,36 +146,43 @@ func FuzzForkEquivalence(f *testing.F) {
 				opIdx++
 				continue // the abort marker mutates no world
 			}
-			dc := applyForkOp(t, ctrl, op, a1, a2)
-			do := applyForkOp(t, orig, op, a1, a2)
-			if do != dc {
+			dp := applyForkOp(t, ctrlP, op, a1, a2)
+			if do := applyForkOp(t, orig, op, a1, a2); do != dp {
 				t.Fatalf("op %d: parent demote lockstep broken", opIdx)
 			}
 			if haveFork {
 				replay = append(replay, [3]byte{op, byte(a1), byte(a2)})
+				dc := applyForkOp(t, ctrl, op, a1, a2)
 				if df := applyForkOp(t, forked, op, a1, a2); df != dc {
 					t.Fatalf("op %d: forked demote lockstep broken", opIdx)
 				}
 				if forked.c.Ctr != ctrl.c.Ctr {
-					t.Fatalf("op %d (%d): forked run diverged from cold run:\nforked: %+v\ncontrol: %+v",
+					t.Fatalf("op %d (%d): forked run diverged from unforked run:\nforked: %+v\ncontrol: %+v",
 						opIdx, op%11, forked.c.Ctr, ctrl.c.Ctr)
 				}
+			} else {
+				applyForkOp(t, ctrl, op, a1, a2)
 			}
-			if orig.c.Ctr != ctrl.c.Ctr {
-				t.Fatalf("op %d (%d): snapshot perturbed the parent:\nparent: %+v\ncontrol: %+v",
-					opIdx, op%11, orig.c.Ctr, ctrl.c.Ctr)
+			if orig.c.Ctr != ctrlP.c.Ctr {
+				t.Fatalf("op %d (%d): forking perturbed the parent:\nparent: %+v\ncontrol: %+v",
+					opIdx, op%11, orig.c.Ctr, ctrlP.c.Ctr)
 			}
 			opIdx++
 		}
 	})
 }
 
-// TestSnapshotForksIsolated: two forks of one snapshot never observe each
-// other's writes. Each fork runs a different op stream, interleaved with the
-// other's, and must stay byte-identical at every step to a control world
-// that ran the shared prefix plus only its own stream — any cross-fork leak
-// through the shared page table, TLBs or caches would knock a fork off its
-// control.
+// TestSnapshotForksIsolated: two forks of one frozen table never observe
+// each other's writes. Each fork gets a fresh context and runs a different
+// op stream, interleaved with the other's, and must stay byte-identical at
+// every step to a control that ran the shared prefix on its own table, got
+// a fresh context there, and then ran only its fork's stream — any
+// cross-fork leak through the shared page table would knock a fork off its
+// control. The prefix faults in a page above the pre-mapped span, so that
+// page's PTE frame is shared at the fork and the other forks' later faults
+// beside it must pass the copy-on-write barrier; at the end every page of
+// each fork's table must translate exactly as its control's, which shows a
+// leaked mapping that no access of the other fork touched.
 func TestSnapshotForksIsolated(t *testing.T) {
 	for _, ps := range []units.PageSize{units.Size4K, units.Size2M} {
 		t.Run(ps.String(), func(t *testing.T) {
@@ -182,23 +191,23 @@ func TestSnapshotForksIsolated(t *testing.T) {
 			ctrlB := mkFuzzWorld(t, ps)
 
 			// Shared warmup prefix on the parent and both controls.
-			prefix := []byte{0, 3, 1, 2, 40, 9, 5, 17, 80, 0, 200, 7}
+			prefix := []byte{0, 3, 1, 2, 40, 9, 5, 17, 80, 0, 200, 7, 9, 4, 0}
 			for i := 0; i+2 < len(prefix); i += 3 {
 				for _, w := range []fuzzWorld{parent, ctrlA, ctrlB} {
 					applyForkOp(t, w, prefix[i], int64(prefix[i+1]), int64(prefix[i+2]))
 				}
 			}
 
-			snap := parent.c.machine.Snapshot()
-			fmA, ptA := snap.Fork()
-			fmB, ptB := snap.Fork()
-			wa := fuzzWorld{c: fmA.Contexts()[0], pt: ptA}
-			wb := fuzzWorld{c: fmB.Contexts()[0], pt: ptB}
+			frozen := parent.pt.Fork()
+			wa := freshWorld(t, frozen.Fork(), ps)
+			wb := freshWorld(t, frozen.Fork(), ps)
+			ctrlA = freshWorld(t, ctrlA.pt, ps)
+			ctrlB = freshWorld(t, ctrlB.pt, ps)
 
 			// Divergent streams. A degrades chunk 0 and stores through it; B
 			// gathers, faults in fresh pages and flushes — so if A's unmap or
-			// B's map leaked through the snapshot, the other fork's walk and
-			// miss counters would diverge from its control.
+			// B's map leaked through the frozen table, the other fork's walk
+			// and miss counters would diverge from its control.
 			streamA := []byte{8, 0, 0, 1, 10, 3, 3, 60, 5, 6, 0, 1, 0, 10, 3}
 			streamB := []byte{5, 30, 9, 9, 7, 0, 7, 0, 0, 9, 8, 0, 5, 50, 3}
 			for i := 0; i+2 < len(streamA) && i+2 < len(streamB); i += 3 {
@@ -215,6 +224,23 @@ func TestSnapshotForksIsolated(t *testing.T) {
 						i/3, wb.c.Ctr, ctrlB.c.Ctr)
 				}
 			}
+			sameMappings(t, "fork A", wa.pt, ctrlA.pt)
+			sameMappings(t, "fork B", wb.pt, ctrlB.pt)
+			sameMappings(t, "frozen table", frozen, parent.pt)
 		})
+	}
+}
+
+// sameMappings fails if any 4 KB page of the pre-mapped span, or of the 64
+// pages above it that the page-fault op maps into, translates differently
+// in got and want.
+func sameMappings(t testing.TB, name string, got, want *pagetable.Table) {
+	t.Helper()
+	for va := units.Addr(0); va < units.Addr(4*units.MB+64*units.PageSize4K); va += units.Addr(units.PageSize4K) {
+		g, gerr := got.Translate(va)
+		w, werr := want.Translate(va)
+		if (gerr == nil) != (werr == nil) || g != w {
+			t.Fatalf("%s: va %#x translates to %+v (%v), want %+v (%v)", name, va, g, gerr, w, werr)
+		}
 	}
 }

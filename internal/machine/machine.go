@@ -61,9 +61,10 @@ func (m *Machine) placement(n int) ([]slot, error) {
 // Configure builds the hardware contexts for an n-thread run. Every context
 // owns private TLBs and caches: co-scheduled contexts statically partition
 // the structures they share in hardware ("the effective number of TLB
-// entries could potentially be halved" — the paper, §3.2), SMT siblings
-// halving the core's TLBs and slicing its L1, the sharers of a per-chip L2
-// slicing it (cache.Config.Partition). Configure must be called after
+// entries could potentially be halved" — the paper, §3.2), the SMT siblings
+// of a core slicing its TLBs (tlb.Spec.Partition) and its L1 by their
+// count, the sharers of a per-chip L2 slicing it (cache.Config.Partition).
+// Configure must be called after
 // AttachProcess; it reports a coherent model, or a geometry that cannot be
 // built, as an error.
 func (m *Machine) Configure(n int) ([]*Context, error) {
@@ -96,11 +97,6 @@ func (m *Machine) Configure(n int) ([]*Context, error) {
 	ctxs := make([]*Context, 0, n)
 	for id, s := range slots {
 		coreShare := perCore[coreKey(s)]
-		itlbSpec, dtlbSpec := m.Model.ITLB, m.Model.DTLB
-		if coreShare > 1 {
-			itlbSpec = itlbSpec.Halve()
-			dtlbSpec = dtlbSpec.Halve()
-		}
 		ctx := &Context{
 			ID: id, Chip: s.chip, Core: s.core, Thread: s.thread,
 			machine: m, pt: m.pt,
@@ -109,10 +105,10 @@ func (m *Machine) Configure(n int) ([]*Context, error) {
 			smtFlush:   m.Model.SMT == SMTFlushOnSwitch && coreShare > 1,
 			xlat:       make([]xlatSlot, xlatSlots),
 		}
-		if ctx.itlb, err = tlb.NewHierarchy(itlbSpec); err != nil {
+		if ctx.itlb, err = tlb.NewHierarchy(m.Model.ITLB.Partition(coreShare)); err != nil {
 			return nil, fmt.Errorf("machine: %s ITLB: %w", m.Model.Name, err)
 		}
-		if ctx.dtlb, err = tlb.NewHierarchy(dtlbSpec); err != nil {
+		if ctx.dtlb, err = tlb.NewHierarchy(m.Model.DTLB.Partition(coreShare)); err != nil {
 			return nil, fmt.Errorf("machine: %s DTLB: %w", m.Model.Name, err)
 		}
 		if ctx.l1, err = cache.New(m.Model.L1D.Partition(coreShare)); err != nil {

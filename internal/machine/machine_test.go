@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hugeomp/internal/pagetable"
+	"hugeomp/internal/tlb"
 	"hugeomp/internal/units"
 )
 
@@ -90,17 +91,36 @@ func TestPlacementRejectsOversubscription(t *testing.T) {
 	}
 }
 
+// TestSMTPartitionHalvesTLB: a core's TLBs are sliced by the same context
+// count as its L1 — halved for the Xeon's two hyper-threads, and divided by
+// three or four on a NiagaraT1 core running that many threads.
 func TestSMTPartitionHalvesTLB(t *testing.T) {
-	m := New(XeonHT())
-	m.AttachProcess(pagetable.New())
-	ctxs, _ := m.Configure(8)
-	full := XeonHT().DTLB.L1.E4K.Entries
-	if got := ctxs[0].DTLB().Spec().L1.E4K.Entries; got != full/2 {
-		t.Errorf("SMT-shared DTLB entries = %d, want %d", got, full/2)
-	}
-	ctxs, _ = m.Configure(4)
-	if got := ctxs[0].DTLB().Spec().L1.E4K.Entries; got != full {
-		t.Errorf("sole-owner DTLB entries = %d, want %d", got, full)
+	for _, tc := range []struct {
+		model   Model
+		threads int
+		share   int
+	}{
+		{XeonHT(), 8, 2},
+		{XeonHT(), 4, 1},
+		{NiagaraT1(), 8, 1},
+		{NiagaraT1(), 16, 2},
+		{NiagaraT1(), 24, 3},
+		{NiagaraT1(), 32, 4},
+	} {
+		m := New(tc.model)
+		m.AttachProcess(pagetable.New())
+		ctxs, err := m.Configure(tc.threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := tc.model.DTLB.L1.E4K.Entries
+		if got := ctxs[0].DTLB().Spec().L1.E4K.Entries; got != full/tc.share {
+			t.Errorf("%s at %d threads: DTLB entries = %d, want %d",
+				tc.model.Name, tc.threads, got, full/tc.share)
+		}
+		if got, want := ctxs[0].l1.Lines(), int(tc.model.L1D.Partition(tc.share).SizeBytes/units.CacheLineSize); got != want {
+			t.Errorf("%s at %d threads: L1 lines = %d, want %d", tc.model.Name, tc.threads, got, want)
+		}
 	}
 }
 
@@ -262,8 +282,9 @@ func TestTrueSharingMode(t *testing.T) {
 // TestConfigureEveryThreadCount: every built-in model builds its contexts
 // at every thread count its hardware has — sharer counts that do not divide
 // a shared cache's set count (XeonHT's per-chip L2 at 5–7 threads,
-// NiagaraT1's L1 and L2 at most counts) included — and every context's
-// caches are valid slices no bigger than their share.
+// NiagaraT1's L1 and L2 at most counts) included — every context's caches
+// are valid slices no bigger than their share, and the contexts of one core
+// together never hold more entries of any TLB structure than the model has.
 func TestConfigureEveryThreadCount(t *testing.T) {
 	for _, model := range AllModels() {
 		for n := 1; n <= model.MaxThreads(); n++ {
@@ -291,8 +312,38 @@ func TestConfigureEveryThreadCount(t *testing.T) {
 						model.Name, n, c.ID, c.l2.Lines(), share, l2Lines)
 				}
 			}
+			held := map[int][8]int{} // per core: entries of each TLB structure
+			for _, c := range ctxs {
+				h := held[m.CoreOf(c)]
+				for i, e := range tlbEntries(c.ITLB().Spec(), c.DTLB().Spec()) {
+					h[i] += e
+				}
+				held[m.CoreOf(c)] = h
+			}
+			hw := tlbEntries(model.ITLB, model.DTLB)
+			for core, h := range held {
+				for i := range h {
+					if h[i] > hw[i] {
+						t.Errorf("%s at %d threads: core %d holds %d entries of TLB structure %d, the hardware has %d",
+							model.Name, n, core, h[i], i, hw[i])
+					}
+				}
+			}
 		}
 	}
+}
+
+// tlbEntries lists the entry counts of the eight structures of an ITLB and
+// a DTLB stack.
+func tlbEntries(itlb, dtlb tlb.Spec) [8]int {
+	var e [8]int
+	for i, s := range []tlb.Spec{itlb, dtlb} {
+		e[4*i] = s.L1.E4K.Entries
+		e[4*i+1] = s.L1.E2M.Entries
+		e[4*i+2] = s.L2.E4K.Entries
+		e[4*i+3] = s.L2.E2M.Entries
+	}
+	return e
 }
 
 // TestConfigureRejectsBadModels: a coherent model and a cache geometry that

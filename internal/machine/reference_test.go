@@ -49,7 +49,7 @@ func (c *Context) rangeScalarRef(base units.Addr, n int, stride int64, write boo
 		if c.shootFlag.Load() {
 			c.drainShootdowns()
 		}
-		_, _, tcyc := c.translateData(va, write)
+		_, tcyc := c.translateData(va, write)
 		cyc += tcyc
 		cyc += c.cacheAccess(uint64(va)>>lineShift, write)
 		busy += cyc
@@ -94,7 +94,7 @@ func (c *Context) gatherScalarRef(base units.Addr, elemSize int64, sorted []int6
 		if c.shootFlag.Load() {
 			c.drainShootdowns()
 		}
-		_, _, tcyc := c.translateData(va, write)
+		_, tcyc := c.translateData(va, write)
 		cyc += tcyc
 		cyc += c.cacheAccess(uint64(va)>>lineShift, write)
 		busy += cyc

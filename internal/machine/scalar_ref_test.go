@@ -108,6 +108,11 @@ type fuzzWorld struct {
 func mkFuzzWorld(t testing.TB, ps units.PageSize) fuzzWorld {
 	pt := pagetable.New()
 	mapRange(t, pt, 0, 4*units.MB, ps)
+	return freshWorld(t, pt, ps)
+}
+
+// freshWorld gives pt a freshly configured one-context Opteron machine.
+func freshWorld(t testing.TB, pt *pagetable.Table, ps units.PageSize) fuzzWorld {
 	m := New(Opteron270())
 	m.AttachProcess(pt)
 	ctxs, err := m.Configure(1)

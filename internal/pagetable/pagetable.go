@@ -20,12 +20,13 @@ import (
 	"hugeomp/internal/units"
 )
 
-// Prot is a page protection mask, used by the SCASH eager-release-consistency
-// machinery to trap accesses (the paper's section 3.3 "Memory Protection").
+// Prot is a page protection mask, fixed when the page is mapped: code pages
+// are read-only, data pages read-write. Every mapping is readable. (SCASH's
+// page-protection coherence protocol, which changes protections at run
+// time, is off in the paper's intra-node mode and is not modelled.)
 type Prot uint8
 
 const (
-	ProtNone  Prot = 0
 	ProtRead  Prot = 1 << 0
 	ProtWrite Prot = 1 << 1
 	ProtRW         = ProtRead | ProtWrite
@@ -130,7 +131,7 @@ type pte struct {
 // addresses; page walks are the simulator's hottest slow path and the slice
 // lookup keeps them cheap.
 //
-// Every mutation (Map, Unmap, Protect) advances the generation counter.
+// Every mutation (Map, Unmap) advances the generation counter.
 // The machine layer stamps its per-context translation caches with the
 // generation observed before a walk; an entry whose stamp still equals
 // Gen() is provably a result the table could return right now, so repeat
@@ -288,35 +289,6 @@ func (t *Table) Unmap(va units.Addr, size units.PageSize) (Entry, error) {
 	return ent, nil
 }
 
-// Protect changes the protection of the page containing va. It returns the
-// page size of the affected mapping. Used by the SCASH coherence protocol to
-// arm and disarm access traps.
-func (t *Table) Protect(va units.Addr, prot Prot) (units.PageSize, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	gi := pgdIndex(va)
-	e := t.entry(gi)
-	if e == nil {
-		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
-	}
-	if e.large {
-		e = t.ensureOwned(gi, e)
-		e.prot = prot
-		t.gen.Add(1)
-		return units.Size2M, nil
-	}
-	pi := pteIndex(va)
-	p := e.ptes[pi]
-	if !p.present {
-		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
-	}
-	p.prot = prot
-	e = t.ensureOwned(gi, e)
-	t.writePTE(e, pi, p)
-	t.gen.Add(1)
-	return units.Size4K, nil
-}
-
 // ensureOwned returns a PGD entry the table may mutate: if e is aliased by a
 // forked table (shared), it clones the entry — including its PTE frame — and
 // installs the private copy at slot gi, leaving the shared original untouched
@@ -415,20 +387,15 @@ func (t *Table) Translate(va units.Addr) (WalkResult, error) {
 	}, nil
 }
 
-// Access resolves va and checks that the access kind (write or read) is
-// permitted, returning ErrProtViolation if the page is mapped but protected.
-// The SCASH layer uses the violation as its coherence trap.
+// Access resolves va and checks that a write is permitted, returning
+// ErrProtViolation for a write to a read-only page.
 func (t *Table) Access(va units.Addr, write bool) (WalkResult, error) {
 	wr, err := t.Translate(va)
 	if err != nil {
 		return wr, err
 	}
-	need := ProtRead
-	if write {
-		need = ProtWrite
-	}
-	if wr.Entry.Prot&need == 0 {
-		return wr, fmt.Errorf("%w: %#x (write=%v)", ErrProtViolation, va, write)
+	if write && wr.Entry.Prot&ProtWrite == 0 {
+		return wr, fmt.Errorf("%w: %#x (write)", ErrProtViolation, va)
 	}
 	return wr, nil
 }

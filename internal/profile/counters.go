@@ -40,7 +40,7 @@ type Counters struct {
 	FlushCycles uint64 // cycles lost to pipeline flushes on switches
 
 	// OS events.
-	SoftFaults uint64 // serviced page faults (demand paging, coherence traps)
+	SoftFaults uint64 // serviced page faults (demand paging)
 
 	// Messaging robustness events (fault-injected loss/duplication; the
 	// retries change cycle counts, never numerics).
@@ -134,7 +134,11 @@ type OSCounters struct {
 	BrokenReservations uint64 // THP reservations lost (pool dry or injected)
 	HugePageFallbacks  uint64 // regions that fell back to 4 KB backing
 	PTMapRetries       uint64 // transient page-table map failures absorbed
-	DSMRefetches       uint64 // SCASH page fetches repeated after loss
+	// DSMRefetches counted the page fetches the removed SCASH software DSM
+	// repeated after loss; nothing sets it. It stays only because results
+	// carry every field on the wire and in the golden digests, and goes
+	// with the next memo.SchemaVersion bump.
+	DSMRefetches uint64
 }
 
 // Add merges other into c.

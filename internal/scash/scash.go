@@ -4,10 +4,12 @@
 //   - the Omni compiler's transformation of global variables into pointers
 //     into a shared mapped region (Space and its symbol table);
 //   - the internal memory allocator that carves global and dynamic memory
-//     out of that region at process startup (Allocator);
-//   - the SCASH eager-release-consistency (ERC) software-DSM protocol driven
-//     by page protections (erc.go), which the paper's intra-node mode
-//     disables in favour of hardware coherence.
+//     out of that region at process startup (Allocator).
+//
+// SCASH's eager-release-consistency (ERC) software-DSM protocol, driven by
+// page protections, is not modelled: the paper's intra-node mode disables
+// it, and "the native hardware virtual memory run-time system is used to
+// manage page coherency" (§3.3).
 //
 // The paper's modification is exactly one knob here: whether the shared data
 // region is backed by a plain mapped file (4 KB pages) or by a hugetlbfs

@@ -27,22 +27,21 @@ func FuzzHierarchy(f *testing.F) {
 			if op&0x40 != 0 {
 				size = units.Size2M
 			}
-			write := op&0x80 != 0
 			switch op % 5 {
 			case 0, 1, 2:
-				if h.Access(vpn, size, write) == Miss {
-					h.Fill(vpn, size, write)
-					if h.Access(vpn, size, write) == Miss {
-						t.Fatalf("fill(%d,%v,w=%v) did not stick", vpn, size, write)
+				if h.Access(vpn, size) == Miss {
+					h.Fill(vpn, size)
+					if h.Access(vpn, size) == Miss {
+						t.Fatalf("fill(%d,%v) did not stick", vpn, size)
 					}
 				}
 			case 3:
 				h.Invalidate(vpn, size)
-				// A read after shootdown must miss (no stale entry).
-				if h.Access(vpn, size, false) != Miss {
+				// A probe after shootdown must miss (no stale entry).
+				if h.Access(vpn, size) != Miss {
 					t.Fatalf("stale entry for %d/%v after shootdown", vpn, size)
 				}
-				h.Fill(vpn, size, false)
+				h.Fill(vpn, size)
 			case 4:
 				h.Flush()
 			}

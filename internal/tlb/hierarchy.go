@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"hugeomp/internal/units"
@@ -22,29 +23,34 @@ type Spec struct {
 	L2   LevelSpec // zero Entries = no second level
 }
 
-// Halve returns a Spec with every structure at half capacity (minimum one
-// entry per present structure). This models the paper's observation that
-// with two SMT threads per core "the effective number of TLB entries could
-// potentially be halved".
-func (s Spec) Halve() Spec {
-	h := func(c Config) Config {
-		if c.Entries == 0 {
+// Partition returns the geometry of one of share equal static slices of
+// the stack, by the rule cache.Config.Partition applies to a shared cache:
+// the paper's SMT model, where with two threads per core "the effective
+// number of TLB entries could potentially be halved". A fully associative
+// structure keeps entries/share entries, at least one. A set-associative
+// one keeps its ways over sets/share sets, rounded down to a power of two
+// because the set index is a mask; with fewer sets than sharers it is
+// sliced like a fully associative one. Absent structures stay absent, and
+// an invalid geometry is returned unchanged for NewHierarchy to report.
+func (s Spec) Partition(share int) Spec {
+	if share <= 1 {
+		return s
+	}
+	p := func(c Config) Config {
+		assoc, sets, err := c.geometry()
+		if err != nil {
 			return c
 		}
-		e := c.Entries / 2
-		if e < 1 {
-			e = 1
+		if sets /= share; sets > 0 && assoc < c.Entries {
+			return Config{Entries: assoc << (bits.Len(uint(sets)) - 1), Ways: c.Ways}
 		}
-		w := c.Ways
-		if w > e {
-			w = e
-		}
-		return Config{Entries: e, Ways: w}
+		e := max(c.Entries/share, 1)
+		return Config{Entries: e, Ways: min(c.Ways, e)}
 	}
 	return Spec{
-		Name: s.Name + "/smt-half",
-		L1:   LevelSpec{E4K: h(s.L1.E4K), E2M: h(s.L1.E2M)},
-		L2:   LevelSpec{E4K: h(s.L2.E4K), E2M: h(s.L2.E2M)},
+		Name: fmt.Sprintf("%s/1of%d", s.Name, share),
+		L1:   LevelSpec{E4K: p(s.L1.E4K), E2M: p(s.L1.E2M)},
+		L2:   LevelSpec{E4K: p(s.L2.E4K), E2M: p(s.L2.E2M)},
 	}
 }
 
@@ -147,13 +153,12 @@ func (h *Hierarchy) unionDel(size units.PageSize, vpn uint64) {
 // Spec returns the hierarchy's configuration.
 func (h *Hierarchy) Spec() Spec { return h.spec }
 
-// Access probes the stack for vpn of the given page-size class; write
-// accesses require an entry with the W bit. A second-level hit promotes the
-// entry into L1. On a full miss (or W-bit microfault) the caller must
-// perform a page walk and then call Fill.
+// Access probes the stack for vpn of the given page-size class. A
+// second-level hit promotes the entry into L1. On a full miss the caller
+// must perform a page walk and then call Fill.
 //
 //simlint:hotpath
-func (h *Hierarchy) Access(vpn uint64, size units.PageSize, write bool) Outcome {
+func (h *Hierarchy) Access(vpn uint64, size units.PageSize) Outcome {
 	if f := h.filt[size]; f != nil && f[vpn&h.filtMask[size]] == 0 {
 		// Resident in neither level: one load replaces the full cascade.
 		// Misses never touch recency state, so only the per-structure miss
@@ -162,10 +167,10 @@ func (h *Hierarchy) Access(vpn uint64, size units.PageSize, write bool) Outcome 
 		h.l2[size].countMiss()
 		return Miss
 	}
-	if h.l1[size].Lookup(vpn, write) {
+	if h.l1[size].Lookup(vpn) {
 		return HitL1
 	}
-	if e, ok := h.l2[size].LookupEntry(vpn, write); ok {
+	if h.l2[size].Lookup(vpn) {
 		// Promote to L1 exclusively: the entry moves up and the L1 victim
 		// falls back to L2, so the stack's effective capacity is L1+L2 —
 		// how the Opteron's two-level DTLB behaves in aggregate. The vpn
@@ -173,7 +178,7 @@ func (h *Hierarchy) Access(vpn uint64, size units.PageSize, write bool) Outcome 
 		// adjustments); only collateral evictions leave the stack.
 		h.l2[size].Invalidate(vpn)
 		h.unionDel(size, vpn)
-		ev, evOK, ip := h.l1[size].InsertEx(vpn, e.Writable)
+		ev, evOK, ip := h.l1[size].InsertEx(vpn)
 		if !ip {
 			h.unionAdd(size, vpn)
 		}
@@ -195,7 +200,7 @@ func (h *Hierarchy) demote(size units.PageSize, ev Entry) {
 		h.unionDel(size, ev.VPN)
 		return
 	}
-	ev2, ev2OK, ip2 := h.l2[size].InsertEx(ev.VPN, ev.Writable)
+	ev2, ev2OK, ip2 := h.l2[size].InsertEx(ev.VPN)
 	if ip2 {
 		h.unionDel(size, ev.VPN)
 	}
@@ -207,8 +212,8 @@ func (h *Hierarchy) demote(size units.PageSize, ev Entry) {
 // Fill installs a translation after a page walk.
 //
 //simlint:hotpath
-func (h *Hierarchy) Fill(vpn uint64, size units.PageSize, writable bool) {
-	ev, evOK, ip := h.l1[size].InsertEx(vpn, writable)
+func (h *Hierarchy) Fill(vpn uint64, size units.PageSize) {
+	ev, evOK, ip := h.l1[size].InsertEx(vpn)
 	if !ip {
 		h.unionAdd(size, vpn)
 	}

@@ -6,7 +6,9 @@
 //
 // A TLB is owned by a single simulated hardware context and is not
 // goroutine-safe; SMT siblings each get their own partitioned structures
-// (Spec.Halve), never a shared one.
+// (Spec.Partition), never a shared one. An entry records only that its page
+// is resident: a page's permission is fixed when it is mapped, so a
+// permission check belongs to the page walk, not to the TLB.
 //
 // The implementation simulates an associative structure without paying
 // associative host cost on the common paths:
@@ -45,17 +47,38 @@ type Config struct {
 	Ways    int
 }
 
-const (
-	metaValid    = 1 << 0
-	metaWritable = 1 << 1 // write permission recorded at fill time (the W bit)
-)
+// geometry validates a present structure's cfg and returns its
+// associativity and set count, applying New's defaults.
+func (cfg Config) geometry() (assoc, sets int, err error) {
+	if cfg.Entries <= 0 {
+		return 0, 0, fmt.Errorf("tlb: %d entries", cfg.Entries)
+	}
+	assoc = cfg.Ways
+	if assoc <= 0 || assoc > cfg.Entries {
+		assoc = cfg.Entries
+	}
+	sets = cfg.Entries / assoc
+	if sets*assoc != cfg.Entries {
+		return 0, 0, fmt.Errorf("tlb: entries %d not divisible by ways %d", cfg.Entries, assoc)
+	}
+	if sets&(sets-1) != 0 {
+		return 0, 0, fmt.Errorf("tlb: set count %d not a power of two", sets)
+	}
+	if cfg.Entries > 1<<16 {
+		return 0, 0, fmt.Errorf("tlb: %d entries exceed recency-link width", cfg.Entries)
+	}
+	if assoc > 256 {
+		return 0, 0, fmt.Errorf("tlb: associativity %d exceeds recency-byte width", assoc)
+	}
+	return assoc, sets, nil
+}
 
 // TLB is a single LRU translation cache for one page-size class. Ways are
 // stored structure-of-arrays (set-major) so the hit scan walks a dense
 // []uint64 of VPNs.
 type TLB struct {
-	vpns []uint64
-	meta []uint8 // metaValid | metaWritable
+	vpns  []uint64
+	valid []bool
 
 	// Per-set recency permutation: ow words of order per set, one byte per
 	// way. Byte position 0 of the set's first word is the MRU way's
@@ -93,25 +116,9 @@ func New(cfg Config) (*TLB, error) {
 	if cfg.Entries == 0 {
 		return nil, nil
 	}
-	if cfg.Entries < 0 {
-		return nil, fmt.Errorf("tlb: %d entries", cfg.Entries)
-	}
-	assoc := cfg.Ways
-	if assoc <= 0 || assoc > cfg.Entries {
-		assoc = cfg.Entries
-	}
-	sets := cfg.Entries / assoc
-	if sets*assoc != cfg.Entries {
-		return nil, fmt.Errorf("tlb: entries %d not divisible by ways %d", cfg.Entries, assoc)
-	}
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("tlb: set count %d not a power of two", sets)
-	}
-	if cfg.Entries > 1<<16 {
-		return nil, fmt.Errorf("tlb: %d entries exceed recency-link width", cfg.Entries)
-	}
-	if assoc > 256 {
-		return nil, fmt.Errorf("tlb: associativity %d exceeds recency-byte width", assoc)
+	assoc, sets, err := cfg.geometry()
+	if err != nil {
+		return nil, err
 	}
 	// The counting filter earns its keep only when it spares a wide scan:
 	// for associativities of eight or fewer ways the whole set's VPNs fit
@@ -129,7 +136,7 @@ func New(cfg Config) (*TLB, error) {
 	ow := (assoc + 7) / 8
 	t := &TLB{
 		vpns:    make([]uint64, cfg.Entries),
-		meta:    make([]uint8, cfg.Entries),
+		valid:   make([]bool, cfg.Entries),
 		order:   make([]uint64, sets*ow),
 		ow:      ow,
 		live:    make([]uint16, sets),
@@ -225,67 +232,47 @@ func (t *TLB) countMiss() {
 	}
 }
 
-// Lookup probes for vpn and refreshes its LRU recency on a hit. A write
-// (needW) hitting an entry filled without write permission misses — the
-// hardware takes a permission microfault and re-walks, which is how
-// protection upgrades become visible (x86's dirty/W-bit behaviour).
-func (t *TLB) Lookup(vpn uint64, needW bool) bool {
-	_, ok := t.LookupEntry(vpn, needW)
-	return ok
-}
-
-// LookupEntry is Lookup returning the resident entry (so callers moving
-// entries between levels can preserve the recorded permission).
+// Lookup probes for vpn and refreshes its LRU recency on a hit.
 //
 //simlint:hotpath
-func (t *TLB) LookupEntry(vpn uint64, needW bool) (Entry, bool) {
+func (t *TLB) Lookup(vpn uint64) bool {
 	if t == nil {
-		return Entry{}, false
+		return false
 	}
 	if t.filt != nil && t.filt[vpn&t.filtMask] == 0 {
 		t.misses++
-		return Entry{}, false
+		return false
 	}
 	set := vpn & t.setMask
 	base := int(set) * t.assoc
 	// MRU fast path: spatial locality makes consecutive accesses to the
 	// same page the common case, and the MRU way is by definition already
 	// at the front of the recency vector.
-	if h := base + t.headWay(int(set)*t.ow); t.vpns[h] == vpn && t.meta[h]&metaValid != 0 {
-		if needW && t.meta[h]&metaWritable == 0 {
-			t.misses++
-			return Entry{}, false
-		}
+	if h := base + t.headWay(int(set)*t.ow); t.vpns[h] == vpn && t.valid[h] {
 		t.hits++
-		return Entry{VPN: vpn, Writable: t.meta[h]&metaWritable != 0}, true
+		return true
 	}
 	for i := base; i < base+t.assoc; i++ {
-		if t.vpns[i] == vpn && t.meta[i]&metaValid != 0 {
-			if needW && t.meta[i]&metaWritable == 0 {
-				t.misses++
-				return Entry{}, false
-			}
+		if t.vpns[i] == vpn && t.valid[i] {
 			t.touchWay(set, i-base)
 			t.hits++
-			return Entry{VPN: vpn, Writable: t.meta[i]&metaWritable != 0}, true
+			return true
 		}
 	}
 	t.misses++
-	return Entry{}, false
+	return false
 }
 
 // Entry is a TLB entry as seen by eviction handling.
 type Entry struct {
-	VPN      uint64
-	Writable bool
+	VPN uint64
 }
 
-// Insert fills vpn with the given write permission, evicting the LRU way of
-// its set if necessary. It returns the evicted entry and whether an eviction
-// happened. Inserting a vpn that is already resident updates it in place
-// (e.g. a permission upgrade after a W-bit microfault).
-func (t *TLB) Insert(vpn uint64, writable bool) (evicted Entry, wasEvicted bool) {
-	evicted, wasEvicted, _ = t.InsertEx(vpn, writable)
+// Insert fills vpn, evicting the LRU way of its set if necessary. It
+// returns the evicted entry and whether an eviction happened. Inserting a
+// vpn that is already resident refreshes it in place.
+func (t *TLB) Insert(vpn uint64) (evicted Entry, wasEvicted bool) {
+	evicted, wasEvicted, _ = t.InsertEx(vpn)
 	return evicted, wasEvicted
 }
 
@@ -294,7 +281,7 @@ func (t *TLB) Insert(vpn uint64, writable bool) (evicted Entry, wasEvicted bool)
 // union filter needs.
 //
 //simlint:hotpath
-func (t *TLB) InsertEx(vpn uint64, writable bool) (evicted Entry, wasEvicted, inPlace bool) {
+func (t *TLB) InsertEx(vpn uint64) (evicted Entry, wasEvicted, inPlace bool) {
 	if t == nil {
 		return Entry{}, false, false
 	}
@@ -304,7 +291,7 @@ func (t *TLB) InsertEx(vpn uint64, writable bool) (evicted Entry, wasEvicted, in
 	victim := -1
 	if t.filt == nil || t.filt[vpn&t.filtMask] != 0 {
 		for i := base; i < base+t.assoc; i++ {
-			if t.vpns[i] == vpn && t.meta[i]&metaValid != 0 {
+			if t.vpns[i] == vpn && t.valid[i] {
 				victim, inPlace = i, true
 				break
 			}
@@ -316,7 +303,7 @@ func (t *TLB) InsertEx(vpn uint64, writable bool) (evicted Entry, wasEvicted, in
 			// The set has room: fill the lowest-indexed invalid way, the
 			// same way the stamp-scan victim search picked it.
 			for i := base; i < base+t.assoc; i++ {
-				if t.meta[i]&metaValid == 0 {
+				if !t.valid[i] {
 					victim = i
 					break
 				}
@@ -328,8 +315,8 @@ func (t *TLB) InsertEx(vpn uint64, writable bool) (evicted Entry, wasEvicted, in
 			tailVictim = true
 		}
 	}
-	wasEvicted = !inPlace && t.meta[victim]&metaValid != 0
-	evicted = Entry{VPN: t.vpns[victim], Writable: t.meta[victim]&metaWritable != 0}
+	wasEvicted = !inPlace && t.valid[victim]
+	evicted = Entry{VPN: t.vpns[victim]}
 	if !inPlace {
 		if !wasEvicted {
 			t.live[set]++
@@ -342,11 +329,7 @@ func (t *TLB) InsertEx(vpn uint64, writable bool) (evicted Entry, wasEvicted, in
 		}
 	}
 	t.vpns[victim] = vpn
-	m := uint8(metaValid)
-	if writable {
-		m |= metaWritable
-	}
-	t.meta[victim] = m
+	t.valid[victim] = true
 	if tailVictim {
 		t.touchPos(ob, t.assoc-1, victim-base)
 	} else {
@@ -369,8 +352,8 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 	set := vpn & t.setMask
 	base := int(set) * t.assoc
 	for i := base; i < base+t.assoc; i++ {
-		if t.vpns[i] == vpn && t.meta[i]&metaValid != 0 {
-			t.meta[i] = 0
+		if t.vpns[i] == vpn && t.valid[i] {
+			t.valid[i] = false
 			t.live[set]--
 			if t.filt != nil {
 				t.filt[vpn&t.filtMask]--
@@ -388,7 +371,7 @@ func (t *TLB) Flush() {
 	}
 	for i := range t.vpns {
 		t.vpns[i] = 0
-		t.meta[i] = 0
+		t.valid[i] = false
 	}
 	for i := range t.live {
 		t.live[i] = 0
@@ -415,8 +398,8 @@ func (t *TLB) Visit(f func(Entry)) {
 		return
 	}
 	for i := range t.vpns {
-		if t.meta[i]&metaValid != 0 {
-			f(Entry{VPN: t.vpns[i], Writable: t.meta[i]&metaWritable != 0})
+		if t.valid[i] {
+			f(Entry{VPN: t.vpns[i]})
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // driveEquiv runs one encoded op stream against both implementations and
-// fails on the first observable divergence: lookup outcomes, returned
-// entries, eviction results, stats and live counts.
+// fails on the first observable divergence: lookup outcomes, eviction
+// results, stats and live counts.
 func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 	t.Helper()
 	n := mustNew(t, cfg)
@@ -15,19 +15,17 @@ func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 	for k := 0; k+1 < len(ops); k += 2 {
 		op, arg := ops[k], ops[k+1]
 		vpn := uint64(arg % 37) // enough collisions to exercise every set
-		w := op&0x80 != 0
 		switch op % 4 {
 		case 0: // lookup
-			ne, nok := n.LookupEntry(vpn, w)
-			re, rok := r.lookupEntry(vpn, w)
-			if nok != rok || ne != re {
-				t.Fatalf("op %d: lookup(%d,w=%v) = %v,%v want %v,%v", k, vpn, w, ne, nok, re, rok)
+			nok := n.Lookup(vpn)
+			if _, rok := r.lookupEntry(vpn); nok != rok {
+				t.Fatalf("op %d: lookup(%d) = %v want %v", k, vpn, nok, rok)
 			}
 		case 1: // insert
-			nev, nwas := n.Insert(vpn, w)
-			rev, rwas := r.insert(vpn, w)
+			nev, nwas := n.Insert(vpn)
+			rev, rwas := r.insert(vpn)
 			if nwas != rwas || (nwas && nev != rev) {
-				t.Fatalf("op %d: insert(%d,w=%v) evicted %v,%v want %v,%v", k, vpn, w, nev, nwas, rev, rwas)
+				t.Fatalf("op %d: insert(%d) evicted %v,%v want %v,%v", k, vpn, nev, nwas, rev, rwas)
 			}
 		case 2: // invalidate
 			if ni, ri := n.Invalidate(vpn), r.invalidate(vpn); ni != ri {

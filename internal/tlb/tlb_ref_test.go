@@ -5,10 +5,9 @@ package tlb
 // hit/miss/eviction outcomes for every operation sequence.
 
 type refWay struct {
-	vpn      uint64
-	stamp    uint64
-	valid    bool
-	writable bool
+	vpn   uint64
+	stamp uint64
+	valid bool
 }
 
 type refTLB struct {
@@ -39,34 +38,33 @@ func newRefTLB(cfg Config) *refTLB {
 	}
 }
 
-func (t *refTLB) lookupEntry(vpn uint64, needW bool) (Entry, bool) {
+func (t *refTLB) lookupEntry(vpn uint64) (Entry, bool) {
 	if t == nil {
 		return Entry{}, false
 	}
 	set := vpn & t.setMask
 	base := int(set) * t.assoc
-	if m := t.mruIndex[set]; t.ways[base+m].valid && t.ways[base+m].vpn == vpn &&
-		(!needW || t.ways[base+m].writable) {
+	if m := t.mruIndex[set]; t.ways[base+m].valid && t.ways[base+m].vpn == vpn {
 		t.tick++
 		t.ways[base+m].stamp = t.tick
 		t.hits++
-		return Entry{VPN: vpn, Writable: t.ways[base+m].writable}, true
+		return Entry{VPN: vpn}, true
 	}
 	for i := 0; i < t.assoc; i++ {
 		w := &t.ways[base+i]
-		if w.valid && w.vpn == vpn && (!needW || w.writable) {
+		if w.valid && w.vpn == vpn {
 			t.tick++
 			w.stamp = t.tick
 			t.mruIndex[set] = i
 			t.hits++
-			return Entry{VPN: vpn, Writable: w.writable}, true
+			return Entry{VPN: vpn}, true
 		}
 	}
 	t.misses++
 	return Entry{}, false
 }
 
-func (t *refTLB) insert(vpn uint64, writable bool) (evicted Entry, wasEvicted bool) {
+func (t *refTLB) insert(vpn uint64) (evicted Entry, wasEvicted bool) {
 	if t == nil {
 		return Entry{}, false
 	}
@@ -96,9 +94,9 @@ func (t *refTLB) insert(vpn uint64, writable bool) (evicted Entry, wasEvicted bo
 	}
 	w := &t.ways[base+victim]
 	wasEvicted = inPlace < 0 && w.valid
-	evicted = Entry{VPN: w.vpn, Writable: w.writable}
+	evicted = Entry{VPN: w.vpn}
 	t.tick++
-	*w = refWay{vpn: vpn, stamp: t.tick, valid: true, writable: writable}
+	*w = refWay{vpn: vpn, stamp: t.tick, valid: true}
 	t.mruIndex[set] = victim
 	return evicted, wasEvicted
 }

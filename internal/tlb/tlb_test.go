@@ -30,10 +30,10 @@ func TestNilTLBNeverHits(t *testing.T) {
 	if nilTLB != nil {
 		t.Fatal("Entries:0 should yield nil TLB")
 	}
-	if nilTLB.Lookup(5, false) {
+	if nilTLB.Lookup(5) {
 		t.Error("nil TLB hit")
 	}
-	nilTLB.Insert(5, true) // must not panic
+	nilTLB.Insert(5) // must not panic
 	nilTLB.Flush()
 	if nilTLB.Entries() != 0 || nilTLB.Live() != 0 {
 		t.Error("nil TLB reports capacity")
@@ -42,11 +42,11 @@ func TestNilTLBNeverHits(t *testing.T) {
 
 func TestHitAfterInsert(t *testing.T) {
 	tl := mustNew(t, Config{Entries: 8})
-	if tl.Lookup(100, false) {
+	if tl.Lookup(100) {
 		t.Error("hit on empty TLB")
 	}
-	tl.Insert(100, true)
-	if !tl.Lookup(100, false) {
+	tl.Insert(100)
+	if !tl.Lookup(100) {
 		t.Error("miss after insert")
 	}
 }
@@ -54,21 +54,21 @@ func TestHitAfterInsert(t *testing.T) {
 func TestLRUEvictionFullyAssociative(t *testing.T) {
 	tl := mustNew(t, Config{Entries: 4})
 	for vpn := uint64(0); vpn < 4; vpn++ {
-		tl.Insert(vpn, true)
+		tl.Insert(vpn)
 	}
 	// Touch 0 so 1 becomes LRU.
-	if !tl.Lookup(0, false) {
+	if !tl.Lookup(0) {
 		t.Fatal("0 should be resident")
 	}
-	ev, was := tl.Insert(99, true)
+	ev, was := tl.Insert(99)
 	if !was || ev.VPN != 1 {
 		t.Errorf("evicted %+v (evict=%v), want vpn 1", ev, was)
 	}
-	if tl.Lookup(1, false) {
+	if tl.Lookup(1) {
 		t.Error("1 should be evicted")
 	}
 	for _, vpn := range []uint64{0, 2, 3, 99} {
-		if !tl.Lookup(vpn, false) {
+		if !tl.Lookup(vpn) {
 			t.Errorf("%d should be resident", vpn)
 		}
 	}
@@ -77,29 +77,29 @@ func TestLRUEvictionFullyAssociative(t *testing.T) {
 func TestSetAssociativeConflicts(t *testing.T) {
 	// 8 entries, 2 ways -> 4 sets. VPNs congruent mod 4 conflict.
 	tl := mustNew(t, Config{Entries: 8, Ways: 2})
-	tl.Insert(0, true)
-	tl.Insert(4, true)
-	tl.Insert(8, true) // evicts 0 (LRU in set 0)
-	if tl.Lookup(0, false) {
+	tl.Insert(0)
+	tl.Insert(4)
+	tl.Insert(8) // evicts 0 (LRU in set 0)
+	if tl.Lookup(0) {
 		t.Error("0 should be evicted by set conflict")
 	}
-	if !tl.Lookup(4, false) || !tl.Lookup(8, false) {
+	if !tl.Lookup(4) || !tl.Lookup(8) {
 		t.Error("4 and 8 should be resident")
 	}
 	// A different set is unaffected.
-	tl.Insert(1, true)
-	if !tl.Lookup(1, false) {
+	tl.Insert(1)
+	if !tl.Lookup(1) {
 		t.Error("1 should be resident")
 	}
 }
 
 func TestInvalidate(t *testing.T) {
 	tl := mustNew(t, Config{Entries: 4})
-	tl.Insert(7, true)
+	tl.Insert(7)
 	if !tl.Invalidate(7) {
 		t.Error("invalidate should find 7")
 	}
-	if tl.Lookup(7, false) {
+	if tl.Lookup(7) {
 		t.Error("7 should be gone")
 	}
 	if tl.Invalidate(7) {
@@ -111,7 +111,7 @@ func TestLiveNeverExceedsCapacity(t *testing.T) {
 	f := func(vpns []uint16) bool {
 		tl := mustNew(t, Config{Entries: 16, Ways: 4})
 		for _, v := range vpns {
-			tl.Insert(uint64(v), true)
+			tl.Insert(uint64(v))
 			if tl.Live() > 16 {
 				return false
 			}
@@ -130,8 +130,8 @@ func TestInsertThenLookupHits(t *testing.T) {
 	f := func(vpns []uint16) bool {
 		tl := mustNew(t, Config{Entries: 8, Ways: 2})
 		for _, v := range vpns {
-			tl.Insert(uint64(v), true)
-			if !tl.Lookup(uint64(v), false) {
+			tl.Insert(uint64(v))
+			if !tl.Lookup(uint64(v)) {
 				return false
 			}
 		}
@@ -149,7 +149,7 @@ func TestLRUStackProperty(t *testing.T) {
 		tl := mustNew(t, Config{Entries: 8}) // fully associative
 		hot := []uint64{1000, 1001, 1002, 1003}
 		for _, h := range hot {
-			tl.Insert(h, true)
+			tl.Insert(h)
 		}
 		miss := 0
 		for _, a := range accesses {
@@ -157,9 +157,9 @@ func TestLRUStackProperty(t *testing.T) {
 			// of 4 + 1 in-flight cold page <= 8 entries, so hot never
 			// misses.
 			cold := uint64(2000 + int(a))
-			tl.Insert(cold, true)
+			tl.Insert(cold)
 			for _, h := range hot {
-				if !tl.Lookup(h, false) {
+				if !tl.Lookup(h) {
 					miss++
 				}
 			}
@@ -173,10 +173,10 @@ func TestLRUStackProperty(t *testing.T) {
 
 func TestStatsCount(t *testing.T) {
 	tl := mustNew(t, Config{Entries: 2})
-	tl.Lookup(1, false) // miss
-	tl.Insert(1, true)
-	tl.Lookup(1, false) // hit
-	tl.Lookup(1, false) // hit (MRU path)
+	tl.Lookup(1) // miss
+	tl.Insert(1)
+	tl.Lookup(1) // hit
+	tl.Lookup(1) // hit (MRU path)
 	h, m := tl.Stats()
 	if h != 2 || m != 1 {
 		t.Errorf("stats = %d hits %d misses, want 2/1", h, m)
@@ -198,26 +198,5 @@ func TestBadConfigsPanic(t *testing.T) {
 	bad := Spec{Name: "bad", L1: LevelSpec{E4K: Config{Entries: 12, Ways: 8}}}
 	if _, err := NewHierarchy(bad); err == nil {
 		t.Error("hierarchy with an invalid structure accepted")
-	}
-}
-
-func TestWriteBitMicrofault(t *testing.T) {
-	tl := mustNew(t, Config{Entries: 4})
-	tl.Insert(5, false) // filled by a read of a read-only page
-	if !tl.Lookup(5, false) {
-		t.Error("read of read-filled entry should hit")
-	}
-	if tl.Lookup(5, true) {
-		t.Error("write to non-writable entry must microfault (miss)")
-	}
-	// The re-walk upgrades the entry in place: no eviction, then writes hit.
-	if _, evicted := tl.Insert(5, true); evicted {
-		t.Error("permission upgrade must not evict")
-	}
-	if !tl.Lookup(5, true) {
-		t.Error("write after upgrade should hit")
-	}
-	if tl.Live() != 1 {
-		t.Errorf("live = %d, want 1 (in-place update)", tl.Live())
 	}
 }
