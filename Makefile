@@ -94,6 +94,8 @@ race:
 #   with fewer than 4 procs, where a time-sliced team cannot speed up);
 # - internal/simsrv: the serve-bench floor, and the memo- and disk-hit
 #   request cost without one.
+# internal/npb's BenchmarkRunKey reports the cost of one run key (ns/op,
+# allocs/op), also without a floor.
 # End-to-end throughput is perfbench's (see BENCHMARK.json).
 bench:
 	$(GO) test -v -run '^$$' -bench . ./internal/machine/ ./internal/npb/ ./internal/simsrv/
@@ -123,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScalarFastPath -fuzztime 30s ./internal/machine/
 	$(GO) test -fuzz FuzzCounters -fuzztime 30s ./internal/check/
 	$(GO) test -fuzz FuzzForkEquivalence -fuzztime 30s ./internal/machine/
+	$(GO) test -fuzz FuzzRunKey -fuzztime 30s ./internal/npb/
 
 clean:
 	$(GO) clean ./...

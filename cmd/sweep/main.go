@@ -104,9 +104,12 @@ func main() {
 		// The config is the seed: the simulation is bit-deterministic, so
 		// the canonical hash of the run config keys the result completely —
 		// npb.RunKey, the same address every other driver uses for this run.
+		// The kernel is keyed by its own name, so -app cg and -app CG share
+		// one key, as simd's "cg" and "CG" requests do.
 		var res npb.Result
-		if _, err := cache.GetOrCompute(npb.RunKey(*app, cfg), func() (any, error) {
-			return warms[cfg.Policy].Run(cfg)
+		w := warms[cfg.Policy]
+		if _, err := cache.GetOrCompute(npb.RunKey(w.Kernel(), cfg), func() (any, error) {
+			return w.Run(cfg)
 		}, &res); err != nil {
 			return 0, err
 		}

@@ -63,16 +63,6 @@ const (
 	SiteMPIDup Site = "mpi/dup"
 )
 
-// Sites lists every known injection site (for cmd/chaos plan generation).
-func Sites() []Site {
-	return []Site{
-		SiteHugetlbReserve, SiteHugetlbTake,
-		SiteTHPAlloc, SiteTHPPressure,
-		SitePTMap,
-		SiteMPILoss, SiteMPIDup,
-	}
-}
-
 // rule configures one site.
 type rule struct {
 	// threshold compares against the 64-bit site/key hash; a hash below it

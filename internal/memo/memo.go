@@ -1,16 +1,22 @@
 // Package memo provides deterministic result memoization for the simulator:
-// a canonical content hash of (machine model, workload, params, seed, fault
-// plan) keys a content-addressed cache of simulation results. Because every
-// simulation is bit-deterministic, a cached result is indistinguishable from
-// a re-run — drivers that revisit a (config, seed) grid point get counters
-// back without simulating.
+// a canonical content hash of (machine model, workload, params, seed) keys a
+// content-addressed cache of simulation results. Because every simulation is
+// bit-deterministic, a cached result is indistinguishable from a re-run —
+// drivers that revisit a (config, seed) grid point get counters back
+// without simulating.
+//
+// KeyOf hashes any JSON-encodable parts. npb.RunKey writes the same bytes
+// for a run config by hand, without reflection, and its tests hold it equal
+// to KeyOf; cmd/chaos keys its baselines with KeyOf directly.
 //
 // Results are stored as their canonical JSON encoding (content-addressed
 // bytes), and any JSON-encodable result type works. GetOrComputeBytes hands
 // back those stored bytes as they are, for callers that only pass them on
 // (simsrv writes them into its response unchanged); GetOrCompute decodes
 // them into a fresh value of the caller's result type, which retains no
-// reference to the run that produced it or to the cache.
+// reference to the run that produced it or to the cache. Lookup returns a
+// completed entry's bytes without waiting or computing, so a caller can
+// build its compute only on a miss (simsrv's hit path).
 //
 // Only successful computations are memoized. A compute that returns an error
 // is reported to every caller collapsed onto it and then forgotten, so the
@@ -67,13 +73,16 @@ func MustKey(parts ...any) string {
 // same once and then read the stored bytes — so a sweep whose grid repeats
 // a (config, seed) point simulates it exactly once even under internal/par.
 // backed records that the flight was answered by the backing store without
-// running compute (a cross-process hit).
+// running compute (a cross-process hit). done is stored, after data, only
+// by a flight that succeeded: Lookup reads data once it loads done true,
+// without waiting on once.
 type entry struct {
 	key    string
 	once   sync.Once
 	data   []byte
 	err    error
 	backed bool
+	done   atomic.Bool
 }
 
 // Backing is an optional second-level store consulted when the in-memory
@@ -177,20 +186,36 @@ func (c *Cache) GetOrComputeBytes(key string, compute func() (any, error)) ([]by
 				return json.Marshal(v)
 			})
 			e.backed = e.err == nil && !computed
-			return
-		}
-		v, err := compute()
-		if err != nil {
+		} else if v, err := compute(); err != nil {
 			e.err = err
-			return
+		} else {
+			e.data, e.err = json.Marshal(v)
 		}
-		e.data, e.err = json.Marshal(v)
+		e.done.Store(e.err == nil)
 	})
 	if e.err != nil {
 		c.forget(e)
 		return nil, hit, e.err
 	}
 	return e.data, hit || e.backed, nil
+}
+
+// Lookup returns the bytes stored under key when a flight for it has
+// completed successfully, without waiting and without computing: the hit
+// path for callers that can build their compute only on a miss. A found
+// entry counts as a hit. An absent key, a flight still in progress and a
+// failed one all report false and count nothing, so a caller that goes on
+// to GetOrComputeBytes is counted once, there. Lookup does not consult the
+// backing store. Callers must not modify the returned bytes.
+func (c *Cache) Lookup(key string) ([]byte, bool) {
+	c.mu.Lock()
+	e := c.entries[key]
+	c.mu.Unlock()
+	if e == nil || !e.done.Load() {
+		return nil, false
+	}
+	c.stats.hits.Add(1)
+	return e.data, true
 }
 
 // GetOrCompute is GetOrComputeBytes decoding the stored bytes into out (a

@@ -302,6 +302,73 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 	}
 }
 
+// TestLookup: Lookup answers only a flight that completed successfully,
+// with the stored slice, and counts only that answer as a hit. An absent
+// key, a flight in progress and a failed flight report false and count
+// nothing.
+func TestLookup(t *testing.T) {
+	c := New()
+	if _, ok := c.Lookup("k"); ok {
+		t.Error("absent key found")
+	}
+	var inFlight bool
+	stored, _, err := c.GetOrComputeBytes("k", func() (any, error) {
+		_, inFlight = c.Lookup("k")
+		return 42, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inFlight {
+		t.Error("a flight in progress was found")
+	}
+	if data, ok := c.Lookup("k"); !ok || &data[0] != &stored[0] {
+		t.Errorf("completed key: %s found=%v, want the stored slice %s", data, ok, stored)
+	}
+
+	// A failed flight stays in the map until its callers forget it.
+	failed := &entry{key: "f", err: errors.New("boom")}
+	failed.once.Do(func() {})
+	c.mu.Lock()
+	c.entries["f"] = failed
+	c.mu.Unlock()
+	if _, ok := c.Lookup("f"); ok {
+		t.Error("a failed flight was found")
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
+	}
+}
+
+// TestLookupRacesFlight: a Lookup running alongside the flight that fills
+// its key either misses or sees the complete stored bytes. Run under -race,
+// it checks that the flight publishes its bytes to Lookup without a data
+// race.
+func TestLookupRacesFlight(t *testing.T) {
+	c := New()
+	for i := 0; i < 50; i++ {
+		key := fmt.Sprint(i)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := c.GetOrComputeBytes(key, func() (any, error) { return []int{i, i}, nil }); err != nil {
+				t.Error(err)
+			}
+		}()
+		want := fmt.Sprintf("[%d,%d]", i, i)
+		for {
+			if data, ok := c.Lookup(key); ok {
+				if string(data) != want {
+					t.Errorf("key %s: looked up %s, want %s", key, data, want)
+				}
+				break
+			}
+		}
+		wg.Wait()
+	}
+}
+
 // fakeBacking is an in-memory stand-in for the disk layer.
 type fakeBacking struct {
 	mu      sync.Mutex

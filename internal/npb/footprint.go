@@ -1,20 +1,6 @@
 package npb
 
-import (
-	"hugeomp/internal/memo"
-	"hugeomp/internal/units"
-)
-
-// RunKey returns the canonical content key of one simulated run: the
-// memo-schema-versioned SHA-256 over the kernel name and the full run config
-// (model cost tables included, request plumbing like Ctx excluded by its
-// json:"-" tag). Every driver that shares results — cmd/sweep, cmd/simd via
-// internal/simsrv, the bench harness — keys with this function, so a result
-// computed by one process is addressable by all the others through a shared
-// disk cache.
-func RunKey(kernel string, cfg RunConfig) string {
-	return memo.MustKey("npb/run", kernel, cfg)
-}
+import "hugeomp/internal/units"
 
 // TemplateBytes estimates the resident host footprint of one warm template
 // (npb.Warm) for class c: the snapshot pins the full shared region's backing

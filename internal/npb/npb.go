@@ -130,6 +130,7 @@ type RunConfig struct {
 	// shared region, core.NoHugePages forces the 4 KB degraded path.
 	HugePages int
 	// Fault arms deterministic fault injection for the whole run (nil = off).
+	// A run with a plan is not content-addressable: RunKey refuses it.
 	Fault *faultinject.Plan
 
 	// Ctx, if non-nil, bounds the run: the kernel observes cancellation at

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"hugeomp/internal/omp"
 )
@@ -47,7 +48,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cfg, key, err := s.compile(&req)
+	cfg, kernel, key, err := s.compile(&req)
 	if err != nil {
 		s.ctr.invalid.Add(1)
 		writeError(w, http.StatusBadRequest, kindInvalid, err.Error())
@@ -56,8 +57,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// The deadline budget starts at admission: queue wait spends it too, so
 	// a request cannot hold a queue slot beyond the budget it arrived with.
-	ctx, cancel := context.WithTimeout(r.Context(), s.budget(&req))
-	defer cancel()
+	// It is fixed here and turned into a context only by a request that must
+	// run a session.
+	deadline := time.Now().Add(s.budget(&req))
 
 	s.ctr.requests.Add(1)
 	if req.Inject != "" {
@@ -65,11 +67,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// publish — or be answered from — a content-addressed result. compile
 		// admits only "panic", which session raises once the template is
 		// built, so this branch always answers an error.
-		_, err = s.dispatch(ctx, cfg, req.Kernel, req.Inject)
+		ctx, cancel := context.WithDeadline(r.Context(), deadline)
+		defer cancel()
+		_, err = s.dispatch(ctx, cfg, kernel, req.Inject)
 		s.writeRunError(w, err)
 		return
 	}
-	result, hit, err := s.run(ctx, cfg, req.Kernel, key)
+	result, hit, err := s.run(r.Context(), deadline, cfg, kernel, key)
 	if err != nil {
 		s.writeRunError(w, err)
 		return

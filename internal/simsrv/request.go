@@ -61,51 +61,54 @@ type ErrorBody struct {
 	Message string    `json:"message"`
 }
 
-// compile translates the wire request into a run config, rejecting anything
-// the simulator cannot represent. The returned key is the canonical content
-// hash of everything that shapes the simulation — model cost tables
-// included — and nothing that does not (deadline, injection).
-func (s *Server) compile(req *Request) (npb.RunConfig, string, error) {
-	var cfg npb.RunConfig
-	if _, err := npb.New(req.Kernel); err != nil {
-		return cfg, "", err
+// compile translates the wire request into a run config and the kernel's
+// own name, rejecting anything the simulator cannot represent. The kernel
+// is named as npb spells it (Kernel.Name), however the request spells it,
+// so "cg" and "CG" share one key and one warm template. The returned key is
+// the canonical content hash of everything that shapes the simulation —
+// model cost tables included — and nothing that does not (deadline,
+// injection).
+func (s *Server) compile(req *Request) (cfg npb.RunConfig, kernel, key string, err error) {
+	k, err := npb.New(req.Kernel)
+	if err != nil {
+		return cfg, "", "", err
 	}
 	class, err := npb.ParseClass(req.Class)
 	if err != nil {
-		return cfg, "", err
+		return cfg, "", "", err
 	}
 	model, ok := machine.ModelByName(req.Model)
 	if !ok {
-		return cfg, "", fmt.Errorf("simsrv: unknown model %q", req.Model)
+		return cfg, "", "", fmt.Errorf("simsrv: unknown model %q", req.Model)
 	}
 	policy, err := parsePolicy(req.Policy)
 	if err != nil {
-		return cfg, "", err
+		return cfg, "", "", err
 	}
 	sharing, err := parseSharing(req.Sharing)
 	if err != nil {
-		return cfg, "", err
+		return cfg, "", "", err
 	}
 	barrier, err := parseBarrier(req.Barrier)
 	if err != nil {
-		return cfg, "", err
+		return cfg, "", "", err
 	}
 	threads := req.Threads
 	if threads == 0 {
 		threads = 1
 	}
 	if threads < 1 || threads > model.MaxThreads() {
-		return cfg, "", fmt.Errorf("simsrv: %d threads exceed %s's %d hardware contexts",
+		return cfg, "", "", fmt.Errorf("simsrv: %d threads exceed %s's %d hardware contexts",
 			threads, model.Name, model.MaxThreads())
 	}
 	if req.Iterations < 0 || req.HugePages < 0 || req.DeadlineMS < 0 {
-		return cfg, "", fmt.Errorf("simsrv: negative iterations, huge_pages or deadline_ms")
+		return cfg, "", "", fmt.Errorf("simsrv: negative iterations, huge_pages or deadline_ms")
 	}
 	if req.Inject != "" && req.Inject != "panic" {
-		return cfg, "", fmt.Errorf("simsrv: unknown inject %q", req.Inject)
+		return cfg, "", "", fmt.Errorf("simsrv: unknown inject %q", req.Inject)
 	}
 	if req.Inject != "" && !s.cfg.AllowInject {
-		return cfg, "", fmt.Errorf("simsrv: fault injection is disabled on this server")
+		return cfg, "", "", fmt.Errorf("simsrv: fault injection is disabled on this server")
 	}
 	cfg = npb.RunConfig{
 		Model:      model,
@@ -117,12 +120,11 @@ func (s *Server) compile(req *Request) (npb.RunConfig, string, error) {
 		Barrier:    barrier,
 		HugePages:  req.HugePages,
 	}
-	// RunConfig.Ctx carries json:"-", so the key covers exactly the
-	// simulated configuration: a retry with a different deadline, or a
-	// duplicate from another client, lands on the same content address —
-	// and, through npb.RunKey, the same address every other driver (sweep,
-	// bench, another simd) uses for the same run.
-	return cfg, npb.RunKey(req.Kernel, cfg), nil
+	// npb.RunKey covers exactly the simulated configuration, never Ctx: a
+	// retry with a different deadline, or a duplicate from another client,
+	// lands on the same content address — the same address every other
+	// driver (sweep, bench, another simd) uses for the same run.
+	return cfg, k.Name(), npb.RunKey(k.Name(), cfg), nil
 }
 
 // budget computes the request's deadline budget under the server cap.

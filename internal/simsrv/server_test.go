@@ -134,6 +134,77 @@ func TestServerSingleFlight(t *testing.T) {
 	}
 }
 
+// TestServerKernelSpellings: npb accepts "cg" as well as "CG", and both
+// spellings name one run: one key, one simulation, one warm template.
+func TestServerKernelSpellings(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var keys []string
+	for _, kernel := range []string{"cg", "CG"} {
+		req := baseReq
+		req.Kernel = kernel
+		resp, body := postRun(t, ts, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("kernel %q: %d %s", kernel, resp.StatusCode, body)
+		}
+		keys = append(keys, decodeResponse(t, body).Key)
+	}
+	if keys[0] != keys[1] {
+		t.Errorf("cg keyed %s, CG keyed %s", keys[0], keys[1])
+	}
+	if want := npb.RunKey("CG", npb.RunConfig{
+		Model: machine.Opteron270(), Threads: 2, Policy: core.Policy2M, Class: npb.ClassT,
+		Sharing: machine.SharePartition, Barrier: omp.TreeBarrier,
+	}); keys[0] != want {
+		t.Errorf("served key %s, npb.RunKey of the CG run %s", keys[0], want)
+	}
+	if ctr := s.Counters(); ctr.MemoMisses != 1 || ctr.CacheHits != 1 {
+		t.Errorf("memo misses %d, cache hits %d; want 1, 1", ctr.MemoMisses, ctr.CacheHits)
+	}
+	if builds := s.Gauges().TemplateBuilds; builds != 1 {
+		t.Errorf("%d template builds, want 1", builds)
+	}
+}
+
+// TestServerCollapsedWaiterRetries: a duplicate collapsed onto a flight
+// whose leader's budget runs out retries under its own live budget as the
+// new leader, and is answered 200 while the leader gets 504.
+func TestServerCollapsedWaiterRetries(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	// With the only worker slot held, the leader's flight waits for
+	// admission, long enough for the duplicate to collapse onto it; then
+	// the leader's budget runs out in the queue.
+	release := holdSlot(t, s.sched)
+	leader := baseReq
+	leader.DeadlineMS = 1000
+	leaderCode := postAsync(ts, leader)
+	waitQueued(t, s.sched, 1)
+
+	dup := baseReq
+	dup.DeadlineMS = 60_000
+	dupCode := postAsync(ts, dup)
+	// The duplicate finds the leader's entry in flight: the memo counts it
+	// a hit and it waits on that flight.
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		if hits, _ := s.memo.Stats(); hits == 1 {
+			break
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the duplicate never joined the leader's flight")
+		}
+	}
+	if code := <-leaderCode; code != http.StatusGatewayTimeout {
+		t.Fatalf("leader: %d, want 504", code)
+	}
+	release()
+	if code := <-dupCode; code != http.StatusOK {
+		t.Fatalf("collapsed duplicate: %d, want 200", code)
+	}
+	if ctr := s.Counters(); ctr.Retries != 1 || ctr.Aborted != 1 || ctr.Completed != 1 || ctr.MemoMisses != 2 {
+		t.Errorf("retries %d, aborted %d, completed %d, memo misses %d; want 1, 1, 1, 2",
+			ctr.Retries, ctr.Aborted, ctr.Completed, ctr.MemoMisses)
+	}
+}
+
 // TestServerDeadlineAborts: a request whose budget expires mid-run is
 // answered 504 with the typed aborted kind, and the worker it held is free
 // for the next request.

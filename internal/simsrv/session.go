@@ -4,16 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"hugeomp/internal/check"
 	"hugeomp/internal/npb"
 	"hugeomp/internal/omp"
 )
 
-// run answers one compiled request: memoized, single-flighted, admitted by
-// the scheduler and executed under ctx's deadline budget. It returns the
+// run answers one compiled request: from the memo when a flight for key has
+// completed, else memoized, single-flighted, admitted by the scheduler and
+// executed under a context that expires at deadline. It returns the
 // result's canonical JSON as the memo stores it — encoded once, by the memo,
-// on the miss that computed it — which the caller must not modify.
+// on the miss that computed it — which the caller must not modify. A hit
+// builds neither the context nor the memo's compute.
 //
 // The memo collapses concurrent identical requests onto one flight. When
 // that flight's leader is cancelled, its abort error is reported to every
@@ -21,11 +24,15 @@ import (
 // is still live retries and becomes the new leader, keeping retries
 // idempotent: the first request to actually finish publishes the
 // bit-deterministic result everyone else is served.
-func (s *Server) run(ctx context.Context, cfg npb.RunConfig, kernel, key string) ([]byte, bool, error) {
+func (s *Server) run(parent context.Context, deadline time.Time, cfg npb.RunConfig, kernel, key string) ([]byte, bool, error) {
+	if data, ok := s.memo.Lookup(key); ok {
+		return data, true, nil
+	}
+	ctx, cancel := context.WithDeadline(parent, deadline)
+	defer cancel()
+	f := &flight{s: s, ctx: ctx, cfg: cfg, kernel: kernel}
 	for {
-		data, hit, err := s.memo.GetOrComputeBytes(key, func() (any, error) {
-			return s.dispatch(ctx, cfg, kernel, "")
-		})
+		data, hit, err := s.memo.GetOrComputeBytes(key, f.compute)
 		if err == nil {
 			return data, hit, nil
 		}
@@ -38,6 +45,17 @@ func (s *Server) run(ctx context.Context, cfg npb.RunConfig, kernel, key string)
 		return nil, false, err
 	}
 }
+
+// flight is what a memo miss needs to run its session. Built only on a
+// miss, it holds the one heap copy of the run config a request makes.
+type flight struct {
+	s      *Server
+	ctx    context.Context
+	cfg    npb.RunConfig
+	kernel string
+}
+
+func (f *flight) compute() (any, error) { return f.s.dispatch(f.ctx, f.cfg, f.kernel, "") }
 
 // dispatch admits one session through the scheduler and runs it on the
 // caller's goroutine. Admission is the only place a request waits: it queues
