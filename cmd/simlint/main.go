@@ -5,12 +5,10 @@
 // keys), lockorder (interprocedural lock-acquisition ordering against the
 // documented hierarchy, with cycle detection, and no defer-unlock on hot
 // paths), ctxflow (loops issuing omp regions must reach rt.Checkpoint or
-// carry //simlint:nocheckpoint), atomicfield (//simlint:atomic fields only
-// touched through sync/atomic), cowshared
-// (//simlint:cowshared snapshot-shared arrays only written inside
-// //simlint:cowbarrier functions — the copy-on-write write barrier) and
-// padding (//simlint:padded layout and //simlint:writer false-sharing
-// checks).
+// carry //simlint:nocheckpoint), cowshared (//simlint:cowshared
+// snapshot-shared arrays only written inside //simlint:cowbarrier functions
+// — the copy-on-write write barrier) and padding (//simlint:padded layout
+// and //simlint:writer false-sharing checks).
 //
 // Two modes share one engine:
 //

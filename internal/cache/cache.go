@@ -1,4 +1,4 @@
-// Package cache implements the set-associative write-back data caches of the
+// Package cache implements the set-associative LRU data caches of the
 // simulated processors.
 //
 // Every cache is private to one simulated context and is not goroutine-safe.
@@ -7,6 +7,10 @@
 // Config.Partition): the paper's own SMT model ("the effective number of TLB
 // entries could potentially be halved", §3.2), and what keeps every run's
 // counters a pure function of its config.
+//
+// A line is either resident or not. The model keeps no dirty state, because
+// the cost model charges no writeback: a store probes and fills exactly like
+// a load.
 package cache
 
 import (
@@ -17,28 +21,6 @@ import (
 	"hugeomp/internal/units"
 )
 
-// State is a line's state. The names are MESI's; with every cache private
-// to one context a valid line is Exclusive (clean) or Modified (dirty).
-type State uint8
-
-const (
-	Invalid State = iota
-	Exclusive
-	Modified
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Exclusive:
-		return "E"
-	default:
-		return "M"
-	}
-}
-
 // Config sizes a cache.
 type Config struct {
 	SizeBytes int64
@@ -46,22 +28,14 @@ type Config struct {
 	LineSize  int64 // defaults to units.CacheLineSize
 }
 
-// Result reports what an access did.
-type Result struct {
-	Hit       bool
-	Writeback bool // a dirty (Modified) line was evicted
-	Evicted   uint64
-	HadEvict  bool
-}
-
 // maxAssoc bounds associativity to what the packed per-set metadata encodes:
-// a 4-bit way ID per LRU-order position and a 2-bit state per way. The
-// paper-era processors top out at 16 ways, and the bound is what makes every
-// set's replacement and line state one 16-byte control block.
+// a 4-bit way ID per LRU-order position. The paper-era processors top out at
+// 16 ways, and the bound is what makes every set's replacement and residency
+// state one 16-byte control block.
 const maxAssoc = 16
 
-// Cache is one set-associative write-back LRU cache level, owned by one
-// simulated context and driven by that context's goroutine only.
+// Cache is one set-associative LRU cache level, owned by one simulated
+// context and driven by that context's goroutine only.
 //
 // The simulated access path is the hottest loop in the simulator, so the
 // per-set metadata is packed and interleaved to minimise distinct host cache
@@ -74,21 +48,20 @@ const maxAssoc = 16
 //     "stamp scan" of a timestamp scheme disappears — victim selection
 //     reads one word;
 //
-//   - word 1 holds the 2-bit line states: the per-set valid count is a
-//     popcount, and "first Invalid way by index" — the victim preference
-//     that keeps the old scan order — is a bit trick on the inverted
-//     presence mask;
+//   - word 1 holds one valid bit per way: "first invalid way by index" —
+//     the victim preference that keeps the old scan order — is a
+//     trailing-zero count of the inverted mask;
 //
 //   - words 2.. hold the ways' 32-bit set-relative tags
 //     (lineAddr >> setBits), two per word in ascending way order.
 //
-// Order, states and a 16-way set's tags together are 80 bytes, so a whole
-// set's replacement, state and residency metadata lands on one or two
+// Order, valid bits and a 16-way set's tags together are 80 bytes, so a
+// whole set's replacement and residency metadata lands on one or two
 // adjacent host lines instead of the three scattered arrays of the previous
 // layout; a 2-way set (the Opteron L1) is one 32-byte half-line.
 type Cache struct {
 	// blocks holds the per-set metadata blocks, blockWords words per set:
-	// word 0 order, word 1 states, words 2.. tags. Aligned so block 0
+	// word 0 order, word 1 valid bits, words 2.. tags. Aligned so block 0
 	// starts on a 64-byte host line.
 	blocks []uint64
 
@@ -98,8 +71,6 @@ type Cache struct {
 	setBits    uint
 	blockWords int    // words per set block: 2 + ceil(assoc/2)
 	orderMask  uint64 // low assoc nibbles
-	presMask   uint32 // low assoc 2-bit fields, 01 pattern
-	lineShift  uint
 }
 
 // geometry validates cfg and returns its line size, line count and
@@ -158,7 +129,7 @@ func (cfg Config) Partition(share int) Config {
 
 // New builds a cache from cfg, or reports why its geometry is invalid.
 func New(cfg Config) (*Cache, error) {
-	ls, nLines, assoc, err := cfg.geometry()
+	_, nLines, assoc, err := cfg.geometry()
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +138,7 @@ func New(cfg Config) (*Cache, error) {
 	if assoc < 16 {
 		orderMask = (uint64(1) << (4 * assoc)) - 1
 	}
-	// The per-set block is exactly order + states + tag words — padding it
+	// The per-set block is exactly order + valid + tag words — padding it
 	// (say to a power of two) would inflate the metadata footprint past the
 	// host L2 working set for the big simulated L2s, which costs more than
 	// the multiply in the index computation.
@@ -180,8 +151,6 @@ func New(cfg Config) (*Cache, error) {
 		setBits:    uint(bits.TrailingZeros64(uint64(sets))),
 		blockWords: blockWords,
 		orderMask:  orderMask,
-		presMask:   uint32(0x55555555) & uint32((uint64(1)<<(2*assoc))-1),
-		lineShift:  uint(bits.TrailingZeros64(uint64(ls))),
 	}
 	c.resetOrder()
 	return c, nil
@@ -225,26 +194,6 @@ func (c *Cache) setTag(bb, w int, tag uint32) {
 // tagOf splits a line address into its set-relative tag.
 func (c *Cache) tagOf(lineAddr uint64) uint32 { return uint32(lineAddr >> c.setBits) }
 
-// lineOf reconstructs a line address from a set and a stored tag.
-func (c *Cache) lineOf(set int, tag uint32) uint64 {
-	return uint64(tag)<<c.setBits | uint64(set)
-}
-
-// stateOf extracts way w's state from a states word.
-func stateOf(word uint64, w int) State { return State((word >> (2 * uint(w))) & 3) }
-
-// setNibble returns word with way w's 2-bit state replaced by st.
-func setNibble(word uint64, w int, st State) uint64 {
-	sh := 2 * uint(w)
-	return word&^(3<<sh) | uint64(st)<<sh
-}
-
-// present returns the 01-pattern mask of valid ways in a states word.
-func (c *Cache) present(word uint64) uint32 {
-	v := uint32(word)
-	return (v | v>>1) & c.presMask
-}
-
 // touchOrder moves way w to the MRU front of the order vector. pos is found
 // with a SWAR zero-nibble search: the permutation holds w exactly once in
 // the low assoc nibbles, and the borrow trick flags the lowest zero nibble
@@ -263,105 +212,53 @@ func touchOrder(order uint64, w int) uint64 {
 	return above | below<<4 | uint64(w)
 }
 
-// LineAddr converts a physical address into a line number.
-func (c *Cache) LineAddr(pa units.Addr) uint64 { return uint64(pa) >> c.lineShift }
-
-// Access looks up the line containing pa; on a miss it fills the line,
-// evicting the set's LRU way. write marks the line dirty (Modified).
+// Access looks up lineAddr and reports whether it hit; on a miss it fills
+// the line, evicting the set's LRU way.
 //
 //simlint:hotpath
-func (c *Cache) Access(lineAddr uint64, write bool) Result {
+func (c *Cache) Access(lineAddr uint64) bool {
 	set := int(lineAddr & c.setMask)
 	bb := set * c.blockWords
 	tag := c.tagOf(lineAddr)
 	order := c.blocks[bb]
-	word := c.blocks[bb+1]
+	valid := c.blocks[bb+1]
 	// Set-indexed probe: the MRU head resolves repeat accesses to the same
 	// line without scanning the set at all.
-	if h := int(order & 0xF); c.tagAt(bb, h) == tag && stateOf(word, h) != Invalid {
-		if write && stateOf(word, h) != Modified {
-			c.blocks[bb+1] = setNibble(word, h, Modified)
-		}
-		return Result{Hit: true}
+	if h := order & 0xF; c.tagAt(bb, int(h)) == tag && valid>>h&1 != 0 {
+		return true
 	}
 	// Hit scan: the set's own block of tag words, one load per word with
-	// both halves compared, in ascending way order so a stale invalid
-	// duplicate (always at a higher way than the valid copy) can never
-	// shadow the real line. An odd-assoc set's unused top half can only
-	// phantom-match as way assoc, whose state bits are never set, so the
-	// Invalid check rejects it.
+	// both halves compared, in ascending way order. An odd-assoc set's
+	// unused top half can only phantom-match as way assoc, whose valid bit
+	// is never set.
 	pat := uint64(tag) | uint64(tag)<<32
 	for wi := 2; wi < c.blockWords; wi++ {
 		x := c.blocks[bb+wi] ^ pat
-		if uint32(x) == 0 {
-			if w := 2 * (wi - 2); stateOf(word, w) != Invalid {
-				c.blocks[bb] = touchOrder(order, w)
-				if write && stateOf(word, w) != Modified {
-					c.blocks[bb+1] = setNibble(word, w, Modified)
-				}
-				return Result{Hit: true}
-			}
+		w := 2 * (wi - 2)
+		if uint32(x) == 0 && valid>>w&1 != 0 {
+			c.blocks[bb] = touchOrder(order, w)
+			return true
 		}
-		if x>>32 == 0 {
-			if w := 2*(wi-2) + 1; stateOf(word, w) != Invalid {
-				c.blocks[bb] = touchOrder(order, w)
-				if write && stateOf(word, w) != Modified {
-					c.blocks[bb+1] = setNibble(word, w, Modified)
-				}
-				return Result{Hit: true}
-			}
+		if x>>32 == 0 && valid>>(w+1)&1 != 0 {
+			c.blocks[bb] = touchOrder(order, w+1)
+			return true
 		}
 	}
-	// Miss: choose victim — first Invalid way by index if the set has any,
+	// Miss: choose victim — first invalid way by index if the set has any,
 	// else the LRU tail nibble (exact-order LRU).
-	res := Result{}
 	var victim int
-	if inv := ^c.present(word) & c.presMask; inv != 0 {
-		victim = bits.TrailingZeros32(inv) / 2
+	if inv := ^valid & (uint64(1)<<c.assoc - 1); inv != 0 {
+		victim = bits.TrailingZeros64(inv)
 		c.blocks[bb] = touchOrder(order, victim)
 	} else {
 		victim = int(order >> (4 * uint(c.assoc-1)) & 0xF)
-		res.HadEvict = true
-		res.Evicted = c.lineOf(set, c.tagAt(bb, victim))
-		res.Writeback = stateOf(word, victim) == Modified
 		// Recycling the tail is a rotate: every other way ages one recency
 		// position and the refilled way re-enters at the front.
 		c.blocks[bb] = (order<<4 | uint64(victim)) & c.orderMask
 	}
-	st := Exclusive
-	if write {
-		st = Modified
-	}
 	c.setTag(bb, victim, tag)
-	c.blocks[bb+1] = setNibble(word, victim, st)
-	return res
-}
-
-// Flush invalidates every line, returning the number of dirty lines written
-// back.
-func (c *Cache) Flush() int {
-	dirty := 0
-	for s := 0; s < c.sets; s++ {
-		bb := s * c.blockWords
-		word := c.blocks[bb+1]
-		for w := 0; w < c.assoc; w++ {
-			if stateOf(word, w) == Modified {
-				dirty++
-			}
-		}
-		clear(c.blocks[bb+1 : bb+c.blockWords])
-	}
-	c.resetOrder()
-	return dirty
-}
-
-// Live returns the number of valid lines.
-func (c *Cache) Live() int {
-	n := 0
-	for s := 0; s < c.sets; s++ {
-		n += bits.OnesCount32(c.present(c.blocks[s*c.blockWords+1]))
-	}
-	return n
+	c.blocks[bb+1] = valid | 1<<victim
+	return false
 }
 
 // Lines returns total capacity in lines.

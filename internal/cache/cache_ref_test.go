@@ -1,18 +1,18 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
 // refCache is the pre-rework timestamp-LRU replacement policy, kept as a
-// test oracle for the linked-list scheme: hit/miss outcomes, evictions,
-// writebacks and victim choices must be byte-identical for every op
-// sequence, including ones with whole-cache flushes mixed in.
+// test oracle for the packed recency scheme: hit/miss outcomes and victim
+// choices must be identical for every access sequence.
 type refCache struct {
 	tags    []uint64
 	stamps  []uint64
-	states  []State
+	valid   []bool
 	assoc   int
 	setMask uint64
 	tick    uint64
@@ -27,7 +27,7 @@ func newRefCache(cfg Config) *refCache {
 	return &refCache{
 		tags:    make([]uint64, nLines),
 		stamps:  make([]uint64, nLines),
-		states:  make([]State, nLines),
+		valid:   make([]bool, nLines),
 		assoc:   assoc,
 		setMask: uint64(nLines/assoc - 1),
 	}
@@ -38,20 +38,17 @@ func (c *refCache) touch(i int) {
 	c.stamps[i] = c.tick
 }
 
-func (c *refCache) access(lineAddr uint64, write bool) Result {
+func (c *refCache) access(lineAddr uint64) bool {
 	base := int(lineAddr&c.setMask) * c.assoc
 	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == lineAddr && c.states[i] != Invalid {
+		if c.tags[i] == lineAddr && c.valid[i] {
 			c.touch(i)
-			if write && c.states[i] != Modified {
-				c.states[i] = Modified
-			}
-			return Result{Hit: true}
+			return true
 		}
 	}
 	victim, oldest := base, ^uint64(0)
 	for i := base; i < base+c.assoc; i++ {
-		if c.states[i] == Invalid {
+		if !c.valid[i] {
 			victim = i
 			break
 		}
@@ -59,68 +56,54 @@ func (c *refCache) access(lineAddr uint64, write bool) Result {
 			victim, oldest = i, c.stamps[i]
 		}
 	}
-	res := Result{}
-	if c.states[victim] != Invalid {
-		res.HadEvict = true
-		res.Evicted = c.tags[victim]
-		res.Writeback = c.states[victim] == Modified
-	}
-	st := Exclusive
-	if write {
-		st = Modified
-	}
 	c.tags[victim] = lineAddr
 	c.touch(victim)
-	c.states[victim] = st
-	return res
+	c.valid[victim] = true
+	return false
 }
 
-func (c *refCache) flush() int {
-	dirty := 0
-	for i := range c.states {
-		if c.states[i] == Modified {
-			dirty++
-		}
-		c.states[i] = Invalid
-	}
-	return dirty
-}
-
-func (c *refCache) probe(lineAddr uint64) State {
+func (c *refCache) resident(lineAddr uint64) bool {
 	base := int(lineAddr&c.setMask) * c.assoc
 	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == lineAddr && c.states[i] != Invalid {
-			return c.states[i]
+		if c.tags[i] == lineAddr && c.valid[i] {
+			return true
 		}
 	}
-	return Invalid
+	return false
 }
 
-func (c *refCache) live() int {
-	n := 0
-	for i := range c.states {
-		if c.states[i] != Invalid {
-			n++
+// resident reports whether lineAddr is cached, without touching LRU state:
+// the tests' view of residency.
+func (c *Cache) resident(lineAddr uint64) bool {
+	bb := int(lineAddr&c.setMask) * c.blockWords
+	tag := c.tagOf(lineAddr)
+	valid := c.blocks[bb+1]
+	for w := 0; w < c.assoc; w++ {
+		if c.tagAt(bb, w) == tag && valid>>w&1 != 0 {
+			return true
 		}
+	}
+	return false
+}
+
+// Live returns the number of valid lines.
+func (c *Cache) Live() int {
+	n := 0
+	for s := 0; s < c.sets; s++ {
+		n += bits.OnesCount64(c.blocks[s*c.blockWords+1])
 	}
 	return n
 }
 
-// Probe reports the state of lineAddr without touching LRU state: the
-// tests' view of a line's state word.
-func (c *Cache) Probe(lineAddr uint64) State {
-	set := int(lineAddr & c.setMask)
-	bb := set * c.blockWords
-	tag := c.tagOf(lineAddr)
-	word := c.blocks[bb+1]
-	for w := 0; w < c.assoc; w++ {
-		if c.tagAt(bb, w) == tag && stateOf(word, w) != Invalid {
-			return stateOf(word, w)
-		}
-	}
-	return Invalid
-}
+// lineSpan is the number of distinct lines an oracle stream touches: few
+// enough that every set fills and evicts, and small enough to compare every
+// line's residency after every access.
+const lineSpan = 53
 
+// driveCacheEquiv replays one access per byte of ops against the cache and
+// the reference, and fails at the first access whose hit outcome differs or
+// after which any line the stream can touch differs in residency — which
+// pins victim choice, since Access no longer reports the line it evicted.
 func driveCacheEquiv(t *testing.T, cfg Config, ops []byte) {
 	t.Helper()
 	n, err := New(cfg)
@@ -128,40 +111,21 @@ func driveCacheEquiv(t *testing.T, cfg Config, ops []byte) {
 		t.Fatal(err)
 	}
 	r := newRefCache(cfg)
-	for k := 0; k+1 < len(ops); k += 2 {
-		op, arg := ops[k], ops[k+1]
-		line := uint64(arg % 53)
-		w := op&0x80 != 0
-		switch {
-		case op == 0xff: // rare, so sets fill and evict between flushes
-			if nd, rd := n.Flush(), r.flush(); nd != rd {
-				t.Fatalf("op %d: flush = %d dirty want %d", k, nd, rd)
-			}
-		case op%4 == 3:
-			if np, rp := n.Probe(line), r.probe(line); np != rp {
-				t.Fatalf("op %d: probe(%d) = %v want %v", k, line, np, rp)
-			}
-		default: // access dominates, like real traffic
-			nr := n.Access(line, w)
-			rr := r.access(line, w)
-			if nr != rr {
-				t.Fatalf("op %d: access(%d,w=%v) = %+v want %+v", k, line, w, nr, rr)
-			}
+	for k, b := range ops {
+		line := uint64(b % lineSpan)
+		if nh, rh := n.Access(line), r.access(line); nh != rh {
+			t.Fatalf("op %d: access(%d) hit = %v want %v", k, line, nh, rh)
 		}
-		if n.Live() != r.live() {
-			t.Fatalf("op %d: live %d want %d", k, n.Live(), r.live())
-		}
-	}
-	// Final full-state comparison.
-	for line := uint64(0); line < 64; line++ {
-		if np, rp := n.Probe(line), r.probe(line); np != rp {
-			t.Fatalf("final: probe(%d) = %v want %v", line, np, rp)
+		for l := uint64(0); l < lineSpan; l++ {
+			if nr, rr := n.resident(l), r.resident(l); nr != rr {
+				t.Fatalf("op %d: after access(%d), line %d resident = %v want %v", k, line, l, nr, rr)
+			}
 		}
 	}
 }
 
-// TestLinkedLRUMatchesStampReference pins the linked-list recency scheme to
-// the old timestamp policy across random op streams and the associativity
+// TestLinkedLRUMatchesStampReference pins the packed recency scheme to the
+// old timestamp policy across random access streams and the associativity
 // classes the simulated processors use (2-way Opteron L1, 8/16-way L2s,
 // fully associative edge case).
 func TestLinkedLRUMatchesStampReference(t *testing.T) {

@@ -226,9 +226,12 @@ func TestPolicyTransparentPromotes(t *testing.T) {
 	if s.THP.Stats.Promotions == 0 {
 		t.Error("no chunks promoted despite full population")
 	}
-	// Second pass translates through 2MB mappings.
+	// Second pass translates through 2MB mappings once the array's chunks
+	// are shot down.
 	before2M := c.Ctr.DTLBWalks2M
-	c.FlushTLBs()
+	for va := arr.Addr(0) &^ units.Addr(units.PageSize2M-1); va < arr.Addr(n); va += units.Addr(units.PageSize2M) {
+		c.InvalidatePage(va, units.Size2M)
+	}
 	arr.LoadRange(c, 0, n)
 	if c.Ctr.DTLBWalks2M <= before2M {
 		t.Error("post-promotion walks are not using 2MB mappings")

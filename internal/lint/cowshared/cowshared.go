@@ -20,9 +20,8 @@
 // while it is being built, and literal keys are plain identifiers anyway).
 // A justified exception needs a //simlint:ignore cowshared <reason>.
 //
-// Like //simlint:atomic, the annotation is package-local by design:
-// annotated fields should be unexported, so all their accesses type-check in
-// the declaring package.
+// The annotation is package-local by design: annotated fields should be
+// unexported, so all their accesses type-check in the declaring package.
 package cowshared
 
 import (

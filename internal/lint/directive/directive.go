@@ -1,7 +1,6 @@
 // Package directive parses the //simlint: comment directives that carry the
 // simulator's machine-checked contracts:
 //
-//	//simlint:atomic                  field is accessed only via sync/atomic
 //	//simlint:padded                  struct must be a 64-byte multiple
 //	//simlint:writer <name>           single-writer field; fields with different
 //	//                                writer names must not share a 64-byte line
@@ -30,7 +29,7 @@ const prefix = "//simlint:"
 
 // A Directive is one parsed //simlint: comment.
 type Directive struct {
-	Kind string // "atomic", "padded", "writer", "hotpath", "ignore", ...
+	Kind string // "padded", "writer", "hotpath", "ignore", ...
 	Args string // remainder of the line, whitespace-trimmed
 	Pos  token.Pos
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"hugeomp/internal/lint/analysis"
-	"hugeomp/internal/lint/atomicfield"
 	"hugeomp/internal/lint/cowshared"
 	"hugeomp/internal/lint/ctxflow"
 	"hugeomp/internal/lint/determinism"
@@ -33,7 +32,6 @@ func Analyzers() []*analysis.Analyzer {
 		dettaint.Analyzer,
 		lockorder.Analyzer,
 		ctxflow.Analyzer,
-		atomicfield.Analyzer,
 		cowshared.Analyzer,
 		padding.Analyzer,
 		panicboundary.Analyzer,

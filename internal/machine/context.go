@@ -99,7 +99,6 @@ type Context struct {
 type shootReq struct {
 	va   units.Addr
 	size units.PageSize
-	all  bool // full flush
 }
 
 // xlatSlots sizes the per-context translation cache (direct-mapped, keyed by
@@ -228,13 +227,13 @@ func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
 // cycle cost.
 //
 //simlint:hotpath
-func (c *Context) cacheAccess(line uint64, write bool) uint64 {
-	if c.l1.Access(line, write).Hit {
+func (c *Context) cacheAccess(line uint64) uint64 {
+	if c.l1.Access(line) {
 		c.Ctr.L1Hits++
 		return c.costs.L1HitCyc
 	}
 	c.Ctr.L1Misses++
-	if c.l2.Access(line, write).Hit {
+	if c.l2.Access(line) {
 		c.Ctr.L2Hits++
 		// The L2 hit interrupts the miss stream: the prefetcher's run
 		// continuation must not survive it, or the next unrelated miss
@@ -277,7 +276,7 @@ func (c *Context) dataAccess(va units.Addr, write bool) {
 		c.drainShootdowns()
 	}
 	_, cyc := c.translateData(va, write)
-	cyc += c.costs.ExecCyc + c.cacheAccess(uint64(va)>>lineShift, write)
+	cyc += c.costs.ExecCyc + c.cacheAccess(uint64(va)>>lineShift)
 	c.Ctr.Busy += cyc
 }
 
@@ -379,7 +378,7 @@ func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) ui
 			// but every element still probes the cache hierarchy.
 			for j := 0; j < segN; j++ {
 				line := uint64(va+units.Addr(int64(j)*stride)) >> lineShift
-				busy += c.costs.ExecCyc + c.cacheAccess(line, write)
+				busy += c.costs.ExecCyc + c.cacheAccess(line)
 			}
 		} else {
 			for j := 0; j < segN; {
@@ -400,7 +399,7 @@ func (c *Context) rangeBulk(base units.Addr, n int, stride int64, write bool) ui
 					k = segN
 				}
 				k = min(k, segN-j)
-				busy += c.costs.ExecCyc + c.cacheAccess(line, write)
+				busy += c.costs.ExecCyc + c.cacheAccess(line)
 				if k > 1 {
 					c.Ctr.L1Hits += uint64(k - 1)
 					busy += uint64(k-1) * hitCyc
@@ -486,7 +485,7 @@ func (c *Context) gatherBulk(base units.Addr, elemSize int64, sorted []int64, wr
 			for i+k < segEnd && uint64(base+units.Addr(sorted[i+k]*elemSize))>>lineShift == line {
 				k++
 			}
-			busy += c.costs.ExecCyc + c.cacheAccess(line, write)
+			busy += c.costs.ExecCyc + c.cacheAccess(line)
 			if k > 1 {
 				c.Ctr.L1Hits += uint64(k - 1)
 				busy += uint64(k-1) * hitCyc
@@ -633,14 +632,6 @@ func (c *Context) InvalidatePage(va units.Addr, size units.PageSize) {
 	c.shootFlag.Store(true)
 }
 
-// FlushTLBs requests a full TLB flush, applied at the context's next access.
-func (c *Context) FlushTLBs() {
-	c.shootMu.Lock()
-	c.pending = append(c.pending, shootReq{all: true})
-	c.shootMu.Unlock()
-	c.shootFlag.Store(true)
-}
-
 // PageTable exposes the process page table this context translates through
 // (the post-run consistency audits in internal/check walk it).
 func (c *Context) PageTable() *pagetable.Table { return c.pt }
@@ -714,13 +705,8 @@ func (c *Context) drainShootdowns() {
 	c.shootFlag.Store(false)
 	c.shootMu.Unlock()
 	for _, r := range reqs {
-		if r.all {
-			c.dtlb.Flush()
-			c.itlb.Flush()
-		} else {
-			c.dtlb.Invalidate(r.size.VPN(r.va), r.size)
-			c.itlb.Invalidate(r.size.VPN(r.va), r.size)
-		}
+		c.dtlb.Invalidate(r.size.VPN(r.va), r.size)
+		c.itlb.Invalidate(r.size.VPN(r.va), r.size)
 	}
 	c.fetchCacheOK = false
 }

@@ -56,6 +56,16 @@ func (cfg equivCfg) mk(t testing.TB) *Context {
 	return c
 }
 
+// shootChunk queues the shootdowns a THP promotion or demotion of va's 2 MB
+// chunk issues: every 4 KB page of the chunk, then the chunk itself.
+func shootChunk(c *Context, va units.Addr) {
+	chunk := va &^ units.Addr(units.PageSize2M-1)
+	for p := chunk; p < chunk+units.Addr(units.PageSize2M); p += units.Addr(units.PageSize4K) {
+		c.InvalidatePage(p, units.Size4K)
+	}
+	c.InvalidatePage(chunk, units.Size2M)
+}
+
 // demandPager returns an OnFault handler that maps the touched 4 KB page
 // read-write with the frame mapRange(pt, 0, …, Size4K) would give it.
 func demandPager(pt *pagetable.Table) FaultHandler {
@@ -386,12 +396,12 @@ func TestShootdownMailboxIsAsynchronous(t *testing.T) {
 		t.Errorf("walks = %d, want %d (re-walk after drained shootdown)",
 			victim.Ctr.DTLBWalks(), walks+1)
 	}
-	// FlushTLBs is delivered the same way.
+	// The drained mailbox takes the next shootdown the same way.
 	victim.Load(16) // hit
-	victim.FlushTLBs()
+	victim.InvalidatePage(0, units.Size4K)
 	victim.Load(24)
 	if victim.Ctr.DTLBWalks() != walks+2 {
-		t.Errorf("walks after flush = %d, want %d", victim.Ctr.DTLBWalks(), walks+2)
+		t.Errorf("walks after second shootdown = %d, want %d", victim.Ctr.DTLBWalks(), walks+2)
 	}
 }
 
@@ -464,14 +474,14 @@ func TestShootdownDuringBulkRange(t *testing.T) {
 		c := cfg.mk(t)
 		// Prime the TLBs over the range so the shootdown has entries to kill.
 		c.AccessRange(0, count, 8, false)
-		// Deliver an invalidation and a full flush from another goroutine;
-		// the join guarantees they are pending when the range starts, so
-		// the bulk path must drain them at its first element's poll.
+		// Shoot down every page the range primed from another goroutine;
+		// the join guarantees the invalidations are pending when the range
+		// starts, so the bulk path must drain them at its first element's
+		// poll.
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			c.InvalidatePage(units.Addr(units.PageSize4K), units.Size4K)
-			c.FlushTLBs()
+			shootChunk(c, 0)
 		}()
 		<-done
 		if bulk {
@@ -493,7 +503,7 @@ func TestShootdownDuringBulkRange(t *testing.T) {
 		t.Errorf("counters diverge after mid-range shootdown:\nbulk:   %+v\nscalar: %+v", b.Ctr, s.Ctr)
 	}
 	if b.Ctr.DTLBWalks() <= clean.Ctr.DTLBWalks() {
-		t.Errorf("flush caused no extra walks: got %d, clean run %d",
+		t.Errorf("shootdowns caused no extra walks: got %d, clean run %d",
 			b.Ctr.DTLBWalks(), clean.Ctr.DTLBWalks())
 	}
 }
@@ -511,11 +521,7 @@ func TestShootdownConcurrentWithBulkRange(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < shots; i++ {
-			if i%2 == 0 {
-				c.InvalidatePage(units.Addr(int64(i%16)*units.PageSize4K), units.Size4K)
-			} else {
-				c.FlushTLBs()
-			}
+			c.InvalidatePage(units.Addr(int64(i%16)*units.PageSize4K), units.Size4K)
 			runtime.Gosched() // interleave with the bulk run in flight
 		}
 	}()

@@ -52,7 +52,7 @@ func applyForkOp(t testing.TB, w fuzzWorld, op byte, a1, a2 int64) bool {
 		}
 		w.c.InvalidatePage(page, size)
 	case 7:
-		w.c.FlushTLBs()
+		shootChunk(w.c, va)
 	case 8:
 		return w.demoteChunk(t, int(a1)%2)
 	case 9:
@@ -79,8 +79,8 @@ func applyForkOp(t testing.TB, w fuzzWorld, op byte, a1, a2 int64) bool {
 // every counter after every op — to a control that never forked its table
 // and got a fresh context at the same op. Freezing must leave the parent
 // untouched, which a second control that neither forks nor swaps contexts
-// checks. The op stream mixes scalar loads/stores, ranges, gathers,
-// shootdowns, full flushes, 2MB→4KB demotions and page faults (post-fork,
+// checks. The op stream mixes scalar loads/stores, ranges, gathers, page
+// and whole-chunk shootdowns, 2MB→4KB demotions and page faults (post-fork,
 // both go through the page table's copy-on-write barrier), and an abort op
 // (op%11 == 10): the first abort after the fork point abandons the forked
 // world mid-stream — exactly what a cancelled service request does — then
@@ -205,9 +205,9 @@ func TestSnapshotForksIsolated(t *testing.T) {
 			ctrlB = freshWorld(t, ctrlB.pt, ps)
 
 			// Divergent streams. A degrades chunk 0 and stores through it; B
-			// gathers, faults in fresh pages and flushes — so if A's unmap or
-			// B's map leaked through the frozen table, the other fork's walk
-			// and miss counters would diverge from its control.
+			// gathers, faults in fresh pages and shoots down chunks — so if
+			// A's unmap or B's map leaked through the frozen table, the other
+			// fork's walk and miss counters would diverge from its control.
 			streamA := []byte{8, 0, 0, 1, 10, 3, 3, 60, 5, 6, 0, 1, 0, 10, 3}
 			streamB := []byte{5, 30, 9, 9, 7, 0, 7, 0, 0, 9, 8, 0, 5, 50, 3}
 			for i := 0; i+2 < len(streamA) && i+2 < len(streamB); i += 3 {

@@ -149,7 +149,7 @@ func TestShootdownDuringGather(t *testing.T) {
 	cfg := equivConfigs()[0]
 	const count = 6000
 	// Confine the working set to 16 pages so it is DTLB-resident: the clean
-	// second pass then walks nothing, and the flushed pass must re-walk.
+	// second pass then walks nothing, and the shot-down pass must re-walk.
 	idx := make([]int64, count)
 	seed := uint64(3)
 	for i := range idx {
@@ -162,8 +162,7 @@ func TestShootdownDuringGather(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			c.InvalidatePage(units.Addr(units.PageSize4K), units.Size4K)
-			c.FlushTLBs()
+			shootChunk(c, 0)
 		}()
 		<-done
 		if bulk {
@@ -185,7 +184,7 @@ func TestShootdownDuringGather(t *testing.T) {
 		t.Errorf("counters diverge after mid-gather shootdown:\nbulk:   %+v\nscalar: %+v", b.Ctr, s.Ctr)
 	}
 	if b.Ctr.DTLBWalks() <= clean.Ctr.DTLBWalks() {
-		t.Errorf("flush caused no extra walks: got %d, clean run %d",
+		t.Errorf("shootdowns caused no extra walks: got %d, clean run %d",
 			b.Ctr.DTLBWalks(), clean.Ctr.DTLBWalks())
 	}
 }
@@ -210,11 +209,7 @@ func TestShootdownConcurrentWithGather(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < shots; i++ {
-			if i%2 == 0 {
-				c.InvalidatePage(units.Addr(int64(i%16)*units.PageSize4K), units.Size4K)
-			} else {
-				c.FlushTLBs()
-			}
+			c.InvalidatePage(units.Addr(int64(i%16)*units.PageSize4K), units.Size4K)
 			runtime.Gosched()
 		}
 	}()

@@ -51,7 +51,7 @@ func (c *Context) rangeScalarRef(base units.Addr, n int, stride int64, write boo
 		}
 		_, tcyc := c.translateData(va, write)
 		cyc += tcyc
-		cyc += c.cacheAccess(uint64(va)>>lineShift, write)
+		cyc += c.cacheAccess(uint64(va) >> lineShift)
 		busy += cyc
 	}
 	return busy
@@ -96,7 +96,7 @@ func (c *Context) gatherScalarRef(base units.Addr, elemSize int64, sorted []int6
 		}
 		_, tcyc := c.translateData(va, write)
 		cyc += tcyc
-		cyc += c.cacheAccess(uint64(va)>>lineShift, write)
+		cyc += c.cacheAccess(uint64(va) >> lineShift)
 		busy += cyc
 	}
 	return busy

@@ -29,6 +29,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -67,6 +68,10 @@ func MustKey(parts ...any) string {
 	}
 	return k
 }
+
+// errComputePanicked is the error a caller gets when it collapsed onto a
+// flight whose compute panicked.
+var errComputePanicked = errors.New("memo: compute panicked")
 
 // entry is one cached computation. once gives per-key single-flight: the
 // first caller computes, concurrent callers with the same key block on the
@@ -156,7 +161,10 @@ func (c *Cache) SetBacking(b Backing) { c.backing = b }
 // If compute fails, every caller collapsed onto that flight observes its
 // error and the key is forgotten, so a later identical request retries
 // instead of replaying a stale failure. Nothing is published to the backing
-// store on failure either, so the key stays retryable across processes.
+// store on failure either, so the key stays retryable across processes. A
+// compute that panics fails the same way: the panic goes on to the caller
+// whose compute raised it, and the callers collapsed onto its flight get an
+// error.
 func (c *Cache) GetOrComputeBytes(key string, compute func() (any, error)) ([]byte, bool, error) {
 	c.mu.Lock()
 	e, hit := c.entries[key]
@@ -175,6 +183,15 @@ func (c *Cache) GetOrComputeBytes(key string, compute func() (any, error)) ([]by
 		c.stats.misses.Add(1)
 	}
 	e.once.Do(func() {
+		// A failed flight forgets its key, a panicked one included:
+		// sync.Once counts a panicking f as done, so the outcome stays
+		// errComputePanicked unless compute returns.
+		e.err = errComputePanicked
+		defer func() {
+			if e.err != nil {
+				c.forget(e)
+			}
+		}()
 		if c.backing != nil {
 			computed := false
 			e.data, e.err = c.backing.GetOrCompute(e.key, func() ([]byte, error) {
@@ -194,7 +211,6 @@ func (c *Cache) GetOrComputeBytes(key string, compute func() (any, error)) ([]by
 		e.done.Store(e.err == nil)
 	})
 	if e.err != nil {
-		c.forget(e)
 		return nil, hit, e.err
 	}
 	return e.data, hit || e.backed, nil

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,6 +127,55 @@ func TestGetOrComputeErrorNotMemoized(t *testing.T) {
 	}
 	if out != 7 {
 		t.Fatalf("retry decoded %d, want 7", out)
+	}
+}
+
+// TestGetOrComputePanicNotMemoized: a compute that panics produced no
+// result. The panic reaches the caller whose compute raised it, a caller
+// collapsed onto that flight gets an error rather than empty bytes, Lookup
+// never answers the key, and the next call recomputes.
+func TestGetOrComputePanicNotMemoized(t *testing.T) {
+	c := New()
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.GetOrComputeBytes("k", func() (any, error) {
+			close(started)
+			<-release
+			panic("compute blew up")
+		})
+	}()
+	<-started
+	type answer struct {
+		data []byte
+		err  error
+	}
+	waiter := make(chan answer, 1)
+	go func() {
+		data, _, err := c.GetOrComputeBytes("k", func() (any, error) { return 1, nil })
+		waiter <- answer{data, err}
+	}()
+	// The waiter has found the leader's entry once it counts a hit.
+	for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
+		runtime.Gosched()
+	}
+	if _, ok := c.Lookup("k"); ok {
+		t.Error("Lookup answered a flight in progress")
+	}
+	close(release)
+	if p := <-leader; p != "compute blew up" {
+		t.Fatalf("leader recovered %v, want the compute's panic", p)
+	}
+	if a := <-waiter; !errors.Is(a.err, errComputePanicked) {
+		t.Errorf("collapsed waiter got data=%q err=%v, want errComputePanicked", a.data, a.err)
+	}
+	if _, ok := c.Lookup("k"); ok {
+		t.Error("Lookup answered a panicked flight")
+	}
+	data, hit, err := c.GetOrComputeBytes("k", func() (any, error) { return 7, nil })
+	if err != nil || hit || string(data) != "7" {
+		t.Fatalf("after a panicked compute: data=%q hit=%v err=%v, want 7 computed afresh", data, hit, err)
 	}
 }
 

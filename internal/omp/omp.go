@@ -9,23 +9,23 @@
 // cores (SMT siblings co-scheduled on one core serialise, so a core's delta
 // is the SUM of its contexts' deltas — this is what makes the Xeon's
 // 8-thread runs scale poorly, as in the paper's Figure 4), plus fork
-// overhead. Barriers and reductions move real messages over the
-// shared-memory channel mesh and charge per-message cycles to the
-// participants.
+// overhead. A barrier or reduction moves no bytes: it is a closed-form
+// charge of MsgCyc per message hop its algorithm would send over the paper's
+// mapped-file ring (§3.3). The team's host goroutines meet only at the
+// region's join.
 package omp
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"hugeomp/internal/machine"
 	"hugeomp/internal/profile"
-	"hugeomp/internal/shmem"
 	"hugeomp/internal/units"
 )
 
@@ -59,8 +59,7 @@ func (k ScheduleKind) String() string {
 // omp parallel for`.
 type For struct {
 	Schedule ScheduleKind
-	Chunk    int  // chunk size; 0 means schedule default
-	NoWait   bool // skip the implicit barrier at loop end
+	Chunk    int // chunk size; 0 means schedule default
 }
 
 // BarrierAlgo selects the barrier implementation.
@@ -106,14 +105,11 @@ func (r *CodeRegion) touch(c *machine.Context) {
 type RT struct {
 	m       *machine.Machine
 	ctxs    []*machine.Context
-	mesh    *shmem.Mesh
 	barrier BarrierAlgo
 
 	wall    uint64 // simulated wall-clock cycles accumulated so far
 	regions uint64 // parallel regions executed
 	inPar   bool   // guard against nested Parallel (unsupported, like Omni)
-
-	msgBuf [][]byte // per-thread scratch for barrier payloads
 
 	// deltas holds each thread's counter delta for the current region in a
 	// padded per-thread shard (written concurrently by the team's goroutines
@@ -163,13 +159,8 @@ func New(m *machine.Machine, nthreads int, opts ...Option) (*RT, error) {
 	rt := &RT{
 		m:          m,
 		ctxs:       ctxs,
-		mesh:       shmem.NewMesh(nthreads),
 		barrier:    TreeBarrier,
 		regionProf: make(map[string]*RegionProfile),
-	}
-	rt.msgBuf = make([][]byte, nthreads)
-	for i := range rt.msgBuf {
-		rt.msgBuf[i] = make([]byte, shmem.MaxMsgSize)
 	}
 	rt.deltas = profile.NewShardedCounters(nthreads)
 	rt.snap = make([]profile.Counters, nthreads)
@@ -188,9 +179,6 @@ func (rt *RT) Machine() *machine.Machine { return rt.m }
 
 // Contexts returns the team's hardware contexts.
 func (rt *RT) Contexts() []*machine.Context { return rt.ctxs }
-
-// Mesh exposes the channel fabric (tests).
-func (rt *RT) Mesh() *shmem.Mesh { return rt.mesh }
 
 // WallCycles returns the simulated wall-clock cycles accumulated by serial
 // sections and parallel regions so far.
@@ -272,7 +260,7 @@ func (rt *RT) Parallel(code *CodeRegion, body func(tid int, c *machine.Context))
 			entry := c.Ctr
 			code.touch(c)
 			body(tid, c)
-			rt.barrierWait(tid)
+			rt.chargeBarrier(tid)
 			*rt.deltas.Shard(tid) = c.Ctr.Delta(entry)
 		}(i)
 	}
@@ -283,50 +271,25 @@ func (rt *RT) Parallel(code *CodeRegion, body func(tid int, c *machine.Context))
 	rt.accountRegion(code)
 }
 
-// barrierWait performs the team barrier with real messages over the mesh,
-// charging per-message cycles to each participant.
-func (rt *RT) barrierWait(tid int) {
+// chargeBarrier charges thread tid its share of one team barrier: MsgCyc
+// per message it sends or receives. The central barrier gathers at the
+// master and broadcasts back, 2(n−1) hops there and 2 at every other thread;
+// the dissemination barrier sends and receives once in each of its ⌈log2 n⌉
+// rounds at every thread. The host side of the barrier is the region's join.
+func (rt *RT) chargeBarrier(tid int) {
 	n := len(rt.ctxs)
-	if n == 1 {
+	var hops uint64
+	switch {
+	case n == 1:
 		return
+	case rt.barrier == TreeBarrier:
+		hops = 2 * uint64(bits.Len(uint(n-1)))
+	case tid == 0:
+		hops = 2 * uint64(n-1)
+	default:
+		hops = 2
 	}
-	c := rt.ctxs[tid]
-	msg := rt.msgBuf[tid]
-	cost := rt.m.Model.Costs.MsgCyc
-	switch rt.barrier {
-	case CentralBarrier:
-		if tid == 0 {
-			for j := 1; j < n; j++ {
-				rt.mesh.Chan(j, 0).Recv(msg)
-				c.Wait(cost)
-			}
-			for j := 1; j < n; j++ {
-				if err := rt.mesh.Chan(0, j).Send([]byte{1}); err != nil {
-					panic(fmt.Sprintf("omp: barrier send: %v", err))
-				}
-				c.Wait(cost)
-			}
-		} else {
-			if err := rt.mesh.Chan(tid, 0).Send([]byte{1}); err != nil {
-				panic(fmt.Sprintf("omp: barrier send: %v", err))
-			}
-			c.Wait(cost)
-			rt.mesh.Chan(0, tid).Recv(msg)
-			c.Wait(cost)
-		}
-	case TreeBarrier:
-		// Dissemination barrier: round r exchanges with tid±2^r.
-		for r := 1; r < n; r <<= 1 {
-			to := (tid + r) % n
-			from := (tid - r + n) % n
-			if err := rt.mesh.Chan(tid, to).Send([]byte{byte(r)}); err != nil {
-				panic(fmt.Sprintf("omp: barrier send: %v", err))
-			}
-			c.Wait(cost)
-			rt.mesh.Chan(from, tid).Recv(msg)
-			c.Wait(cost)
-		}
-	}
+	rt.ctxs[tid].Wait(hops * rt.m.Model.Costs.MsgCyc)
 }
 
 // Barrier runs a standalone team barrier as its own mini-region (usable only
@@ -386,8 +349,6 @@ func (rt *RT) ParallelFor(code *CodeRegion, n int, f For, body func(tid int, c *
 	case Dynamic, Guided:
 		rt.virtualTimeFor(code, n, f, body)
 	}
-	_ = f.NoWait // the implicit barrier is part of Parallel; NoWait regions
-	// are expressed by fusing loops into one Parallel call.
 }
 
 // virtualTimeFor implements dynamic/guided worksharing by virtual-time
@@ -435,54 +396,11 @@ func (rt *RT) virtualTimeFor(code *CodeRegion, n int, f For, body func(tid int, 
 		lo += sz
 		remaining -= sz
 	}
-	rt.sequentialBarrier()
 	for i, c := range rt.ctxs {
+		rt.chargeBarrier(i)
 		*rt.deltas.Shard(i) = c.Ctr.Delta(before[i])
 	}
 	rt.accountRegion(code)
-}
-
-// sequentialBarrier performs the team barrier from a single goroutine,
-// moving the same messages as barrierWait. Sends happen before receives in
-// each phase/round, which the 32-slot channels absorb.
-func (rt *RT) sequentialBarrier() {
-	n := len(rt.ctxs)
-	if n == 1 {
-		return
-	}
-	cost := rt.m.Model.Costs.MsgCyc
-	send := func(from, to int) {
-		if err := rt.mesh.Chan(from, to).Send([]byte{1}); err != nil {
-			panic(fmt.Sprintf("omp: barrier send: %v", err))
-		}
-		rt.ctxs[from].Wait(cost)
-	}
-	recv := func(from, to int) {
-		rt.mesh.Chan(from, to).Recv(rt.msgBuf[to])
-		rt.ctxs[to].Wait(cost)
-	}
-	switch rt.barrier {
-	case CentralBarrier:
-		for j := 1; j < n; j++ {
-			send(j, 0)
-		}
-		for j := 1; j < n; j++ {
-			recv(j, 0)
-		}
-		for j := 1; j < n; j++ {
-			send(0, j)
-			recv(0, j)
-		}
-	case TreeBarrier:
-		for r := 1; r < n; r <<= 1 {
-			for tid := 0; tid < n; tid++ {
-				send(tid, (tid+r)%n)
-			}
-			for tid := 0; tid < n; tid++ {
-				recv((tid-r+n)%n, tid)
-			}
-		}
-	}
 }
 
 // accountRegion charges the wall clock for a completed region from the
@@ -577,8 +495,8 @@ type reducePartial struct {
 }
 
 // ParallelForReduce runs a worksharing loop whose body returns a partial
-// float64 value; partials are combined pairwise up a tree with real messages
-// (`reduction(+:x)` and friends).
+// float64 value; partials are combined pairwise up a tree, charged as
+// messages (`reduction(+:x)` and friends).
 //
 // Each thread folds into its own padded partial slot — no lock, no shared
 // line — and the master combines the slots in ascending tid order after the
@@ -606,10 +524,8 @@ func (rt *RT) ParallelForReduce(code *CodeRegion, n int, f For, identity float64
 	for i := 1; i < nt; i++ {
 		result = combine(result, partials[i].v)
 	}
-	if nt > 1 {
-		rounds := uint64(math.Ceil(math.Log2(float64(nt))))
-		rt.wall += rounds * rt.m.Model.Costs.MsgCyc
-	}
+	rounds := uint64(bits.Len(uint(nt - 1))) // ⌈log2 nt⌉
+	rt.wall += rounds * rt.m.Model.Costs.MsgCyc
 	return result
 }
 

@@ -184,22 +184,45 @@ func TestReductionDeterministic(t *testing.T) {
 	}
 }
 
+// TestBarrierMovesRealMessages: a barrier charges each thread MsgCyc per
+// message hop it takes part in — for the central barrier 2(n−1) at the
+// master and 2 at every other thread, for the dissemination barrier 2 in
+// each of its ⌈log2 n⌉ rounds at every thread — at every team size, through
+// both the goroutine team (Parallel) and the virtual-time scheduler.
 func TestBarrierMovesRealMessages(t *testing.T) {
+	model := machine.XeonHT()
+	msg := model.Costs.MsgCyc
+	paths := map[string]func(rt *RT){
+		"parallel": func(rt *RT) { rt.Barrier() },
+		"virtual-time": func(rt *RT) {
+			rt.ParallelFor(nil, 16, For{Schedule: Dynamic}, func(int, *machine.Context, int, int) {})
+		},
+	}
 	for _, algo := range []BarrierAlgo{CentralBarrier, TreeBarrier} {
-		rt := newRT(t, machine.Opteron270(), 4, WithBarrier(algo))
-		rt.Barrier()
-		var msgs uint64
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				msgs += rt.Mesh().Chan(i, j).Msgs()
+		for n := 1; n <= model.MaxThreads(); n++ {
+			rounds := uint64(0)
+			for r := 1; r < n; r <<= 1 {
+				rounds++
 			}
-		}
-		if msgs == 0 {
-			t.Errorf("%v barrier moved no messages", algo)
-		}
-		total := rt.TotalCounters()
-		if total.BarrierCyc == 0 {
-			t.Errorf("%v barrier charged no cycles", algo)
+			for name, run := range paths {
+				rt := newRT(t, model, n, WithBarrier(algo))
+				run(rt)
+				for tid, c := range rt.Contexts() {
+					var hops uint64
+					switch {
+					case n == 1:
+					case algo == TreeBarrier:
+						hops = 2 * rounds
+					case tid == 0:
+						hops = 2 * uint64(n-1)
+					default:
+						hops = 2
+					}
+					if got, want := c.Ctr.BarrierCyc, hops*msg; got != want {
+						t.Errorf("%v/%s n=%d tid %d: BarrierCyc = %d, want %d (%d hops)", algo, name, n, tid, got, want, hops)
+					}
+				}
+			}
 		}
 	}
 }

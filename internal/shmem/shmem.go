@@ -98,36 +98,20 @@ type slot struct {
 // processes (one direction). It performs exactly one copy: sender into the
 // shared slot; the receiver's view is the slot itself.
 //
-// The sender-owned and receiver-owned fields live on separate padded cache
-// lines: the counters are plain single-writer words (SPSC — only the sender
-// touches simBytes, only the receiver touches msgs), so bumping one no
-// longer bounces the line the other side's ring cursor lives on. Read the
-// counters only at quiescent points (after the endpoints have joined).
+// The sender's and the receiver's ring cursors live on separate padded cache
+// lines, so advancing one never bounces the line the other side polls.
 // simlint's padding analyzer checks that the two writers' fields never meet
 // on one 64-byte line.
 type Channel struct {
 	slots [MaxInFlight]slot
 
-	// Sender-owned line: head is the next slot the sender fills, simBytes
-	// the payload bytes sent (for the cost model).
-	head     atomic.Uint64 //simlint:writer sender
-	simBytes uint64        //simlint:writer sender
-	_        [48]byte
-
-	// Receiver-owned line: tail is the next slot the receiver drains, msgs
-	// the messages delivered.
+	// head is the next slot the sender fills, tail the next slot the
+	// receiver drains.
+	head atomic.Uint64 //simlint:writer sender
+	_    [56]byte
 	tail atomic.Uint64 //simlint:writer receiver
-	msgs uint64        //simlint:writer receiver
-	_    [48]byte
+	_    [56]byte
 }
-
-// SimBytes returns the payload bytes that crossed the channel. Quiescent
-// read: the sender is the only writer.
-func (c *Channel) SimBytes() uint64 { return c.simBytes }
-
-// Msgs returns the number of delivered messages. Quiescent read: the
-// receiver is the only writer.
-func (c *Channel) Msgs() uint64 { return c.msgs }
 
 // NewChannel creates an empty ring.
 func NewChannel() *Channel { return &Channel{} }
@@ -146,7 +130,6 @@ func (c *Channel) TrySend(data []byte) error {
 	s.n = copy(s.data[:], data)
 	s.flag.Store(slotFull) // release: publishes the payload
 	c.head.Store(h + 1)
-	c.simBytes += uint64(len(data))
 	return nil
 }
 
@@ -178,7 +161,6 @@ func (c *Channel) TryRecv(buf []byte) (int, bool) {
 	n := copy(buf, s.data[:s.n])
 	s.flag.Store(slotFree) // recycle the slot
 	c.tail.Store(t + 1)
-	c.msgs++
 	return n, true
 }
 
@@ -190,11 +172,6 @@ func (c *Channel) Recv(buf []byte) int {
 		}
 		runtime.Gosched()
 	}
-}
-
-// InFlight reports the number of undelivered messages.
-func (c *Channel) InFlight() int {
-	return int(c.head.Load() - c.tail.Load())
 }
 
 // Mesh is the all-pairs channel fabric the runtime builds at startup: one

@@ -70,9 +70,6 @@ func TestChannelRoundTrip(t *testing.T) {
 	if string(buf[:n]) != "hello" {
 		t.Errorf("got %q", buf[:n])
 	}
-	if c.Msgs() != 1 || c.SimBytes() != 5 {
-		t.Errorf("counters = %d msgs %d bytes", c.Msgs(), c.SimBytes())
-	}
 }
 
 func TestChannelBackpressureAt32(t *testing.T) {
@@ -84,9 +81,6 @@ func TestChannelBackpressureAt32(t *testing.T) {
 	}
 	if err := c.TrySend([]byte{99}); !errors.Is(err, ErrWouldBlock) {
 		t.Errorf("33rd in-flight message: want ErrWouldBlock, got %v", err)
-	}
-	if c.InFlight() != MaxInFlight {
-		t.Errorf("InFlight = %d", c.InFlight())
 	}
 	// Draining one slot admits one more.
 	buf := make([]byte, 1)

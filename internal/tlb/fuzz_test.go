@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzHierarchy drives a two-level TLB stack with an encoded op stream and
-// checks structural invariants after every step: capacity bounds, the
-// insert-then-hit guarantee, and shootdown completeness.
+// checks structural invariants after every step: the insert-then-hit
+// guarantee and shootdown completeness, for one page and for every page.
 func FuzzHierarchy(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0, 0, 0, 128, 128, 255})
@@ -43,7 +43,17 @@ func FuzzHierarchy(f *testing.F) {
 				}
 				h.Fill(vpn, size)
 			case 4:
-				h.Flush()
+				// Shoot down every vpn the stream can touch: nothing may
+				// survive in either level or size class.
+				for v := uint64(0); v < 64; v++ {
+					h.Invalidate(v, units.Size4K)
+					h.Invalidate(v, units.Size2M)
+				}
+				for v := uint64(0); v < 64; v++ {
+					if h.Access(v, units.Size4K) != Miss || h.Access(v, units.Size2M) != Miss {
+						t.Fatalf("vpn %d survived a full shootdown", v)
+					}
+				}
 			}
 		}
 	})

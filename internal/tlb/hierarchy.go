@@ -160,11 +160,9 @@ func (h *Hierarchy) Spec() Spec { return h.spec }
 //simlint:hotpath
 func (h *Hierarchy) Access(vpn uint64, size units.PageSize) Outcome {
 	if f := h.filt[size]; f != nil && f[vpn&h.filtMask[size]] == 0 {
-		// Resident in neither level: one load replaces the full cascade.
-		// Misses never touch recency state, so only the per-structure miss
-		// counters need recording.
-		h.l1[size].countMiss()
-		h.l2[size].countMiss()
+		// Resident in neither level: one load replaces the full cascade,
+		// and since a miss never touches recency state, skipping it is
+		// invisible.
 		return Miss
 	}
 	if h.l1[size].Lookup(vpn) {
@@ -229,21 +227,6 @@ func (h *Hierarchy) Invalidate(vpn uint64, size units.PageSize) {
 	}
 	if h.l2[size].Invalidate(vpn) {
 		h.unionDel(size, vpn)
-	}
-}
-
-// Flush empties every structure (a full TLB flush, e.g. on context switch in
-// the paper-era processors without ASIDs; our SMT model keeps per-context
-// stacks instead, so this is used mainly by tests and by region resets).
-func (h *Hierarchy) Flush() {
-	for i := range h.l1 {
-		h.l1[i].Flush()
-		h.l2[i].Flush()
-	}
-	for _, f := range h.filt {
-		for i := range f {
-			f[i] = 0
-		}
 	}
 }
 

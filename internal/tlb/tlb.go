@@ -104,9 +104,6 @@ type TLB struct {
 
 	assoc   int
 	setMask uint64
-
-	hits   uint64
-	misses uint64
 }
 
 // New builds a TLB from cfg, or reports why its geometry is invalid. It
@@ -151,15 +148,13 @@ func New(cfg Config) (*TLB, error) {
 	return t, nil
 }
 
-// resetOrder writes the identity permutation into every set's recency
-// vector (all ways invalid, so the order is arbitrary but deterministic).
+// resetOrder writes the identity permutation into every set's zeroed
+// recency vector (all ways invalid, so the order is arbitrary but
+// deterministic).
 func (t *TLB) resetOrder() {
 	sets := int(t.setMask) + 1
 	for s := 0; s < sets; s++ {
 		ob := s * t.ow
-		for j := 0; j < t.ow; j++ {
-			t.order[ob+j] = 0
-		}
 		for p := 0; p < t.assoc; p++ {
 			t.order[ob+p>>3] |= uint64(p&0xff) << (8 * (p & 7))
 		}
@@ -223,15 +218,6 @@ func (t *TLB) Entries() int {
 	return len(t.vpns)
 }
 
-// countMiss records a miss that was resolved without probing this structure
-// (the hierarchy's filter fast path); misses do not touch recency state, so
-// the skipped scan is unobservable beyond this counter.
-func (t *TLB) countMiss() {
-	if t != nil {
-		t.misses++
-	}
-}
-
 // Lookup probes for vpn and refreshes its LRU recency on a hit.
 //
 //simlint:hotpath
@@ -240,7 +226,6 @@ func (t *TLB) Lookup(vpn uint64) bool {
 		return false
 	}
 	if t.filt != nil && t.filt[vpn&t.filtMask] == 0 {
-		t.misses++
 		return false
 	}
 	set := vpn & t.setMask
@@ -249,17 +234,14 @@ func (t *TLB) Lookup(vpn uint64) bool {
 	// same page the common case, and the MRU way is by definition already
 	// at the front of the recency vector.
 	if h := base + t.headWay(int(set)*t.ow); t.vpns[h] == vpn && t.valid[h] {
-		t.hits++
 		return true
 	}
 	for i := base; i < base+t.assoc; i++ {
 		if t.vpns[i] == vpn && t.valid[i] {
 			t.touchWay(set, i-base)
-			t.hits++
 			return true
 		}
 	}
-	t.misses++
 	return false
 }
 
@@ -364,32 +346,6 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 	return false
 }
 
-// Flush invalidates every entry.
-func (t *TLB) Flush() {
-	if t == nil {
-		return
-	}
-	for i := range t.vpns {
-		t.vpns[i] = 0
-		t.valid[i] = false
-	}
-	for i := range t.live {
-		t.live[i] = 0
-	}
-	for i := range t.filt {
-		t.filt[i] = 0
-	}
-	t.resetOrder()
-}
-
-// Stats returns lifetime hit/miss counts.
-func (t *TLB) Stats() (hits, misses uint64) {
-	if t == nil {
-		return 0, 0
-	}
-	return t.hits, t.misses
-}
-
 // Visit calls f for every valid entry (nil-safe). The post-run consistency
 // audit in internal/check uses it to compare resident translations against
 // the page table.
@@ -402,16 +358,4 @@ func (t *TLB) Visit(f func(Entry)) {
 			f(Entry{VPN: t.vpns[i]})
 		}
 	}
-}
-
-// Live returns the number of valid entries (used by tests and invariants).
-func (t *TLB) Live() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for i := range t.live {
-		n += int(t.live[i])
-	}
-	return n
 }

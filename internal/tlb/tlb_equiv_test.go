@@ -7,7 +7,7 @@ import (
 
 // driveEquiv runs one encoded op stream against both implementations and
 // fails on the first observable divergence: lookup outcomes, eviction
-// results, stats and live counts.
+// results and live counts.
 func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 	t.Helper()
 	n := mustNew(t, cfg)
@@ -31,13 +31,12 @@ func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 			if ni, ri := n.Invalidate(vpn), r.invalidate(vpn); ni != ri {
 				t.Fatalf("op %d: invalidate(%d) = %v want %v", k, vpn, ni, ri)
 			}
-		case 3: // flush
-			n.Flush()
-			r.flush()
-		}
-		nh, nm := n.Stats()
-		if nh != r.hits || nm != r.misses {
-			t.Fatalf("op %d: stats %d/%d want %d/%d", k, nh, nm, r.hits, r.misses)
+		case 3: // full shootdown: invalidate every vpn the stream can touch
+			for v := uint64(0); v < 37; v++ {
+				if ni, ri := n.Invalidate(v), r.invalidate(v); ni != ri {
+					t.Fatalf("op %d: invalidate(%d) = %v want %v", k, v, ni, ri)
+				}
+			}
 		}
 		if n.Live() != r.live() {
 			t.Fatalf("op %d: live %d want %d", k, n.Live(), r.live())

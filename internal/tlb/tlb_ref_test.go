@@ -16,9 +16,6 @@ type refTLB struct {
 	setMask  uint64
 	tick     uint64
 	mruIndex []int
-
-	hits   uint64
-	misses uint64
 }
 
 func newRefTLB(cfg Config) *refTLB {
@@ -47,7 +44,6 @@ func (t *refTLB) lookupEntry(vpn uint64) (Entry, bool) {
 	if m := t.mruIndex[set]; t.ways[base+m].valid && t.ways[base+m].vpn == vpn {
 		t.tick++
 		t.ways[base+m].stamp = t.tick
-		t.hits++
 		return Entry{VPN: vpn}, true
 	}
 	for i := 0; i < t.assoc; i++ {
@@ -56,11 +52,9 @@ func (t *refTLB) lookupEntry(vpn uint64) (Entry, bool) {
 			t.tick++
 			w.stamp = t.tick
 			t.mruIndex[set] = i
-			t.hits++
 			return Entry{VPN: vpn}, true
 		}
 	}
-	t.misses++
 	return Entry{}, false
 }
 
@@ -115,18 +109,6 @@ func (t *refTLB) invalidate(vpn uint64) bool {
 		}
 	}
 	return false
-}
-
-func (t *refTLB) flush() {
-	if t == nil {
-		return
-	}
-	for i := range t.ways {
-		t.ways[i] = refWay{}
-	}
-	for i := range t.mruIndex {
-		t.mruIndex[i] = 0
-	}
 }
 
 func (t *refTLB) live() int {
