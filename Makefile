@@ -95,8 +95,9 @@ race:
 #   with fewer than 4 procs, where a time-sliced team cannot speed up);
 # - internal/simsrv: the serve-bench floor, and the memo- and disk-hit
 #   request cost without one.
-# internal/npb's BenchmarkRunKey reports the cost of one run key (ns/op,
-# allocs/op), also without a floor.
+# internal/npb's BenchmarkRunKey reports the cost of one run key and
+# BenchmarkSetup/<kernel> each kernel's class-S Setup (ns/op, B/op,
+# allocs/op), both without a floor.
 # End-to-end throughput is perfbench's (see BENCHMARK.json).
 bench:
 	$(GO) test -v -run '^$$' -bench . ./internal/machine/ ./internal/npb/ ./internal/simsrv/

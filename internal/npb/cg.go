@@ -76,39 +76,12 @@ func (k *CG) DefaultIterations(class Class) int {
 	}
 }
 
-// Setup implements Kernel: build the random SPD matrix (makea) and the
-// vectors, all as transformed globals in the shared region.
+// Setup implements Kernel: allocate the matrix and the vectors, all as
+// transformed globals in the shared region, then build the matrix (makea).
 func (k *CG) Setup(sys *core.System, class Class) error {
 	k.class = class
 	k.n, k.nzRow = k.geometry(class)
-
-	// makea, phase 1: a random SYMMETRIC sparsity pattern — each row draws
-	// `half` random partners and the entry is mirrored — made SPD later by
-	// a barely-dominant diagonal, so CG is mathematically valid and
-	// converges gradually (NPB CG's matrix is similarly mildly
-	// conditioned). Exact nnz = n·(2·half + 1).
-	rng := newLCG(314159)
-	type ent struct {
-		col int
-		v   float64
-	}
-	half := (k.nzRow - 1) / 2
-	if half < 1 {
-		half = 1
-	}
-	rows := make([][]ent, k.n)
-	for i := 0; i < k.n; i++ {
-		for h := 0; h < half; h++ {
-			j := rng.intn(k.n)
-			if j == i {
-				j = (j + 1) % k.n
-			}
-			v := rng.float() - 0.5
-			rows[i] = append(rows[i], ent{j, v})
-			rows[j] = append(rows[j], ent{i, v})
-		}
-	}
-	nnz := k.n * (2*half + 1)
+	nnz := k.n * (2*k.half() + 1)
 
 	var err error
 	if k.a, err = sys.NewArray("cg.a", nnz); err != nil {
@@ -136,33 +109,78 @@ func (k *CG) Setup(sys *core.System, class Class) error {
 	if k.codeVec, err = sys.NewCodeRegion("cg.vecops", 12*1024); err != nil {
 		return err
 	}
-
-	// makea, phase 2: pack CSR with the mirrored entries plus the dominant
-	// diagonal.
-	pos := 0
-	for i := 0; i < k.n; i++ {
-		k.rowstr.Data[i] = int64(pos)
-		rowSum := 0.0
-		for _, e := range rows[i] {
-			k.colidx.Data[pos] = int64(e.col)
-			k.a.Data[pos] = e.v
-			rowSum += math.Abs(e.v)
-			pos++
-		}
-		k.colidx.Data[pos] = int64(i)
-		k.a.Data[pos] = rowSum + 0.05
-		pos++
-		rows[i] = nil
-	}
-	k.rowstr.Data[k.n] = int64(pos)
-	if pos != nnz {
-		return fmt.Errorf("cg: packed %d entries, expected %d", pos, nnz)
-	}
-
+	k.makea()
 	for i := 0; i < k.n; i++ {
 		k.x.Data[i] = 1.0
 	}
 	return nil
+}
+
+// half is the number of random partners each row draws.
+func (k *CG) half() int { return max(1, (k.nzRow-1)/2) }
+
+// makea fills the CSR arrays with a random SYMMETRIC sparsity pattern —
+// each row draws `half` random partners and the entry is mirrored — made
+// SPD by a barely-dominant diagonal, so CG is mathematically valid and
+// converges gradually (NPB CG's matrix is similarly mildly conditioned).
+// Exact nnz = n·(2·half + 1).
+//
+// Row i holds its mirrored entries in the order they were drawn, then the
+// diagonal: the sum of the row's |v| plus 0.05. The build writes straight
+// into the CSR arrays, so its host allocation does not grow with the row
+// count: one pass over the LCG counts each row's entries into rowstr, a
+// second replays the same draws and places them, using rowstr[i] as row
+// i's fill cursor, and a last pass in row order appends each diagonal and
+// turns the cursors back into row starts.
+func (k *CG) makea() {
+	n, half := k.n, k.half()
+	a, colidx, rowstr := k.a.Data, k.colidx.Data, k.rowstr.Data
+	partner := func(rng *lcg, i int) (int, float64) {
+		j := rng.intn(n)
+		if j == i {
+			j = (j + 1) % n
+		}
+		return j, rng.float() - 0.5
+	}
+
+	// rowstr[i+1] counts row i's mirrored entries; the prefix sum, with one
+	// slot per row for the diagonal, makes rowstr[i] the start of row i.
+	rng := newLCG(314159)
+	for i := 0; i < n; i++ {
+		for h := 0; h < half; h++ {
+			j, _ := partner(rng, i)
+			rowstr[i+1]++
+			rowstr[j+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		rowstr[i+1] += rowstr[i] + 1
+	}
+
+	rng = newLCG(314159)
+	for i := 0; i < n; i++ {
+		for h := 0; h < half; h++ {
+			j, v := partner(rng, i)
+			colidx[rowstr[i]], a[rowstr[i]] = int64(j), v
+			rowstr[i]++
+			colidx[rowstr[j]], a[rowstr[j]] = int64(i), v
+			rowstr[j]++
+		}
+	}
+
+	// Each cursor now stops at its row's diagonal slot, one before the
+	// next row's start.
+	start := int64(0)
+	for i := 0; i < n; i++ {
+		d := rowstr[i]
+		rowSum := 0.0
+		for _, v := range a[start:d] {
+			rowSum += math.Abs(v)
+		}
+		colidx[d], a[d] = int64(i), rowSum+0.05
+		rowstr[i] = start
+		start = d + 1
+	}
 }
 
 // matvec computes q = A·p through the simulated memory system.

@@ -95,21 +95,42 @@ type Kernel interface {
 	PaperFootprint() (instr, data int64)
 }
 
-// New returns a fresh kernel by name.
-func New(name string) (Kernel, error) {
+// KernelName returns the Name of the kernel New(name) builds, without
+// building it, or New's error for a name it does not know.
+func KernelName(name string) (string, error) {
 	switch name {
 	case "BT", "bt":
-		return NewBT(), nil
+		return "BT", nil
 	case "CG", "cg":
-		return NewCG(), nil
+		return "CG", nil
 	case "FT", "ft":
-		return NewFT(), nil
+		return "FT", nil
 	case "SP", "sp":
-		return NewSP(), nil
+		return "SP", nil
 	case "MG", "mg":
+		return "MG", nil
+	}
+	return "", fmt.Errorf("npb: unknown kernel %q", name)
+}
+
+// New returns a fresh kernel by name, spelled as KernelName accepts it.
+func New(name string) (Kernel, error) {
+	canon, err := KernelName(name)
+	if err != nil {
+		return nil, err
+	}
+	switch canon {
+	case "BT":
+		return NewBT(), nil
+	case "CG":
+		return NewCG(), nil
+	case "FT":
+		return NewFT(), nil
+	case "SP":
+		return NewSP(), nil
+	default:
 		return NewMG(), nil
 	}
-	return nil, fmt.Errorf("npb: unknown kernel %q", name)
 }
 
 // Names lists the kernels in the paper's order.

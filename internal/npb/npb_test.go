@@ -1,6 +1,7 @@
 package npb
 
 import (
+	"strings"
 	"testing"
 
 	"hugeomp/internal/core"
@@ -141,6 +142,29 @@ func TestParseClass(t *testing.T) {
 func TestUnknownKernel(t *testing.T) {
 	if _, err := New("LU"); err == nil {
 		t.Error("LU is not in the paper's suite")
+	}
+}
+
+// TestKernelNameMatchesNew: KernelName gives the Name of the kernel New
+// builds for every spelling New accepts, and New's error for every other.
+func TestKernelNameMatchesNew(t *testing.T) {
+	for _, name := range Names() {
+		for _, s := range []string{name, strings.ToLower(name)} {
+			k, err := New(s)
+			if err != nil {
+				t.Fatalf("New(%q): %v", s, err)
+			}
+			if got, err := KernelName(s); err != nil || got != k.Name() {
+				t.Errorf("KernelName(%q) = %q, %v; New(%q).Name() = %q", s, got, err, s, k.Name())
+			}
+		}
+	}
+	for _, s := range []string{"", "LU", "Cg", "cG", " CG", "CG ", "sp\x00"} {
+		_, nerr := New(s)
+		got, kerr := KernelName(s)
+		if nerr == nil || kerr == nil || got != "" || kerr.Error() != nerr.Error() {
+			t.Errorf("%q: KernelName = %q, %v; New error %v", s, got, kerr, nerr)
+		}
 	}
 }
 

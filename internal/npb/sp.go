@@ -144,17 +144,19 @@ func (k *SP) computeRHS(rt *omp.RT) {
 
 // solveLine runs the Thomas algorithm over one line of `count` points
 // starting at element `start` with element stride `stride`: an implicit
-// (1 + 2λ, -λ) tridiagonal system, updating u in place from rhs.
-func (k *SP) solveLine(c *machine.Context, start, count, stride int, lam float64) {
+// (1 + 2λ, -λ) tridiagonal system, updating u in place from rhs. cp holds
+// at least count elimination coefficients; the sweep that calls it
+// allocates one per thread chunk, never in the kernel, whose fields warm
+// forks share.
+func (k *SP) solveLine(c *machine.Context, cp []float64, start, count, stride int, lam float64) {
 	// Forward sweep reads rhs and u along the line; backward sweep writes u.
 	k.rhs.LoadStride(c, start, count, stride)
 	k.u.LoadStride(c, start, count, stride)
 
 	b := 1 + 2*lam
-	// Forward elimination. The c' coefficients are thread-private stack
-	// scratch (the real SP keeps them in registers/private arrays), so they
-	// are not driven through the simulated memory system.
-	cp := make([]float64, count)
+	// Forward elimination. The c' coefficients are thread-private scratch
+	// (the real SP keeps them in registers/private arrays), so they are not
+	// driven through the simulated memory system.
 	cp[0] = -lam / b
 	k.u.Data[start] = (k.u.Data[start] + lam*k.rhs.Data[start]) / b
 	for m := 1; m < count; m++ {
@@ -180,9 +182,10 @@ func (k *SP) xSolve(rt *omp.RT, lam float64) {
 	lines := k.ny * k.nz
 	rt.ParallelFor(k.codeSolve, lines, omp.For{Schedule: omp.Static},
 		func(tid int, c *machine.Context, lo, hi int) {
+			cp := make([]float64, k.nx)
 			for l := lo; l < hi; l++ {
 				j, kk := l%k.ny, l/k.ny
-				k.solveLine(c, k.idx(0, j, kk), k.nx, 1, lam)
+				k.solveLine(c, cp, k.idx(0, j, kk), k.nx, 1, lam)
 			}
 		})
 }
@@ -192,9 +195,10 @@ func (k *SP) ySolve(rt *omp.RT, lam float64) {
 	lines := k.nx * k.nz
 	rt.ParallelFor(k.codeSolve, lines, omp.For{Schedule: omp.Static},
 		func(tid int, c *machine.Context, lo, hi int) {
+			cp := make([]float64, k.ny)
 			for l := lo; l < hi; l++ {
 				i, kk := l%k.nx, l/k.nx
-				k.solveLine(c, k.idx(i, 0, kk), k.ny, k.nx, lam)
+				k.solveLine(c, cp, k.idx(i, 0, kk), k.ny, k.nx, lam)
 			}
 		})
 }
@@ -204,9 +208,10 @@ func (k *SP) zSolve(rt *omp.RT, lam float64) {
 	lines := k.nx * k.ny
 	rt.ParallelFor(k.codeSolve, lines, omp.For{Schedule: omp.Static},
 		func(tid int, c *machine.Context, lo, hi int) {
+			cp := make([]float64, k.nz)
 			for l := lo; l < hi; l++ {
 				i, j := l%k.nx, l/k.nx
-				k.solveLine(c, k.idx(i, j, 0), k.nz, k.nx*k.ny, lam)
+				k.solveLine(c, cp, k.idx(i, j, 0), k.nz, k.nx*k.ny, lam)
 			}
 		})
 }

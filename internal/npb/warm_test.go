@@ -82,50 +82,58 @@ func TestWarmModelSwapEqualsCold(t *testing.T) {
 }
 
 // TestWarmForkIsolation: forks of one snapshot never observe each other's
-// writes — concurrent forked runs all reproduce the cold result, and the
-// frozen template is left untouched by any of them.
+// writes — concurrent forked runs of every kernel all reproduce the cold
+// result, and the frozen template is left untouched by any of them. Under
+// -race it also catches run-time scratch kept in the kernel's fields, which
+// the forks share.
 func TestWarmForkIsolation(t *testing.T) {
 	cfg := RunConfig{
 		Model: machine.Opteron270(), Threads: 4, Policy: core.PolicyMixed, Class: ClassT,
 	}
-	w, err := NewWarm("mg", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := Checksum(w.kern)
+	for _, name := range Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w, err := NewWarm(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := Checksum(w.kern)
 
-	ck, err := New("mg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Run(ck, cfg)
-	if err != nil {
-		t.Fatalf("cold: %v", err)
-	}
+			ck, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Run(ck, cfg)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
 
-	const forks = 4
-	results := make([]Result, forks)
-	errs := make([]error, forks)
-	var wg sync.WaitGroup
-	for i := 0; i < forks; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = w.Run(cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < forks; i++ {
-		if errs[i] != nil {
-			t.Fatalf("fork %d: %v", i, errs[i])
-		}
-		if !reflect.DeepEqual(cold, results[i]) {
-			t.Errorf("fork %d diverged from cold run (cross-fork write leak?)\ncold: %+v\nfork: %+v",
-				i, cold, results[i])
-		}
-	}
-	if after := Checksum(w.kern); after != before {
-		t.Errorf("frozen template mutated by forked runs: checksum %v -> %v", before, after)
+			const forks = 4
+			results := make([]Result, forks)
+			errs := make([]error, forks)
+			var wg sync.WaitGroup
+			for i := 0; i < forks; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i], errs[i] = w.Run(cfg)
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < forks; i++ {
+				if errs[i] != nil {
+					t.Fatalf("fork %d: %v", i, errs[i])
+				}
+				if !reflect.DeepEqual(cold, results[i]) {
+					t.Errorf("fork %d diverged from cold run (cross-fork write leak?)\ncold: %+v\nfork: %+v",
+						i, cold, results[i])
+				}
+			}
+			if after := Checksum(w.kern); after != before {
+				t.Errorf("frozen template mutated by forked runs: checksum %v -> %v", before, after)
+			}
+		})
 	}
 }
 

@@ -192,6 +192,3 @@ func NewMesh(n int) *Mesh {
 
 // Chan returns the channel from process `from` to process `to`.
 func (m *Mesh) Chan(from, to int) *Channel { return m.ch[from*m.n+to] }
-
-// N returns the number of endpoints.
-func (m *Mesh) N() int { return m.n }

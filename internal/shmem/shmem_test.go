@@ -166,8 +166,8 @@ func TestChannelConcurrentStress(t *testing.T) {
 
 func TestMeshPairwiseChannels(t *testing.T) {
 	m := NewMesh(4)
-	if m.N() != 4 {
-		t.Fatal("N")
+	if m.n != 4 || len(m.ch) != 16 {
+		t.Fatalf("mesh of 4: n = %d, %d channels", m.n, len(m.ch))
 	}
 	// Distinct channels per ordered pair.
 	seen := map[*Channel]bool{}

@@ -69,7 +69,7 @@ type ErrorBody struct {
 // model cost tables included — and nothing that does not (deadline,
 // injection).
 func (s *Server) compile(req *Request) (cfg npb.RunConfig, kernel, key string, err error) {
-	k, err := npb.New(req.Kernel)
+	kernel, err = npb.KernelName(req.Kernel)
 	if err != nil {
 		return cfg, "", "", err
 	}
@@ -124,7 +124,7 @@ func (s *Server) compile(req *Request) (cfg npb.RunConfig, kernel, key string, e
 	// retry with a different deadline, or a duplicate from another client,
 	// lands on the same content address — the same address every other
 	// driver (sweep, bench, another simd) uses for the same run.
-	return cfg, k.Name(), npb.RunKey(k.Name(), cfg), nil
+	return cfg, kernel, npb.RunKey(kernel, cfg), nil
 }
 
 // budget computes the request's deadline budget under the server cap.

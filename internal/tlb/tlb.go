@@ -250,17 +250,10 @@ type Entry struct {
 	VPN uint64
 }
 
-// Insert fills vpn, evicting the LRU way of its set if necessary. It
-// returns the evicted entry and whether an eviction happened. Inserting a
-// vpn that is already resident refreshes it in place.
-func (t *TLB) Insert(vpn uint64) (evicted Entry, wasEvicted bool) {
-	evicted, wasEvicted, _ = t.InsertEx(vpn)
-	return evicted, wasEvicted
-}
-
-// InsertEx is Insert additionally reporting whether the fill updated a
-// resident entry in place — the membership information the hierarchy's
-// union filter needs.
+// InsertEx fills vpn, evicting the LRU way of its set if necessary. It
+// returns the evicted entry, whether an eviction happened, and whether the
+// fill refreshed an already resident vpn in place — the membership
+// information the hierarchy's union filter needs.
 //
 //simlint:hotpath
 func (t *TLB) InsertEx(vpn uint64) (evicted Entry, wasEvicted, inPlace bool) {

@@ -22,7 +22,7 @@ func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 				t.Fatalf("op %d: lookup(%d) = %v want %v", k, vpn, nok, rok)
 			}
 		case 1: // insert
-			nev, nwas := n.Insert(vpn)
+			nev, nwas, _ := n.InsertEx(vpn)
 			rev, rwas := r.insert(vpn)
 			if nwas != rwas || (nwas && nev != rev) {
 				t.Fatalf("op %d: insert(%d) evicted %v,%v want %v,%v", k, vpn, nev, nwas, rev, rwas)
