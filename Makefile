@@ -17,8 +17,8 @@ test:
 # interprocedural determinism taint (no wall clocks, global rand, scheduler
 # queries, or order-sensitive map iteration reaching the counters), the
 # lock hierarchy across call chains (lockorder), cancellable kernel loops
-# (ctxflow), copy-on-write snapshot arrays (cowshared), and //simlint:padded
-# cache-line layout. See docs/LINTING.md.
+# (ctxflow), copy-on-write snapshot arrays (cowshared), and recover-first
+# goroutine entry points in the service (panicboundary). See docs/LINTING.md.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
@@ -43,14 +43,14 @@ lint-fix-check:
 # drift (the gofmt guard walks the whole tree, including the simlint test
 # corpora under internal/lint/*/testdata), simlint, and the race detector
 # over the packages whose goroutines meet: the shootdown mailbox, the omp
-# merge points, the parallel harness, npb, where team goroutines run whole
-# kernels on contexts that must share no TLB or cache state, and the shmem
-# channels, whose only users are mpi's rank goroutines.
+# join, the parallel harness, npb, where team goroutines run whole kernels on
+# contexts that must share no TLB or cache state, and mpi, whose rank
+# goroutines meet on its buffered control channels.
 check: lint
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
-	$(GO) test -race -short -count=1 ./internal/machine/ ./internal/omp/ ./internal/par/ ./internal/bench/ ./internal/cache/ ./internal/scash/ ./internal/profile/ ./internal/npb/ ./internal/shmem/ ./internal/mpi/
+	$(GO) test -race -short -count=1 ./internal/machine/ ./internal/omp/ ./internal/par/ ./internal/bench/ ./internal/cache/ ./internal/scash/ ./internal/profile/ ./internal/npb/ ./internal/mpi/
 
 # Fault-injection soak: 50 seeded, replayable fault plans over CG/MG/SP.
 # Every run must pass NPB verification with fault-free numerics, hold all

@@ -7,8 +7,9 @@
 // paths), ctxflow (loops issuing omp regions must reach rt.Checkpoint or
 // carry //simlint:nocheckpoint), cowshared (//simlint:cowshared
 // snapshot-shared arrays only written inside //simlint:cowbarrier functions
-// — the copy-on-write write barrier) and padding (//simlint:padded layout
-// and //simlint:writer false-sharing checks).
+// — the copy-on-write write barrier) and panicboundary (every goroutine of a
+// service package starts inside a //simlint:panicboundary function that
+// installs recover).
 //
 // Two modes share one engine:
 //

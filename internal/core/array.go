@@ -83,12 +83,6 @@ func (a *Array) Gather(c *machine.Context, idx []int64) {
 	c.GatherRange(a.Base, 8, idx)
 }
 
-// Scatter simulates writing elements a[idx[j]] for every j (the write-side
-// dual of Gather, e.g. a permutation store).
-func (a *Array) Scatter(c *machine.Context, idx []int64) {
-	c.ScatterRange(a.Base, 8, idx)
-}
-
 // Fork returns a privately writable copy of the array for a forked run: the
 // simulated placement (Name, Base) is preserved and Data is deep-copied.
 // Arrays a kernel only reads during Run don't need forking — forked runs

@@ -294,12 +294,6 @@ func (s *System) spaceFor(size int64) *scash.Space {
 	}
 }
 
-// DataPageSize returns the page size backing an allocation of the given
-// size under the system's policy.
-func (s *System) DataPageSize(size int64) units.PageSize {
-	return s.spaceFor(size).PageSize()
-}
-
 // Global allocates a transformed global of the given size under the page
 // policy (the Omni global→shared-pointer transformation).
 func (s *System) Global(name string, size int64) (scash.Symbol, error) {

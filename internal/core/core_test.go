@@ -67,8 +67,8 @@ func TestPolicyMixedSplitsBySize(t *testing.T) {
 	if wb, _ := s.PT.Translate(big.Base); wb.Entry.Size != units.Size2M {
 		t.Errorf("big allocation backed by %v", wb.Entry.Size)
 	}
-	if s.DataPageSize(1) != units.Size4K || s.DataPageSize(MixedThreshold) != units.Size2M {
-		t.Error("DataPageSize policy wrong")
+	if s.spaceFor(1).PageSize() != units.Size4K || s.spaceFor(MixedThreshold).PageSize() != units.Size2M {
+		t.Error("data page size policy wrong")
 	}
 }
 
@@ -309,8 +309,8 @@ func TestInjectedReserveFailureDegradesTo4K(t *testing.T) {
 	if got := s.OSCounters().HugePageFallbacks; got != 1 {
 		t.Errorf("HugePageFallbacks = %d, want 1", got)
 	}
-	if s.DataPageSize(1*units.MB) != units.Size4K {
-		t.Error("DataPageSize still reports 2MB after degradation")
+	if s.spaceFor(1*units.MB).PageSize() != units.Size4K {
+		t.Error("data page size still reports 2MB after degradation")
 	}
 }
 

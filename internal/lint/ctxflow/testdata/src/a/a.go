@@ -9,7 +9,6 @@ type RT struct{}
 
 func (rt *RT) Parallel(body func(c *Context))           {}
 func (rt *RT) ParallelFor(n int, body func(lo, hi int)) {}
-func (rt *RT) Barrier()                                 {}
 func (rt *RT) Checkpoint() error                        { return nil }
 
 // --- negative controls ------------------------------------------------------

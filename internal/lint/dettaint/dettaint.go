@@ -73,7 +73,7 @@ var Packages = []string{
 // SinkTypes is the comma-separated list of named types whose methods are
 // determinism-sensitive sinks (any tainted argument is a violation). The
 // driver exposes it as -dettaint.sinktypes.
-var SinkTypes = "Counters,OSCounters,ShardedCounters"
+var SinkTypes = "Counters,OSCounters"
 
 // SinkFuncs is the comma-separated list of sink functions, matched as
 // "pkg.Func" suffixes of the full name. The driver exposes it as

@@ -1,10 +1,13 @@
 // Package directive parses the //simlint: comment directives that carry the
 // simulator's machine-checked contracts:
 //
-//	//simlint:padded                  struct must be a 64-byte multiple
-//	//simlint:writer <name>           single-writer field; fields with different
-//	//                                writer names must not share a 64-byte line
 //	//simlint:hotpath                 function may not defer mutex unlocks
+//	//simlint:cowshared               snapshot-shared field; written only in
+//	//                                //simlint:cowbarrier functions
+//	//simlint:cowbarrier              function that clones shared state into
+//	//                                the writer before writing it
+//	//simlint:panicboundary           function that installs recover as its
+//	//                                first deferred work; goroutines start in one
 //	//simlint:ignore <rules> <why>    suppress one or more rules (comma-
 //	//                                separated) on this (or the next) line;
 //	//                                the reason is mandatory
@@ -29,7 +32,7 @@ const prefix = "//simlint:"
 
 // A Directive is one parsed //simlint: comment.
 type Directive struct {
-	Kind string // "padded", "writer", "hotpath", "ignore", ...
+	Kind string // "hotpath", "cowshared", "ignore", ...
 	Args string // remainder of the line, whitespace-trimmed
 	Pos  token.Pos
 }
@@ -81,12 +84,6 @@ func Field(f *ast.Field) []Directive { return fromGroups(f.Doc, f.Comment) }
 // Func returns the directives in a function's doc comment.
 func Func(fd *ast.FuncDecl) []Directive { return fromGroups(fd.Doc) }
 
-// Type returns the directives attached to a type declaration: the GenDecl
-// doc (the usual position), the TypeSpec doc, or the TypeSpec line comment.
-func Type(gd *ast.GenDecl, ts *ast.TypeSpec) []Directive {
-	return fromGroups(gd.Doc, ts.Doc, ts.Comment)
-}
-
 // Has reports whether ds contains a directive of the given kind.
 func Has(ds []Directive, kind string) bool {
 	for _, d := range ds {
@@ -95,17 +92,6 @@ func Has(ds []Directive, kind string) bool {
 		}
 	}
 	return false
-}
-
-// Arg returns the Args of the first directive of the given kind, and whether
-// one was found.
-func Arg(ds []Directive, kind string) (string, bool) {
-	for _, d := range ds {
-		if d.Kind == kind {
-			return d.Args, true
-		}
-	}
-	return "", false
 }
 
 // An Ignore is one //simlint:ignore suppression. One directive may suppress

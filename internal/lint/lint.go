@@ -19,7 +19,6 @@ import (
 	"hugeomp/internal/lint/dettaint"
 	"hugeomp/internal/lint/directive"
 	"hugeomp/internal/lint/lockorder"
-	"hugeomp/internal/lint/padding"
 	"hugeomp/internal/lint/panicboundary"
 )
 
@@ -33,7 +32,6 @@ func Analyzers() []*analysis.Analyzer {
 		lockorder.Analyzer,
 		ctxflow.Analyzer,
 		cowshared.Analyzer,
-		padding.Analyzer,
 		panicboundary.Analyzer,
 	}
 }

@@ -115,9 +115,6 @@ type xlatSlot struct {
 	wr  uint64
 }
 
-// HasSibling reports whether an SMT sibling is co-scheduled on this core.
-func (c *Context) HasSibling() bool { return c.hasSibling }
-
 // Machine returns the owning machine.
 func (c *Context) Machine() *Machine { return c.machine }
 

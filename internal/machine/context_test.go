@@ -342,7 +342,7 @@ func TestSMTInterleavePolicyNoFlush(t *testing.T) {
 	if c.Ctr.SMTSwitches != 0 {
 		t.Error("interleaved SMT must not charge flush penalties")
 	}
-	if !c.HasSibling() {
+	if !c.hasSibling {
 		t.Error("sibling expected at 8 threads")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hugeomp/internal/cache"
 	"hugeomp/internal/pagetable"
 	"hugeomp/internal/tlb"
-	"hugeomp/internal/units"
 )
 
 // Machine is an instantiated platform running one simulated process.
@@ -130,10 +129,4 @@ func (m *Machine) CoreOf(c *Context) int { return c.Chip*m.Model.CoresPerChip + 
 // Seconds converts cycles to simulated seconds at the model's clock.
 func (m *Machine) Seconds(cyc uint64) float64 {
 	return float64(cyc) / (m.Model.Costs.ClockGHz * 1e9)
-}
-
-// TLBReach reports the data-TLB coverage of the model for the given page
-// size in bytes (paper Table 1's coverage rows).
-func (m *Machine) TLBReach(size units.PageSize) int64 {
-	return m.Model.DTLB.Coverage(size)
 }

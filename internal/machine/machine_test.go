@@ -55,7 +55,7 @@ func TestPlacementSpreadsCoresFirst(t *testing.T) {
 	cores := map[int]int{}
 	for _, c := range ctxs {
 		cores[m.CoreOf(c)]++
-		if c.HasSibling() {
+		if c.hasSibling {
 			t.Error("4 threads on 4 cores should have no SMT siblings")
 		}
 	}
@@ -69,7 +69,7 @@ func TestPlacementSpreadsCoresFirst(t *testing.T) {
 	cores = map[int]int{}
 	for _, c := range ctxs {
 		cores[m.CoreOf(c)]++
-		if !c.HasSibling() {
+		if !c.hasSibling {
 			t.Error("8 threads on 4 cores: every context has a sibling")
 		}
 	}
@@ -374,10 +374,10 @@ func TestSecondsConversion(t *testing.T) {
 func TestTable1Reaches(t *testing.T) {
 	// The two load-bearing Table 1 facts.
 	xeon, opt := New(XeonHT()), New(Opteron270())
-	if got := xeon.TLBReach(units.Size2M); got != 64*units.MB {
+	if got := xeon.Model.DTLB.Coverage(units.Size2M); got != 64*units.MB {
 		t.Errorf("Xeon 2MB reach = %s, want 64MB", units.HumanBytes(got))
 	}
-	if got := opt.TLBReach(units.Size2M); got != 16*units.MB {
+	if got := opt.Model.DTLB.Coverage(units.Size2M); got != 16*units.MB {
 		t.Errorf("Opteron 2MB reach = %s, want 16MB", units.HumanBytes(got))
 	}
 }
@@ -393,7 +393,7 @@ func TestNiagaraInterleavedScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctxs[0].HasSibling() {
+	if !ctxs[0].hasSibling {
 		t.Error("fully loaded T1 cores have siblings")
 	}
 	if ctxs[0].smtFlush {

@@ -53,9 +53,6 @@ func New(bytes int64) *PhysMem {
 	}
 }
 
-// TotalBytes returns the configured physical size.
-func (p *PhysMem) TotalBytes() int64 { return p.totalBytes }
-
 // Alloc4K allocates one 4 KB frame and returns its PFN. When the small free
 // list and the bump region are both exhausted, it splits a freed 2 MB frame
 // into 4 KB frames — the frames a rolled-back hugetlbfs preallocation handed
@@ -104,14 +101,6 @@ func (p *PhysMem) Alloc2M() (uint64, error) {
 	p.next2M -= uint64(FramesPer2M)
 	p.used2M++
 	return p.next2M, nil
-}
-
-// Free4K returns a 4 KB frame to the pool.
-func (p *PhysMem) Free4K(pfn uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free4K = append(p.free4K, pfn)
-	p.used4K--
 }
 
 // Free2M returns a 2 MB frame to the pool.

@@ -53,11 +53,7 @@ const (
 	defaultPoll    = 5 * time.Millisecond
 )
 
-// storeStats counts the store's outcomes on one padded cache line so
-// concurrent readers and writers never false-share (layout checked by
-// simlint's padding analyzer).
-//
-//simlint:padded
+// storeStats counts the store's outcomes.
 type storeStats struct {
 	hits        atomic.Uint64
 	misses      atomic.Uint64

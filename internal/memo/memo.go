@@ -99,16 +99,11 @@ type Backing interface {
 	GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, error)
 }
 
-// cacheStats counts hits, misses and evictions on a padded line so
-// concurrent sweep workers bumping them never false-share with the cache's
-// map header (layout checked by simlint's padding analyzer).
-//
-//simlint:padded
+// cacheStats counts the cache's hits, misses and evictions.
 type cacheStats struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	_         [40]byte
 }
 
 // Cache is a content-addressed result cache. The zero value is not usable;

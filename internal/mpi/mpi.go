@@ -6,23 +6,27 @@
 // Ranks are SPMD processes pinned to simulated hardware contexts. A message
 // is staged through a shared-memory buffer — the sender streams its source
 // buffer into the staging area, the receiver streams it out — with a
-// control-channel handshake per fragment, which is how intra-node MPI
+// control-message handshake per fragment, which is how intra-node MPI
 // devices of the era (e.g. MPICH's shm channel, or SCore's SMP device that
 // Omni/SCASH replaced) moved data. Because both the private buffers and the
 // staging area live in the System's data region, the page policy under test
 // (4 KB, 2 MB, mixed, transparent) governs every copy — which is exactly the
 // evaluation the paper proposed.
+//
+// Control messages ride one buffered Go channel per ordered rank pair,
+// MaxInFlight deep like the paper's mapped-file ring (§3.3). Their cost is a
+// closed-form charge of MsgCyc per send and per receive; a Send fragment's
+// payload travels in its control message, out of band, because the
+// simulated copy is the staging traffic.
 package mpi
 
 import (
 	"fmt"
-	"math"
 
 	"hugeomp/internal/core"
 	"hugeomp/internal/faultinject"
 	"hugeomp/internal/machine"
 	"hugeomp/internal/omp"
-	"hugeomp/internal/shmem"
 	"hugeomp/internal/units"
 )
 
@@ -30,14 +34,24 @@ import (
 // messages are pipelined through it fragment by fragment.
 const StagingBytes = 64 * units.KB
 
+// MaxInFlight is the number of control messages that may be outstanding
+// from one rank to another: "Multiple outstanding messages may be in flight
+// between a set of processes (up to 32 in the current implementation)"
+// (§3.3). A sender with that many unreceived messages blocks.
+const MaxInFlight = 32
+
+// msg is one control message.
+type msg struct {
+	v    float64   // an Allreduce partial sum
+	frag []float64 // a Send fragment's payload
+}
+
 // World is an MPI communicator over n ranks.
 type World struct {
-	sys  *core.System
-	rt   *omp.RT
-	mesh *shmem.Mesh
+	rt *omp.RT
 
-	staging []units.Addr     // staging[from*n+to]
-	payload []chan []float64 // out-of-band payload movement, same indexing
+	staging []units.Addr // staging[from*n+to]
+	ctl     []chan msg   // control channels, same indexing
 	n       int
 
 	fault *faultinject.Plan // nil = no injection
@@ -58,11 +72,9 @@ func NewWorld(sys *core.System, n int) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		sys:     sys,
 		rt:      rt,
-		mesh:    shmem.NewMesh(n),
 		staging: make([]units.Addr, n*n),
-		payload: make([]chan []float64, n*n),
+		ctl:     make([]chan msg, n*n),
 		n:       n,
 		sendSeq: make([]uint64, n*n),
 		recvSeq: make([]uint64, n*n),
@@ -73,7 +85,7 @@ func NewWorld(sys *core.System, n int) (*World, error) {
 			return nil, fmt.Errorf("mpi: staging buffer %d: %w", i, err)
 		}
 		w.staging[i] = addr
-		w.payload[i] = make(chan []float64, 64)
+		w.ctl[i] = make(chan msg, MaxInFlight)
 	}
 	return w, nil
 }
@@ -118,7 +130,7 @@ const maxCtlRetries = 8
 // armed SiteMPILoss plan: each lost attempt charges a timeout with
 // exponential backoff before the resend. Numerics are untouched — the real
 // channel send always happens exactly once.
-func (r *Rank) ctlSend(p int, ch *shmem.Channel, data []byte, what string) {
+func (r *Rank) ctlSend(p int, m msg) {
 	w := r.w
 	costs := w.rt.Machine().Model.Costs
 	seq := w.sendSeq[p]
@@ -133,9 +145,7 @@ func (r *Rank) ctlSend(p int, ch *shmem.Channel, data []byte, what string) {
 		r.C.Wait(costs.MsgCyc << attempt)
 		r.C.Ctr.MsgRetries++
 	}
-	if err := ch.Send(data); err != nil {
-		panic(fmt.Sprintf("mpi: %s send: %v", what, err))
-	}
+	w.ctl[p] <- m
 	r.C.Wait(costs.MsgCyc)
 }
 
@@ -143,32 +153,31 @@ func (r *Rank) ctlSend(p int, ch *shmem.Channel, data []byte, what string) {
 // delivery under an armed SiteMPIDup plan: the duplicate is recognised by
 // its repeated sequence number and dropped at the cost of one extra message
 // latency.
-func (r *Rank) ctlRecv(p int, ch *shmem.Channel, buf []byte) int {
+func (r *Rank) ctlRecv(p int) msg {
 	w := r.w
 	costs := w.rt.Machine().Model.Costs
 	seq := w.recvSeq[p]
 	w.recvSeq[p]++
 	key := uint64(p)<<32 | seq&0xffffffff
-	n := ch.Recv(buf)
+	m := <-w.ctl[p]
 	r.C.Wait(costs.MsgCyc)
 	if w.fault.ShouldKey(faultinject.SiteMPIDup, key) {
 		r.C.Wait(costs.MsgCyc)
 		r.C.Ctr.MsgDups++
 	}
-	return n
+	return m
 }
 
 // Send transmits elements [lo, hi) of arr to rank `to`. The transfer is
 // pipelined through the shared staging buffer: per fragment the sender
 // streams the source (read) and the staging area (write) and posts a
-// control message.
+// control message carrying the fragment.
 func (r *Rank) Send(to int, arr *core.Array, lo, hi int) {
 	if to == r.ID {
 		panic("mpi: send to self")
 	}
 	w := r.w
 	p := w.pair(r.ID, to)
-	ch := w.mesh.Chan(r.ID, to)
 	fragElems := int(StagingBytes / 8)
 	for base := lo; base < hi; base += fragElems {
 		end := base + fragElems
@@ -178,11 +187,10 @@ func (r *Rank) Send(to int, arr *core.Array, lo, hi int) {
 		// Stream source out, staging in.
 		arr.LoadRange(r.C, base, end)
 		r.C.AccessRange(w.staging[p], end-base, 8, true)
-		// Payload moves out of band; the handshake is a real message.
+		// The payload moves out of band, in the handshake message.
 		frag := make([]float64, end-base)
 		copy(frag, arr.Data[base:end])
-		w.payload[p] <- frag
-		r.ctlSend(p, ch, []byte{1}, "control")
+		r.ctlSend(p, msg{frag: frag})
 	}
 }
 
@@ -193,20 +201,17 @@ func (r *Rank) Recv(from int, arr *core.Array, lo, hi int) {
 	}
 	w := r.w
 	p := w.pair(from, r.ID)
-	ch := w.mesh.Chan(from, r.ID)
-	var ctl [8]byte
 	fragElems := int(StagingBytes / 8)
 	for base := lo; base < hi; base += fragElems {
 		end := base + fragElems
 		if end > hi {
 			end = hi
 		}
-		r.ctlRecv(p, ch, ctl[:])
+		m := r.ctlRecv(p)
 		// Stream staging out, destination in.
 		r.C.AccessRange(w.staging[p], end-base, 8, false)
 		arr.StoreRange(r.C, base, end)
-		frag := <-w.payload[p]
-		copy(arr.Data[base:end], frag)
+		copy(arr.Data[base:end], m.frag)
 	}
 }
 
@@ -225,12 +230,11 @@ func (r *Rank) SendRecv(partner int, send *core.Array, slo, shi int, recv *core.
 // Barrier is a dissemination barrier across the world.
 func (r *Rank) Barrier() {
 	w := r.w
-	var buf [8]byte
 	for round := 1; round < w.n; round <<= 1 {
 		to := (r.ID + round) % w.n
 		from := (r.ID - round + w.n) % w.n
-		r.ctlSend(w.pair(r.ID, to), w.mesh.Chan(r.ID, to), []byte{byte(round)}, "barrier")
-		r.ctlRecv(w.pair(from, r.ID), w.mesh.Chan(from, r.ID), buf[:])
+		r.ctlSend(w.pair(r.ID, to), msg{})
+		r.ctlRecv(w.pair(from, r.ID))
 	}
 }
 
@@ -242,30 +246,11 @@ func (r *Rank) Allreduce(v float64) float64 {
 	if w.n&(w.n-1) != 0 {
 		panic(fmt.Sprintf("mpi: Allreduce requires a power-of-two world, have %d", w.n))
 	}
-	var buf [16]byte
 	for round := 1; round < w.n; round <<= 1 {
 		to := (r.ID + round) % w.n
 		from := (r.ID - round + w.n) % w.n
-		var out [8]byte
-		putFloat(out[:], v)
-		r.ctlSend(w.pair(r.ID, to), w.mesh.Chan(r.ID, to), out[:], "allreduce")
-		n := r.ctlRecv(w.pair(from, r.ID), w.mesh.Chan(from, r.ID), buf[:])
-		v += getFloat(buf[:n])
+		r.ctlSend(w.pair(r.ID, to), msg{v: v})
+		v += r.ctlRecv(w.pair(from, r.ID)).v
 	}
 	return v
-}
-
-func putFloat(b []byte, f float64) {
-	bits := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(bits >> (8 * i))
-	}
-}
-
-func getFloat(b []byte) float64 {
-	var bits uint64
-	for i := 0; i < 8 && i < len(b); i++ {
-		bits |= uint64(b[i]) << (8 * i)
-	}
-	return math.Float64frombits(bits)
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -225,5 +226,73 @@ func TestInjectedLossInCollectives(t *testing.T) {
 	}
 	if total := w.RT().TotalCounters(); total.MsgRetries == 0 {
 		t.Fatal("collectives drew no retries at rate 0.4")
+	}
+}
+
+// TestCountersPinned pins the message path's exact counters: a 4-rank
+// SendRecv (three staging fragments each way), Barrier, Allreduce and Barrier
+// under a seeded loss and duplication plan, with 4 KB and 2 MB pages. Every
+// charge is closed-form and keyed by message sequence number, so each rank's
+// counters and the wall clock are fixed values, whatever carries the messages
+// on the host.
+func TestCountersPinned(t *testing.T) {
+	type rankCtr struct{ busy, barrierCyc, retries, dups, walks uint64 }
+	cases := []struct {
+		policy  core.PagePolicy
+		seconds uint64 // math.Float64bits(w.Seconds())
+		ranks   [4]rankCtr
+	}{
+		{core.Policy4K, 0x3f36eb0f3e479f8d, [4]rankCtr{
+			{690140, 31500, 7, 2, 112},
+			{684016, 26100, 5, 2, 112},
+			{686408, 27900, 7, 2, 112},
+			{695408, 36900, 8, 1, 112},
+		}},
+		{core.Policy2M, 0x3f362e25e959dc7b, [4]rankCtr{
+			{667648, 31500, 7, 2, 1},
+			{661588, 26100, 5, 2, 1},
+			{663888, 27900, 7, 2, 2},
+			{672888, 36900, 8, 1, 2},
+		}},
+	}
+	for _, tc := range cases {
+		w, sys := world(t, tc.policy, 4)
+		w.SetFaultPlan(faultinject.New(2007).
+			Enable(faultinject.SiteMPILoss, 0.3).
+			Enable(faultinject.SiteMPIDup, 0.3))
+		const part = 20000
+		a := sys.MustArray("a", 4*part)
+		b := sys.MustArray("b", 4*part)
+		for i := range a.Data {
+			a.Data[i] = float64(i)
+		}
+		sums := make([]float64, 4)
+		w.Run(func(r *Rank) {
+			o, po := r.ID*part, (r.ID^1)*part
+			r.SendRecv(r.ID^1, a, o, o+part, b, po, po+part)
+			r.Barrier()
+			sums[r.ID] = r.Allreduce(float64(r.ID + 1))
+			r.Barrier()
+		})
+		for i := range b.Data {
+			if b.Data[i] != float64(i) {
+				t.Fatalf("%v: b[%d] = %v, want %d", tc.policy, i, b.Data[i], i)
+			}
+		}
+		for rank, got := range sums {
+			if got != 10 {
+				t.Errorf("%v: rank %d allreduce = %v, want 10", tc.policy, rank, got)
+			}
+		}
+		for rank, c := range w.RT().Contexts() {
+			got := rankCtr{c.Ctr.Busy, c.Ctr.BarrierCyc, c.Ctr.MsgRetries, c.Ctr.MsgDups, c.Ctr.DTLBWalks()}
+			if got != tc.ranks[rank] {
+				t.Errorf("%v: rank %d {busy, barrierCyc, retries, dups, walks} = %v, want %v",
+					tc.policy, rank, got, tc.ranks[rank])
+			}
+		}
+		if got := math.Float64bits(w.Seconds()); got != tc.seconds {
+			t.Errorf("%v: Seconds bits = %#x, want %#x", tc.policy, got, tc.seconds)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package npb
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -98,7 +99,7 @@ func TestWarmForkIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := Checksum(w.kern)
+			before := sharedStatics(t, w.kern)
 
 			ck, err := New(name)
 			if err != nil {
@@ -123,18 +124,70 @@ func TestWarmForkIsolation(t *testing.T) {
 			wg.Wait()
 			for i := 0; i < forks; i++ {
 				if errs[i] != nil {
-					t.Fatalf("fork %d: %v", i, errs[i])
+					t.Errorf("fork %d: %v", i, errs[i])
+					continue
 				}
 				if !reflect.DeepEqual(cold, results[i]) {
 					t.Errorf("fork %d diverged from cold run (cross-fork write leak?)\ncold: %+v\nfork: %+v",
 						i, cold, results[i])
 				}
 			}
-			if after := Checksum(w.kern); after != before {
-				t.Errorf("frozen template mutated by forked runs: checksum %v -> %v", before, after)
+			after := sharedStatics(t, w.kern)
+			for arr, b := range before {
+				if len(b) == 0 || len(after[arr]) != len(b) {
+					t.Errorf("shared %s: %d elements before the forks, %d after", arr, len(b), len(after[arr]))
+				}
+				for i, v := range after[arr] {
+					if v != b[i] {
+						t.Errorf("frozen template mutated by forked runs: %s[%d] bits %#x -> %#x", arr, i, b[i], v)
+						break
+					}
+				}
 			}
 		})
 	}
+}
+
+// sharedStatics copies, as raw bits, the arrays that every fork of template k
+// shares read-only (fork.go's split): CG's matrix and right-hand side, BT's
+// forcing, SP's rho, FT's pristine grid and MG's input field.
+func sharedStatics(t *testing.T, k Kernel) map[string][]uint64 {
+	t.Helper()
+	floats := func(d []float64) []uint64 {
+		out := make([]uint64, len(d))
+		for i, v := range d {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	ints := func(d []int64) []uint64 {
+		out := make([]uint64, len(d))
+		for i, v := range d {
+			out[i] = uint64(v)
+		}
+		return out
+	}
+	switch v := k.(type) {
+	case *CG:
+		return map[string][]uint64{
+			"a": floats(v.a.Data), "colidx": ints(v.colidx.Data),
+			"rowstr": ints(v.rowstr.Data), "x": floats(v.x.Data),
+		}
+	case *BT:
+		return map[string][]uint64{"forcing": floats(v.forcing.Data)}
+	case *SP:
+		return map[string][]uint64{"rho": floats(v.rho.Data)}
+	case *FT:
+		parts := make([]float64, 0, 2*len(v.orig))
+		for _, c := range v.orig {
+			parts = append(parts, real(c), imag(c))
+		}
+		return map[string][]uint64{"orig": floats(parts)}
+	case *MG:
+		return map[string][]uint64{"f[0]": floats(v.f[0].Data)}
+	}
+	t.Fatalf("no shared statics listed for %T", k)
+	return nil
 }
 
 // TestWarmRejectsIncompatibleConfigs: faulted configs and address-space

@@ -55,8 +55,8 @@ func TestCancelledWorksharingSkipsChunksConserved(t *testing.T) {
 			if got := bodies.Load(); got != 0 {
 				t.Errorf("cancelled %s loop ran %d chunks, want 0", sched, got)
 			}
-			if rt.Regions() != 1 {
-				t.Errorf("regions = %d, want 1 (aborted region must still account)", rt.Regions())
+			if rt.regions != 1 {
+				t.Errorf("regions = %d, want 1 (aborted region must still account)", rt.regions)
 			}
 			// The barrier was still charged: with 4 threads the region cost
 			// cannot be fork overhead alone.
@@ -64,15 +64,15 @@ func TestCancelledWorksharingSkipsChunksConserved(t *testing.T) {
 				t.Errorf("wall = %d cycles, want > fork overhead %d (barrier must still run)",
 					rt.WallCycles(), rt.m.Model.Costs.ForkCyc)
 			}
-			// The merged deltas equal the raw context counters: nothing was
-			// lost between the shards and the totals.
-			var shardSum, ctxSum uint64
-			for i, c := range rt.ctxs {
-				shardSum += rt.deltas.Shard(i).Busy
-				ctxSum += c.Ctr.Busy
+			// The deltas merged into the region profiles equal the raw
+			// context counters: nothing was lost between the join and the
+			// totals.
+			var profSum uint64
+			for _, p := range rt.RegionProfiles() {
+				profSum += p.Counters.Busy
 			}
-			if shardSum != ctxSum {
-				t.Errorf("merged busy deltas %d != context busy total %d", shardSum, ctxSum)
+			if ctxSum := rt.TotalCounters().Busy; profSum != ctxSum {
+				t.Errorf("merged busy deltas %d != context busy total %d", profSum, ctxSum)
 			}
 		})
 	}

@@ -111,17 +111,17 @@ type RT struct {
 	regions uint64 // parallel regions executed
 	inPar   bool   // guard against nested Parallel (unsupported, like Omni)
 
-	// deltas holds each thread's counter delta for the current region in a
-	// padded per-thread shard (written concurrently by the team's goroutines
-	// at region exit without false sharing, merged in ascending tid order at
-	// the join — the deterministic merge point).
-	deltas *profile.ShardedCounters
-	// snap is the virtual-time scheduler's entry-snapshot scratch.
-	snap []profile.Counters
-	// partials is the reduction scratch: one padded slot per thread, so
-	// concurrent partial updates never share a cache line (and never need a
-	// lock).
-	partials []reducePartial
+	// entry holds each context's counters at region entry, copied by the
+	// master before the team starts. At the join each context's region
+	// delta is c.Ctr.Delta(entry[i]): nothing writes a context's counters
+	// between its goroutine's return and the join.
+	entry []profile.Counters
+	// coreBusy, coreMem and coreMaxThread are the join's per-core sums,
+	// cleared on each region.
+	coreBusy, coreMem, coreMaxThread []uint64
+	// partials is the reduction scratch: one slot per thread, each written
+	// only by its own thread.
+	partials []float64
 
 	// Per-code-region profile (the OProfile per-symbol view): aggregated
 	// counter deltas and wall cycles for every named CodeRegion.
@@ -162,9 +162,12 @@ func New(m *machine.Machine, nthreads int, opts ...Option) (*RT, error) {
 		barrier:    TreeBarrier,
 		regionProf: make(map[string]*RegionProfile),
 	}
-	rt.deltas = profile.NewShardedCounters(nthreads)
-	rt.snap = make([]profile.Counters, nthreads)
-	rt.partials = make([]reducePartial, nthreads)
+	rt.entry = make([]profile.Counters, nthreads)
+	ncores := m.Model.Cores()
+	rt.coreBusy = make([]uint64, ncores)
+	rt.coreMem = make([]uint64, ncores)
+	rt.coreMaxThread = make([]uint64, ncores)
+	rt.partials = make([]float64, nthreads)
 	for _, o := range opts {
 		o(rt)
 	}
@@ -186,9 +189,6 @@ func (rt *RT) WallCycles() uint64 { return rt.wall }
 
 // Seconds converts the accumulated wall clock to simulated seconds.
 func (rt *RT) Seconds() float64 { return rt.m.Seconds(rt.wall) }
-
-// Regions returns the number of parallel regions executed.
-func (rt *RT) Regions() uint64 { return rt.regions }
 
 // Bind attaches ctx as the runtime's cancellation source. Worksharing loops
 // poll it between chunks and stop issuing work once it is done (the region
@@ -224,10 +224,6 @@ func (rt *RT) interrupted() bool {
 	return rt.runCtx != nil && rt.runCtx.Err() != nil
 }
 
-// AddSerial charges cyc cycles of master-only serial execution to the wall
-// clock (the sequential sections of the fork-join model).
-func (rt *RT) AddSerial(cyc uint64) { rt.wall += cyc }
-
 // Serial runs fn on the master context and charges its busy delta to the
 // wall clock (sequential section between parallel regions).
 func (rt *RT) Serial(fn func(c *machine.Context)) {
@@ -247,6 +243,7 @@ func (rt *RT) Parallel(code *CodeRegion, body func(tid int, c *machine.Context))
 	rt.inPar = true
 	defer func() { rt.inPar = false }()
 
+	rt.snapshotEntry()
 	n := len(rt.ctxs)
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -254,14 +251,9 @@ func (rt *RT) Parallel(code *CodeRegion, body func(tid int, c *machine.Context))
 		go func(tid int) {
 			defer wg.Done()
 			c := rt.ctxs[tid]
-			// Entry snapshot and exit delta are the worker's own: each
-			// thread writes only its padded shard, concurrently but without
-			// false sharing; the join below is the merge point.
-			entry := c.Ctr
 			code.touch(c)
 			body(tid, c)
 			rt.chargeBarrier(tid)
-			*rt.deltas.Shard(tid) = c.Ctr.Delta(entry)
 		}(i)
 	}
 	wg.Wait()
@@ -292,11 +284,12 @@ func (rt *RT) chargeBarrier(tid int) {
 	rt.ctxs[tid].Wait(hops * rt.m.Model.Costs.MsgCyc)
 }
 
-// Barrier runs a standalone team barrier as its own mini-region (usable only
-// outside Parallel; inside a region the loop constructs provide the implied
-// barriers).
-func (rt *RT) Barrier() {
-	rt.Parallel(nil, func(int, *machine.Context) {})
+// snapshotEntry copies every context's counters into rt.entry; the master
+// calls it at region entry, before any thread of the team runs.
+func (rt *RT) snapshotEntry() {
+	for i, c := range rt.ctxs {
+		rt.entry[i] = c.Ctr
+	}
 }
 
 // chunkFor computes the effective chunk for a schedule.
@@ -363,12 +356,11 @@ func (rt *RT) virtualTimeFor(code *CodeRegion, n int, f For, body func(tid int, 
 	defer func() { rt.inPar = false }()
 
 	nt := len(rt.ctxs)
-	before := rt.snap
-	for i, c := range rt.ctxs {
-		before[i] = c.Ctr
+	rt.snapshotEntry()
+	for _, c := range rt.ctxs {
 		code.touch(c)
 	}
-	delta := func(i int) uint64 { return rt.ctxs[i].Ctr.Busy - before[i].Busy }
+	delta := func(i int) uint64 { return rt.ctxs[i].Ctr.Busy - rt.entry[i].Busy }
 
 	minChunk := f.chunk(n, nt)
 	remaining := n
@@ -396,18 +388,16 @@ func (rt *RT) virtualTimeFor(code *CodeRegion, n int, f For, body func(tid int, 
 		lo += sz
 		remaining -= sz
 	}
-	for i, c := range rt.ctxs {
+	for i := range rt.ctxs {
 		rt.chargeBarrier(i)
-		*rt.deltas.Shard(i) = c.Ctr.Delta(before[i])
 	}
 	rt.accountRegion(code)
 }
 
-// accountRegion charges the wall clock for a completed region from the
-// per-thread delta shards filled at region exit, and attributes the deltas
-// to the region's profile entry. It runs after the team joins, reading the
-// shards in ascending tid order — the deterministic merge point for the
-// sharded counters.
+// accountRegion charges the wall clock for a completed region and attributes
+// each context's region delta to the region's profile entry. It runs after
+// the team joins and folds the deltas in ascending tid order — the
+// deterministic merge point.
 func (rt *RT) accountRegion(code *CodeRegion) {
 	// Per-core aggregation: SMT siblings serialise on the execution units.
 	// Under flush-on-switch SMT (Xeon) memory stalls serialise too; under
@@ -419,18 +409,28 @@ func (rt *RT) accountRegion(code *CodeRegion) {
 	// Dense per-core slices (CoreOf keys are contiguous): the aggregation
 	// and the fold below visit cores in index order, so the merge is
 	// deterministic by construction, not by map luck.
-	ncores := rt.m.Model.Cores()
-	coreBusy := make([]uint64, ncores)
-	coreMem := make([]uint64, ncores)
-	coreMaxThread := make([]uint64, ncores)
+	coreBusy, coreMem, coreMaxThread := rt.coreBusy, rt.coreMem, rt.coreMaxThread
+	clear(coreBusy)
+	clear(coreMem)
+	clear(coreMaxThread)
+	name := "(anonymous)"
+	if code != nil {
+		name = code.Name
+	}
+	prof := rt.regionProf[name]
+	if prof == nil {
+		prof = &RegionProfile{Name: name}
+		rt.regionProf[name] = prof
+	}
 	for i, c := range rt.ctxs {
+		d := c.Ctr.Delta(rt.entry[i])
 		core := rt.m.CoreOf(c)
-		d := rt.deltas.Shard(i)
 		coreBusy[core] += d.Busy
 		coreMem[core] += d.MemCyc
 		if d.Busy > coreMaxThread[core] {
 			coreMaxThread[core] = d.Busy
 		}
+		prof.Counters.Add(&d)
 	}
 	var max uint64
 	for core, b := range coreBusy {
@@ -449,21 +449,8 @@ func (rt *RT) accountRegion(code *CodeRegion) {
 	regionWall := rt.m.Model.Costs.ForkCyc + max
 	rt.wall += regionWall
 	rt.regions++
-
-	name := "(anonymous)"
-	if code != nil {
-		name = code.Name
-	}
-	prof := rt.regionProf[name]
-	if prof == nil {
-		prof = &RegionProfile{Name: name}
-		rt.regionProf[name] = prof
-	}
 	prof.Entries++
 	prof.WallCycles += regionWall
-	for i := range rt.ctxs {
-		prof.Counters.Add(rt.deltas.Shard(i))
-	}
 }
 
 // RegionProfiles returns the per-region profile entries sorted by wall
@@ -484,24 +471,14 @@ func (rt *RT) RegionProfiles() []*RegionProfile {
 	return out
 }
 
-// reducePartial is one thread's reduction slot, padded to a full host cache
-// line so concurrent partial updates from different threads never share one
-// (layout checked by simlint's padding analyzer).
-//
-//simlint:padded
-type reducePartial struct {
-	v float64
-	_ [56]byte
-}
-
 // ParallelForReduce runs a worksharing loop whose body returns a partial
 // float64 value; partials are combined pairwise up a tree, charged as
 // messages (`reduction(+:x)` and friends).
 //
-// Each thread folds into its own padded partial slot — no lock, no shared
-// line — and the master combines the slots in ascending tid order after the
-// join, so the float summation order is deterministic by construction (it
-// never depends on thread finish order).
+// Each thread folds into its own partial slot, with no lock, and the master
+// combines the slots in ascending tid order after the join, so the float
+// summation order is deterministic by construction (it never depends on
+// thread finish order).
 func (rt *RT) ParallelForReduce(code *CodeRegion, n int, f For, identity float64,
 	body func(tid int, c *machine.Context, lo, hi int) float64,
 	combine func(a, b float64) float64) float64 {
@@ -509,20 +486,20 @@ func (rt *RT) ParallelForReduce(code *CodeRegion, n int, f For, identity float64
 	nt := len(rt.ctxs)
 	partials := rt.partials
 	for i := range partials {
-		partials[i].v = identity
+		partials[i] = identity
 	}
 	inner := func(tid int, c *machine.Context, lo, hi int) {
 		v := body(tid, c, lo, hi)
-		partials[tid].v = combine(partials[tid].v, v)
+		partials[tid] = combine(partials[tid], v)
 	}
 	rt.ParallelFor(code, n, f, inner)
 
 	// Tree combine with message costs charged to the master-side wall: the
 	// reduction happens inside the implicit barrier in real runtimes; here
 	// we charge ⌈log2 T⌉ message rounds.
-	result := partials[0].v
+	result := partials[0]
 	for i := 1; i < nt; i++ {
-		result = combine(result, partials[i].v)
+		result = combine(result, partials[i])
 	}
 	rounds := uint64(bits.Len(uint(nt - 1))) // ⌈log2 nt⌉
 	rt.wall += rounds * rt.m.Model.Costs.MsgCyc

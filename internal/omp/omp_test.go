@@ -39,8 +39,8 @@ func TestParallelRunsAllThreads(t *testing.T) {
 			t.Errorf("thread %d did not run", i)
 		}
 	}
-	if rt.Regions() != 1 {
-		t.Errorf("regions = %d", rt.Regions())
+	if rt.regions != 1 {
+		t.Errorf("regions = %d", rt.regions)
 	}
 	if rt.WallCycles() == 0 {
 		t.Error("region cost not charged")
@@ -150,7 +150,7 @@ func TestReduction(t *testing.T) {
 	}
 }
 
-// TestReductionDeterministic: the mutex-free reduction combines the padded
+// TestReductionDeterministic: the mutex-free reduction combines the
 // per-thread partials in tid order after the join, so a float combine whose
 // result depends on operand order must come out bit-identical on every run —
 // equal to the serial tid-order fold — no matter how the threads interleave.
@@ -193,7 +193,7 @@ func TestBarrierMovesRealMessages(t *testing.T) {
 	model := machine.XeonHT()
 	msg := model.Costs.MsgCyc
 	paths := map[string]func(rt *RT){
-		"parallel": func(rt *RT) { rt.Barrier() },
+		"parallel": func(rt *RT) { rt.Parallel(nil, func(int, *machine.Context) {}) },
 		"virtual-time": func(rt *RT) {
 			rt.ParallelFor(nil, 16, For{Schedule: Dynamic}, func(int, *machine.Context, int, int) {})
 		},
@@ -230,8 +230,8 @@ func TestBarrierMovesRealMessages(t *testing.T) {
 func TestCentralBarrierCostsMoreAtMaster(t *testing.T) {
 	rtc := newRT(t, machine.Opteron270(), 4, WithBarrier(CentralBarrier))
 	rtt := newRT(t, machine.Opteron270(), 4, WithBarrier(TreeBarrier))
-	rtc.Barrier()
-	rtt.Barrier()
+	rtc.Parallel(nil, func(int, *machine.Context) {})
+	rtt.Parallel(nil, func(int, *machine.Context) {})
 	// Central master: 2*(T-1) = 6 message costs; tree: 2*ceil(log2 4) = 4.
 	mc := rtc.Contexts()[0].Ctr.BarrierCyc
 	mt := rtt.Contexts()[0].Ctr.BarrierCyc

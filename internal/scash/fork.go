@@ -11,11 +11,9 @@ func (a *Allocator) Fork() *Allocator {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	na := &Allocator{
-		base:  a.base,
 		limit: a.limit,
 		brk:   a.brk,
 		used:  a.used,
-		high:  a.high,
 		sizes: make(map[units.Addr]int64, len(a.sizes)),
 	}
 	if a.free != nil {

@@ -127,9 +127,6 @@ func NewSpaceLazy(base units.Addr, size int64) (*Space, error) {
 	}, nil
 }
 
-// Region returns the backing shared region.
-func (s *Space) Region() *shmem.Region { return s.region }
-
 // PageSize returns the backing page size of application data.
 func (s *Space) PageSize() units.PageSize { return s.region.Size }
 
@@ -176,17 +173,6 @@ func (s *Space) Lookup(name string) (Symbol, error) {
 	return sym, nil
 }
 
-// Globals returns all registered symbols in registration order.
-func (s *Space) Globals() []Symbol {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Symbol, 0, len(s.order))
-	for _, n := range s.order {
-		out = append(out, s.symbols[n])
-	}
-	return out
-}
-
 // Malloc allocates dynamic shared memory.
 func (s *Space) Malloc(size int64) (units.Addr, error) {
 	return s.alloc.Alloc(size)
@@ -198,22 +184,14 @@ func (s *Space) Free(addr units.Addr) error { return s.alloc.Free(addr) }
 // UsedBytes reports allocator usage (paper Table 2's data footprint).
 func (s *Space) UsedBytes() int64 { return s.alloc.Used() }
 
-// FootprintPages reports how many backing pages the allocated data spans.
-func (s *Space) FootprintPages() int64 {
-	used := s.alloc.HighWater() - int64(0)
-	return (used + s.region.Size.Bytes() - 1) / s.region.Size.Bytes()
-}
-
 // Allocator is the SCASH internal allocator: a 4 KB-aligned first-fit
 // allocator with an address-ordered free list and coalescing, carving blocks
 // out of the shared region.
 type Allocator struct {
 	mu    sync.Mutex
-	base  units.Addr
 	limit units.Addr
 	brk   units.Addr // bump pointer; blocks above came from the free list
 	used  int64
-	high  int64 // high-water mark of brk, relative to base
 
 	free  []span // address-ordered, coalesced
 	sizes map[units.Addr]int64
@@ -231,7 +209,6 @@ const allocAlign = units.PageSize4K
 // NewAllocator creates an allocator over [base, base+size).
 func NewAllocator(base units.Addr, size int64) *Allocator {
 	return &Allocator{
-		base:  base,
 		limit: base + units.Addr(size),
 		brk:   base,
 		sizes: make(map[units.Addr]int64),
@@ -267,9 +244,6 @@ func (a *Allocator) Alloc(size int64) (units.Addr, error) {
 	}
 	addr := a.brk
 	a.brk += units.Addr(size)
-	if hw := int64(a.brk - a.base); hw > a.high {
-		a.high = hw
-	}
 	a.sizes[addr] = size
 	a.used += size
 	return addr, nil
@@ -303,7 +277,3 @@ func (a *Allocator) Free(addr units.Addr) error {
 
 // Used returns live allocated bytes.
 func (a *Allocator) Used() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.used }
-
-// HighWater returns the peak extent of the arena ever used, in bytes from
-// the region base.
-func (a *Allocator) HighWater() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.high }

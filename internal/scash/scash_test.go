@@ -47,13 +47,13 @@ func TestSpace2MBackingUsesHugetlbfs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 5MB rounds to 3 large pages.
-	if s.Region().Len != 6*units.MB {
-		t.Errorf("region len = %d", s.Region().Len)
+	if s.region.Len != 6*units.MB {
+		t.Errorf("region len = %d", s.region.Len)
 	}
 	if fs.UsedPages() != 3 {
 		t.Errorf("hugetlbfs used = %d, want 3", fs.UsedPages())
 	}
-	wr, err := pt.Translate(s.Region().Base)
+	wr, err := pt.Translate(s.region.Base)
 	if err != nil || wr.Entry.Size != units.Size2M {
 		t.Errorf("backing not 2MB: %v %v", wr, err)
 	}
@@ -95,9 +95,9 @@ func TestGlobalsTransformation(t *testing.T) {
 	if _, err := s.Lookup("zzz"); !errors.Is(err, ErrUnknownName) {
 		t.Errorf("unknown lookup: %v", err)
 	}
-	gl := s.Globals()
-	if len(gl) != 2 || gl[0].Name != "a" || gl[1].Name != "b" {
-		t.Errorf("Globals() = %+v", gl)
+	if len(s.order) != 2 || s.order[0] != "a" || s.order[1] != "b" ||
+		s.symbols["a"] != a || s.symbols["b"] != b {
+		t.Errorf("globals in order %v = %+v", s.order, s.symbols)
 	}
 }
 

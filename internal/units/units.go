@@ -163,8 +163,3 @@ func eqFold(a, b string) bool {
 func AlignUp(n int64, align int64) int64 {
 	return (n + align - 1) &^ (align - 1)
 }
-
-// AlignUpAddr rounds a up to the next multiple of align (a power of two).
-func AlignUpAddr(a Addr, align int64) Addr {
-	return Addr(AlignUp(int64(a), align))
-}
