@@ -44,13 +44,15 @@ lint-fix-check:
 # corpora under internal/lint/*/testdata), simlint, and the race detector
 # over the packages whose goroutines meet: the shootdown mailbox, the omp
 # join, the parallel harness, npb, where team goroutines run whole kernels on
-# contexts that must share no TLB or cache state, and mpi, whose rank
-# goroutines meet on its buffered control channels.
+# contexts that must share no TLB or cache state, mpi, whose rank goroutines
+# meet on its buffered control channels, and the page table, which every
+# walk reads under its read lock while transparent-huge-page faults (thp,
+# driven from team goroutines by core's tests) write it.
 check: lint
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
-	$(GO) test -race -short -count=1 ./internal/machine/ ./internal/omp/ ./internal/par/ ./internal/bench/ ./internal/cache/ ./internal/scash/ ./internal/profile/ ./internal/npb/ ./internal/mpi/
+	$(GO) test -race -short -count=1 ./internal/machine/ ./internal/omp/ ./internal/par/ ./internal/bench/ ./internal/cache/ ./internal/scash/ ./internal/profile/ ./internal/npb/ ./internal/mpi/ ./internal/core/ ./internal/thp/ ./internal/pagetable/
 
 # Fault-injection soak: 50 seeded, replayable fault plans over CG/MG/SP.
 # Every run must pass NPB verification with fault-free numerics, hold all

@@ -1,6 +1,5 @@
 // Package check implements simulator-wide invariant auditing: conservation
-// laws over the profile counters, TLB-versus-page-table consistency, and the
-// generation protocol of the per-context translation cache.
+// laws over the profile counters and TLB-versus-page-table consistency.
 //
 // The audits are meant to run on a quiescent system — after a kernel, a
 // barrier, or a whole benchmark completes — and they are what turns the fault
@@ -90,17 +89,10 @@ func TLBs(ctx *machine.Context) error {
 	return errors.Join(errs...)
 }
 
-// TranslationCache audits the context's generation-stamped page-walk cache:
-// every slot stamped with the current table generation must hold exactly what
-// a fresh walk would return.
-func TranslationCache(ctx *machine.Context) error {
-	return ctx.AuditTranslationCache()
-}
-
 // All runs every audit over a quiescent machine: the counter conservation
 // laws over the sum of all contexts (and over each context individually,
-// since the laws hold per context too) and the TLB and translation-cache
-// consistency of every context.
+// since the laws hold per context too) and the TLB consistency of every
+// context.
 func All(m *machine.Machine) error {
 	var errs []error
 	var agg profile.Counters
@@ -110,9 +102,6 @@ func All(m *machine.Machine) error {
 			errs = append(errs, fmt.Errorf("ctx %d: %w", ctx.ID, err))
 		}
 		if err := TLBs(ctx); err != nil {
-			errs = append(errs, err)
-		}
-		if err := TranslationCache(ctx); err != nil {
 			errs = append(errs, err)
 		}
 	}

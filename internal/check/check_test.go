@@ -98,23 +98,6 @@ func TestTLBAuditCatchesMissedUnmapShootdown(t *testing.T) {
 	}
 }
 
-func TestTranslationCacheAuditCatchesCorruption(t *testing.T) {
-	_, ctxs := newMachine(t, machine.Opteron270(), 1, 16, units.Size4K)
-	c := ctxs[0]
-	c.AccessRange(0, 16*512, 8, false)
-	if err := TranslationCache(c); err != nil {
-		t.Fatalf("clean translation cache flagged: %v", err)
-	}
-	// Plant a current-generation entry whose PFN disagrees with the table.
-	c.ForceTranslationCacheEntry(9, pagetable.WalkResult{
-		MemRefs: 4,
-		Entry:   pagetable.Entry{PFN: 0xdead, Size: units.Size4K, Prot: pagetable.ProtRW},
-	})
-	if err := TranslationCache(c); err == nil {
-		t.Fatal("corrupted translation-cache entry not flagged")
-	}
-}
-
 // FuzzCounters drives the counter audit with arbitrary conserved sets: a
 // consistent set (constructed so every law holds) must pass, and a +delta
 // perturbation of any single equality-law field must fail.

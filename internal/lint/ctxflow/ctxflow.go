@@ -51,7 +51,7 @@ var Packages = []string{"internal/npb"}
 var RTType = "omp.RT"
 
 // RegionMethods are the RTType methods that issue simulated parallel work.
-var RegionMethods = "Serial,Parallel,ParallelFor,ParallelForReduce,ParallelSections"
+var RegionMethods = "Parallel,ParallelFor,ParallelForReduce"
 
 // CheckpointMethods are the RTType methods that observe cancellation.
 var CheckpointMethods = "Checkpoint"

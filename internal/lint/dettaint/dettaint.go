@@ -67,7 +67,6 @@ var Packages = []string{
 	"internal/check",
 	"internal/npb",
 	"internal/memo",
-	"internal/shmem",
 }
 
 // SinkTypes is the comma-separated list of named types whose methods are

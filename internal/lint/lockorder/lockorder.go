@@ -84,7 +84,6 @@ var Packages = []string{
 	"internal/tlb",
 	"internal/pagetable",
 	"internal/omp",
-	"internal/shmem",
 	"internal/npb",
 }
 

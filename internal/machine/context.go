@@ -70,16 +70,6 @@ type Context struct {
 	lastMissLine  uint64
 	lastMissValid bool
 
-	// Translation cache: a direct-mapped host-side cache of page-walk
-	// results, generation-stamped via xlatGen so repeat walks to an
-	// unchanged table never take the table's RWMutex. Purely a simulator
-	// fast path — simulated costs are charged identically either way. Only
-	// the owning goroutine touches it; see walk for the validity protocol.
-	xlat []xlatSlot
-	// xlatGen is the pagetable generation xlat was filled under; a mismatch
-	// with pt.Gen() lazily wipes the cache.
-	xlatGen uint64
-
 	// Scratch buffers for GatherRange/ScatterRange index sorting, reused
 	// across calls so steady-state gathers are allocation-free.
 	idxSort []int64
@@ -99,20 +89,6 @@ type Context struct {
 type shootReq struct {
 	va   units.Addr
 	size units.PageSize
-}
-
-// xlatSlots sizes the per-context translation cache (direct-mapped, keyed by
-// 4 KB virtual page number). Must be a power of two. 4096 slots cover 16 MB
-// of 4 KB pages — the working sets of the NPB classes the harness sweeps —
-// in 64 KB per context; conflicts merely fall back to a locked walk.
-const xlatSlots = 4096
-
-// xlatSlot caches the page-walk result of one 4 KB-granule VPN in 16 bytes:
-// key is vpn<<1|1, so a zeroed slot is empty, and wr the result packed by
-// pagetable.Pack.
-type xlatSlot struct {
-	key uint64
-	wr  uint64
 }
 
 // Machine returns the owning machine.
@@ -174,36 +150,10 @@ func (c *Context) countL1Miss(s units.PageSize) {
 }
 
 // walk resolves va through the page table, retrying after serviced faults.
-// Repeat walks are served from the per-context translation cache: the cache
-// as a whole is stamped with the table generation its walk results were
-// filled under (xlatGen), so while that stamp still equals Gen() the table
-// has not mutated and every cached result is exactly what a fresh walk would
-// return — without taking the table's RWMutex. A stale stamp lazily wipes
-// the cache; a write to a read-only page (which is fatal) just falls through
-// to the locked walk. Invalidation is purely monotonic: Map and Unmap bump
-// the generation, and the TLB-level consequences are already handled by the
-// shootdown mailbox. A walk that races a table mutation installs a result
-// the sweep will discard at the next walk (xlatGen is only synced at entry,
-// so it can never run ahead and validate a stale slot).
 func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
-	vpn := uint64(va) >> units.PageShift4K
-	if gen := c.pt.Gen(); gen != c.xlatGen {
-		clear(c.xlat)
-		c.xlatGen = gen
-	}
-	slot := &c.xlat[vpn&(xlatSlots-1)]
-	if slot.key == vpn<<1|1 {
-		wr := pagetable.UnpackWalk(slot.wr)
-		if !write || wr.Entry.Prot&pagetable.ProtWrite != 0 {
-			return wr
-		}
-	}
 	for {
 		wr, err := c.pt.Access(va, write)
 		if err == nil {
-			if packed, ok := wr.Pack(); ok {
-				*slot = xlatSlot{key: vpn<<1 | 1, wr: packed}
-			}
 			return wr
 		}
 		if errors.Is(err, pagetable.ErrNotMapped) && c.OnFault != nil {
@@ -642,56 +592,6 @@ func (c *Context) SettleForAudit() {
 	if c.shootFlag.Load() {
 		c.drainShootdowns()
 	}
-}
-
-// AuditTranslationCache re-validates every generation-current slot of the
-// per-context translation cache against the live page table. The cache's
-// validity protocol promises that while xlatGen equals the current table
-// generation, every walk-valid slot holds exactly what a fresh walk would
-// return; this audit proves it by re-walking. A stale epoch (the whole
-// cache is then dead) and empty slots are legal (walk ignores them) and are
-// skipped. Call only while the context is quiescent (no
-// access in flight).
-func (c *Context) AuditTranslationCache() error {
-	if c.xlatGen != c.pt.Gen() {
-		return nil
-	}
-	for i := range c.xlat {
-		slot := &c.xlat[i]
-		if slot.key == 0 {
-			continue
-		}
-		vpn := slot.key >> 1
-		cached := pagetable.UnpackWalk(slot.wr)
-		va := units.Addr(vpn) << units.PageShift4K
-		wr, err := c.pt.Translate(va)
-		if err != nil {
-			return fmt.Errorf("machine: context %d xlat slot %d: cached vpn %#x (gen %d) no longer translates: %w",
-				c.ID, i, vpn, c.xlatGen, err)
-		}
-		if wr != cached {
-			return fmt.Errorf("machine: context %d xlat slot %d: cached walk for vpn %#x is %+v but the table says %+v",
-				c.ID, i, vpn, cached, wr)
-		}
-	}
-	return nil
-}
-
-// ForceTranslationCacheEntry overwrites the translation-cache slot for vpn
-// with the given walk result, stamped current. It exists so internal/check's
-// tests can corrupt the cache and prove AuditTranslationCache is not
-// vacuously green; simulation code must never call it. Results outside the
-// packed ranges (see pagetable.Pack) cannot be planted.
-func (c *Context) ForceTranslationCacheEntry(vpn uint64, wr pagetable.WalkResult) {
-	packed, ok := wr.Pack()
-	if !ok {
-		panic(fmt.Sprintf("machine: ForceTranslationCacheEntry: unpackable walk result %+v", wr))
-	}
-	if gen := c.pt.Gen(); gen != c.xlatGen {
-		clear(c.xlat)
-		c.xlatGen = gen
-	}
-	c.xlat[vpn&(xlatSlots-1)] = xlatSlot{key: vpn<<1 | 1, wr: packed}
 }
 
 // drainShootdowns applies queued invalidations.

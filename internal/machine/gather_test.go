@@ -158,7 +158,7 @@ func TestShootdownDuringGather(t *testing.T) {
 	}
 	run := func(bulk bool) *Context {
 		c := cfg.mk(t)
-		c.GatherRange(0, 8, idx) // prime TLBs and translation cache
+		c.GatherRange(0, 8, idx) // prime the TLBs
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -190,8 +190,7 @@ func TestShootdownDuringGather(t *testing.T) {
 }
 
 // TestShootdownConcurrentWithGather is the -race stress variant for the
-// indexed path: remaps hammer the mailbox (and bump the page-table
-// generation, killing translation-cache entries) while gathers are in
+// indexed path: invalidations hammer the mailbox while gathers are in
 // flight. Only invariants are asserted: exact access count and a drained
 // mailbox.
 func TestShootdownConcurrentWithGather(t *testing.T) {

@@ -102,7 +102,6 @@ func (m *Machine) Configure(n int) ([]*Context, error) {
 			costs:      &m.Model.Costs,
 			hasSibling: coreShare > 1,
 			smtFlush:   m.Model.SMT == SMTFlushOnSwitch && coreShare > 1,
-			xlat:       make([]xlatSlot, xlatSlots),
 		}
 		if ctx.itlb, err = tlb.NewHierarchy(m.Model.ITLB.Partition(coreShare)); err != nil {
 			return nil, fmt.Errorf("machine: %s ITLB: %w", m.Model.Name, err)

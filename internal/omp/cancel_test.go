@@ -78,21 +78,6 @@ func TestCancelledWorksharingSkipsChunksConserved(t *testing.T) {
 	}
 }
 
-func TestCancelledSectionsSkipAll(t *testing.T) {
-	rt := newRT(t, machine.Opteron270(), 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	rt.Bind(ctx)
-	cancel()
-	var ran atomic.Int64
-	rt.ParallelSections(nil, []func(c *machine.Context){
-		func(c *machine.Context) { ran.Add(1) },
-		func(c *machine.Context) { ran.Add(1) },
-	})
-	if ran.Load() != 0 {
-		t.Errorf("cancelled sections ran %d, want 0", ran.Load())
-	}
-}
-
 // TestIdleContextBitIdentical: binding a context that never fires must not
 // change a single counter — the cancellation polls are pure reads.
 func TestIdleContextBitIdentical(t *testing.T) {

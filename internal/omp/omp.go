@@ -1,8 +1,7 @@
 // Package omp is the OpenMP runtime of the reproduction: a fork-join
 // execution model (the paper's Figure 1) with worksharing loops
-// (static/dynamic/guided schedules), barriers, reductions, critical sections
-// and single regions, executing on the simulated hardware contexts of a
-// machine.Machine.
+// (static/dynamic/guided schedules), barriers and reductions, executing on
+// the simulated hardware contexts of a machine.Machine.
 //
 // Timing model: each context accumulates busy cycles for its own work; a
 // parallel region's wall-clock cost is the maximum busy delta over physical
@@ -22,7 +21,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hugeomp/internal/machine"
 	"hugeomp/internal/profile"
@@ -183,8 +181,8 @@ func (rt *RT) Machine() *machine.Machine { return rt.m }
 // Contexts returns the team's hardware contexts.
 func (rt *RT) Contexts() []*machine.Context { return rt.ctxs }
 
-// WallCycles returns the simulated wall-clock cycles accumulated by serial
-// sections and parallel regions so far.
+// WallCycles returns the simulated wall-clock cycles accumulated by parallel
+// regions and their reductions so far.
 func (rt *RT) WallCycles() uint64 { return rt.wall }
 
 // Seconds converts the accumulated wall clock to simulated seconds.
@@ -222,15 +220,6 @@ func (rt *RT) Checkpoint() error {
 // between regions).
 func (rt *RT) interrupted() bool {
 	return rt.runCtx != nil && rt.runCtx.Err() != nil
-}
-
-// Serial runs fn on the master context and charges its busy delta to the
-// wall clock (sequential section between parallel regions).
-func (rt *RT) Serial(fn func(c *machine.Context)) {
-	c := rt.ctxs[0]
-	before := c.Ctr.Busy
-	fn(c)
-	rt.wall += c.Ctr.Busy - before
 }
 
 // Parallel executes body on every thread of the team (the fork-join of
@@ -504,49 +493,6 @@ func (rt *RT) ParallelForReduce(code *CodeRegion, n int, f For, identity float64
 	rounds := uint64(bits.Len(uint(nt - 1))) // ⌈log2 nt⌉
 	rt.wall += rounds * rt.m.Model.Costs.MsgCyc
 	return result
-}
-
-// Single returns a one-shot guard for `#pragma omp single`: exactly one
-// Try() per region returns true.
-type Single struct{ done atomic.Bool }
-
-// NewSingle creates a fresh single guard (one per use site per region).
-func (rt *RT) NewSingle() *Single { return &Single{} }
-
-// Try reports whether the caller is the executing thread.
-func (s *Single) Try() bool { return s.done.CompareAndSwap(false, true) }
-
-// Critical executes fn under the team's critical-section lock, charging the
-// lock handoff cost to c.
-type Critical struct {
-	mu sync.Mutex
-}
-
-// NewCritical creates a named critical section.
-func (rt *RT) NewCritical() *Critical { return &Critical{} }
-
-// Enter runs fn inside the critical section on context c.
-func (rt *RT) CriticalDo(cs *Critical, c *machine.Context, fn func()) {
-	cs.mu.Lock()
-	c.Compute(2 * rt.m.Model.Costs.AtomicCyc) // acquire + release
-	fn()
-	cs.mu.Unlock()
-}
-
-// ParallelSections runs each section function once, distributing sections
-// over threads dynamically (`#pragma omp sections`).
-func (rt *RT) ParallelSections(code *CodeRegion, sections []func(c *machine.Context)) {
-	var next atomic.Int64
-	rt.Parallel(code, func(tid int, c *machine.Context) {
-		for !rt.interrupted() {
-			i := int(next.Add(1)) - 1
-			if i >= len(sections) {
-				return
-			}
-			c.Compute(rt.m.Model.Costs.AtomicCyc)
-			sections[i](c)
-		}
-	})
 }
 
 // TotalCounters merges every context's counters.

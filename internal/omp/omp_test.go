@@ -277,60 +277,6 @@ func TestScalingOnSeparateCores(t *testing.T) {
 	}
 }
 
-func TestSingleRunsOnce(t *testing.T) {
-	rt := newRT(t, machine.Opteron270(), 4)
-	var n atomic.Int32
-	s := rt.NewSingle()
-	rt.Parallel(nil, func(tid int, c *machine.Context) {
-		if s.Try() {
-			n.Add(1)
-		}
-	})
-	if n.Load() != 1 {
-		t.Errorf("single executed %d times", n.Load())
-	}
-}
-
-func TestCriticalMutualExclusion(t *testing.T) {
-	rt := newRT(t, machine.Opteron270(), 4)
-	cs := rt.NewCritical()
-	counter := 0
-	rt.ParallelFor(nil, 1000, For{Schedule: Dynamic, Chunk: 10},
-		func(tid int, c *machine.Context, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rt.CriticalDo(cs, c, func() { counter++ })
-			}
-		})
-	if counter != 1000 {
-		t.Errorf("counter = %d, want 1000 (lost updates)", counter)
-	}
-}
-
-func TestSectionsEachRunOnce(t *testing.T) {
-	rt := newRT(t, machine.Opteron270(), 2)
-	var ran [5]atomic.Int32
-	secs := make([]func(*machine.Context), 5)
-	for i := range secs {
-		i := i
-		secs[i] = func(*machine.Context) { ran[i].Add(1) }
-	}
-	rt.ParallelSections(nil, secs)
-	for i := range ran {
-		if ran[i].Load() != 1 {
-			t.Errorf("section %d ran %d times", i, ran[i].Load())
-		}
-	}
-}
-
-func TestSerialChargesWall(t *testing.T) {
-	rt := newRT(t, machine.Opteron270(), 4)
-	before := rt.WallCycles()
-	rt.Serial(func(c *machine.Context) { c.Compute(12345) })
-	if rt.WallCycles()-before != 12345 {
-		t.Errorf("serial delta = %d", rt.WallCycles()-before)
-	}
-}
-
 func TestCodeRegionFetches(t *testing.T) {
 	rt := newRT(t, machine.Opteron270(), 2)
 	code := &CodeRegion{Name: "loop", Base: 0, Size: 3 * units.PageSize4K}

@@ -62,44 +62,6 @@ type WalkResult struct {
 	Entry   Entry
 }
 
-// Packed walk-result layout (low to high): Size (1 bit), Prot (2 bits),
-// MemRefs (6 bits), PFN (44 bits) — 53 bits total, leaving headroom for
-// callers to pack their own metadata alongside.
-const (
-	packProtShift = 1
-	packRefShift  = 3
-	packPFNShift  = 9
-	// PackedWalkBits is the width of a packed walk result.
-	PackedWalkBits = 53
-)
-
-// Pack encodes the result into the low PackedWalkBits bits of a uint64, for
-// compact per-context translation caches. ok is false when the result
-// exceeds the packed ranges (a PFN at or above 2^44, or a walk of 64+ memory
-// references) — callers simply skip caching such results.
-func (wr WalkResult) Pack() (v uint64, ok bool) {
-	if wr.Entry.PFN >= 1<<44 || wr.MemRefs < 0 || wr.MemRefs >= 64 {
-		return 0, false
-	}
-	v = uint64(wr.Entry.Size)&1 |
-		uint64(wr.Entry.Prot)<<packProtShift |
-		uint64(wr.MemRefs)<<packRefShift |
-		wr.Entry.PFN<<packPFNShift
-	return v, true
-}
-
-// UnpackWalk is the inverse of Pack.
-func UnpackWalk(v uint64) WalkResult {
-	return WalkResult{
-		MemRefs: int(v >> packRefShift & 0x3f),
-		Entry: Entry{
-			PFN:  v >> packPFNShift & (1<<44 - 1),
-			Size: units.PageSize(v & 1),
-			Prot: Prot(v >> packProtShift & 3),
-		},
-	}
-}
-
 type pgdEntry struct {
 	large bool
 	// large mapping
@@ -130,19 +92,11 @@ type pte struct {
 // layout lives below 16 GB) with a map fallback for arbitrary high
 // addresses; page walks are the simulator's hottest slow path and the slice
 // lookup keeps them cheap.
-//
-// Every mutation (Map, Unmap) advances the generation counter.
-// The machine layer stamps its per-context translation caches with the
-// generation observed before a walk; an entry whose stamp still equals
-// Gen() is provably a result the table could return right now, so repeat
-// walks become lock-free reads. A stale stamp merely forces a locked
-// re-walk — the invalidation protocol is purely monotonic.
 type Table struct {
 	mu      sync.RWMutex
 	pgdLow  []*pgdEntry // indices below lowPGDs
 	pgdHigh map[uint64]*pgdEntry
 
-	gen      atomic.Uint64 // mutation generation; starts at 1 (see New)
 	mapped4K atomic.Int64
 	mapped2M atomic.Int64
 
@@ -155,18 +109,11 @@ const lowPGDs = uint64((16 << 30) / pgdSpan)
 
 // New creates an empty page table.
 func New() *Table {
-	t := &Table{
+	return &Table{
 		pgdLow:  make([]*pgdEntry, lowPGDs),
 		pgdHigh: make(map[uint64]*pgdEntry),
 	}
-	// Generation 0 is reserved as "never valid" so zero-valued translation
-	// cache entries can never match a live table.
-	t.gen.Store(1)
-	return t
 }
-
-// Gen returns the current mutation generation (lock-free).
-func (t *Table) Gen() uint64 { return t.gen.Load() }
 
 // entry returns the PGD entry for index gi, or nil.
 func (t *Table) entry(gi uint64) *pgdEntry {
@@ -226,7 +173,6 @@ func (t *Table) mapAttempt(va units.Addr, size units.PageSize, pfn uint64, prot 
 		}
 		t.setEntry(gi, &pgdEntry{large: true, pfn: pfn, prot: prot})
 		t.mapped2M.Add(1)
-		t.gen.Add(1)
 		return nil
 	}
 	if e == nil {
@@ -243,7 +189,6 @@ func (t *Table) mapAttempt(va units.Addr, size units.PageSize, pfn uint64, prot 
 	t.writePTE(e, pi, pte{present: true, pfn: pfn, prot: prot})
 	e.used++
 	t.mapped4K.Add(1)
-	t.gen.Add(1)
 	return nil
 }
 
@@ -264,7 +209,6 @@ func (t *Table) Unmap(va units.Addr, size units.PageSize) (Entry, error) {
 		ent := Entry{PFN: e.pfn, Size: units.Size2M, Prot: e.prot}
 		t.setEntry(gi, nil)
 		t.mapped2M.Add(-1)
-		t.gen.Add(1)
 		return ent, nil
 	}
 	if e.large {
@@ -280,7 +224,6 @@ func (t *Table) Unmap(va units.Addr, size units.PageSize) (Entry, error) {
 	t.writePTE(e, pi, pte{})
 	e.used--
 	t.mapped4K.Add(-1)
-	t.gen.Add(1)
 	if e.used == 0 {
 		// Free the empty PTE frame so the slot can take a 2 MB mapping
 		// (huge-page promotion collapses the whole directory entry).
@@ -324,7 +267,7 @@ func (t *Table) writePTE(e *pgdEntry, pi uint64, p pte) {
 }
 
 // Fork returns a copy-on-write duplicate of the table: the fork observes
-// exactly the mappings, generation and counters of t at the time of the call,
+// exactly the mappings and counters of t at the time of the call,
 // but shares every PGD entry (and its 4 KB PTE frame) with t until one side
 // writes it, at which point the writer clones just that entry (ensureOwned).
 // Forking is O(PGD slots) — it copies pointer slices, never PTE frames — so
@@ -332,9 +275,7 @@ func (t *Table) writePTE(e *pgdEntry, pi uint64, p pte) {
 //
 // The fault-injection plan is deliberately not inherited (plans carry
 // occurrence counters and must not be shared between runs); arm the fork with
-// SetFaultPlan if injection is wanted. The generation counter is preserved,
-// so translation caches stamped against t remain provably valid against the
-// fork.
+// SetFaultPlan if injection is wanted.
 func (t *Table) Fork() *Table {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -352,7 +293,6 @@ func (t *Table) Fork() *Table {
 		e.shared = true
 		nt.pgdHigh[gi] = e
 	}
-	nt.gen.Store(t.gen.Load())
 	nt.mapped4K.Store(t.mapped4K.Load())
 	nt.mapped2M.Store(t.mapped2M.Load())
 	nt.mapRetries.Store(t.mapRetries.Load())

@@ -273,30 +273,3 @@ func TestMapRetryDeterministic(t *testing.T) {
 		t.Fatalf("retry counts differ across replays: %d vs %d", a, b)
 	}
 }
-
-func TestGenerationAdvancesOnMutation(t *testing.T) {
-	pt := New()
-	g0 := pt.Gen()
-	if g0 == 0 {
-		t.Fatal("generation 0 is reserved; a fresh table must start above it")
-	}
-	if err := pt.Map(0, units.Size4K, 1, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	g1 := pt.Gen()
-	if g1 <= g0 {
-		t.Fatalf("Map did not advance generation: %d -> %d", g0, g1)
-	}
-	if _, err := pt.Translate(0); err != nil {
-		t.Fatal(err)
-	}
-	if pt.Gen() != g1 {
-		t.Fatal("Translate must not advance the generation")
-	}
-	if _, err := pt.Unmap(0, units.Size4K); err != nil {
-		t.Fatal(err)
-	}
-	if pt.Gen() <= g1 {
-		t.Fatalf("Unmap did not advance generation: %d -> %d", g1, pt.Gen())
-	}
-}

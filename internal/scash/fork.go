@@ -25,28 +25,21 @@ func (a *Allocator) Fork() *Allocator {
 	return na
 }
 
-// Fork returns an independent copy of the shared space: symbol table,
-// registration order, allocator state, and seal bit. The region descriptor
-// is plain data (base, length, page size) and is copied by value; the
-// physical frames behind it belong to the forked PhysMem/page table that the
-// caller forks alongside this space.
+// Fork returns an independent copy of the shared space: region descriptor,
+// symbol table, allocator state, and seal bit. The physical frames behind
+// the region belong to the forked PhysMem/page table that the caller forks
+// alongside this space.
 func (s *Space) Fork() *Space {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ns := &Space{
+		region:  s.region,
 		alloc:   s.alloc.Fork(),
 		symbols: make(map[string]Symbol, len(s.symbols)),
 		sealed:  s.sealed,
 	}
-	if s.region != nil {
-		r := *s.region
-		ns.region = &r
-	}
 	for name, sym := range s.symbols {
 		ns.symbols[name] = sym
-	}
-	if s.order != nil {
-		ns.order = append([]string(nil), s.order...)
 	}
 	return ns
 }

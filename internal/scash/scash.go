@@ -25,7 +25,6 @@ import (
 	"hugeomp/internal/hugetlbfs"
 	"hugeomp/internal/mem"
 	"hugeomp/internal/pagetable"
-	"hugeomp/internal/shmem"
 	"hugeomp/internal/units"
 )
 
@@ -61,10 +60,9 @@ type Config struct {
 // transformation and the arena of the internal allocator.
 type Space struct {
 	mu      sync.Mutex
-	region  *shmem.Region
+	region  region
 	alloc   *Allocator
 	symbols map[string]Symbol
-	order   []string // registration order, for reporting
 	sealed  bool
 }
 
@@ -79,7 +77,7 @@ func NewSpace(cfg Config) (*Space, error) {
 	if uint64(cfg.Base)%uint64(units.PageSize2M) != 0 {
 		return nil, fmt.Errorf("scash: region base %#x not 2MB aligned", cfg.Base)
 	}
-	var region *shmem.Region
+	var r region
 	switch cfg.PageSize {
 	case units.Size2M:
 		if cfg.Hugetlb == nil {
@@ -93,17 +91,16 @@ func NewSpace(cfg Config) (*Space, error) {
 		if err := f.Map(cfg.PT, cfg.Base, pagetable.ProtRW); err != nil {
 			return nil, err
 		}
-		region = &shmem.Region{Base: cfg.Base, Len: length, Size: units.Size2M}
+		r = region{base: cfg.Base, length: length, size: units.Size2M}
 	default:
-		r, err := shmem.NewRegion(cfg.Phys, cfg.PT, cfg.Base, cfg.Size, units.Size4K, pagetable.ProtRW)
-		if err != nil {
+		var err error
+		if r, err = newRegion(cfg.Phys, cfg.PT, cfg.Base, cfg.Size, units.Size4K); err != nil {
 			return nil, err
 		}
-		region = r
 	}
 	return &Space{
-		region:  region,
-		alloc:   NewAllocator(region.Base, region.Len),
+		region:  r,
+		alloc:   NewAllocator(r.base, r.length),
 		symbols: make(map[string]Symbol),
 	}, nil
 }
@@ -121,14 +118,14 @@ func NewSpaceLazy(base units.Addr, size int64) (*Space, error) {
 	}
 	size = units.AlignUp(size, units.PageSize2M)
 	return &Space{
-		region:  &shmem.Region{Base: base, Len: size, Size: units.Size4K},
+		region:  region{base: base, length: size, size: units.Size4K},
 		alloc:   NewAllocator(base, size),
 		symbols: make(map[string]Symbol),
 	}, nil
 }
 
 // PageSize returns the backing page size of application data.
-func (s *Space) PageSize() units.PageSize { return s.region.Size }
+func (s *Space) PageSize() units.PageSize { return s.region.size }
 
 // RegisterGlobal performs the Omni transformation for one global of the
 // given size: it allocates shared memory and records the symbol. Globals
@@ -149,7 +146,6 @@ func (s *Space) RegisterGlobal(name string, size int64) (Symbol, error) {
 	}
 	sym := Symbol{Name: name, Base: base, Size: size}
 	s.symbols[name] = sym
-	s.order = append(s.order, name)
 	return sym, nil
 }
 

@@ -47,13 +47,13 @@ func TestSpace2MBackingUsesHugetlbfs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 5MB rounds to 3 large pages.
-	if s.region.Len != 6*units.MB {
-		t.Errorf("region len = %d", s.region.Len)
+	if s.region.length != 6*units.MB {
+		t.Errorf("region length = %d", s.region.length)
 	}
 	if fs.UsedPages() != 3 {
 		t.Errorf("hugetlbfs used = %d, want 3", fs.UsedPages())
 	}
-	wr, err := pt.Translate(s.region.Base)
+	wr, err := pt.Translate(s.region.base)
 	if err != nil || wr.Entry.Size != units.Size2M {
 		t.Errorf("backing not 2MB: %v %v", wr, err)
 	}
@@ -95,9 +95,8 @@ func TestGlobalsTransformation(t *testing.T) {
 	if _, err := s.Lookup("zzz"); !errors.Is(err, ErrUnknownName) {
 		t.Errorf("unknown lookup: %v", err)
 	}
-	if len(s.order) != 2 || s.order[0] != "a" || s.order[1] != "b" ||
-		s.symbols["a"] != a || s.symbols["b"] != b {
-		t.Errorf("globals in order %v = %+v", s.order, s.symbols)
+	if len(s.symbols) != 2 || s.symbols["a"] != a || s.symbols["b"] != b || a.Base >= b.Base {
+		t.Errorf("globals a=%+v b=%+v registered as %+v, want a below b", a, b, s.symbols)
 	}
 }
 
