@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint lint-fix-check chaos serve-soak simd-smoke serve-bench race bench microbench experiments examples fuzz clean
+.PHONY: all build test check lint chaos serve-soak simd-smoke serve-bench race bench microbench experiments examples fuzz clean
 
 all: build test check
 
@@ -13,46 +13,34 @@ build:
 test:
 	$(GO) test ./...
 
-# simlint enforces the simulator's written contracts: determinism and
-# interprocedural determinism taint (no wall clocks, global rand, scheduler
-# queries, or order-sensitive map iteration reaching the counters), the
-# lock hierarchy across call chains (lockorder), cancellable kernel loops
-# (ctxflow), copy-on-write snapshot arrays (cowshared), and recover-first
-# goroutine entry points in the service (panicboundary). See docs/LINTING.md.
+# simlint enforces the simulator's written contracts: determinism (no wall
+# clocks, global rand, scheduler queries or order-sensitive map iteration
+# in the simulator packages, and no such value reaching the counters or memo
+# keys through any call chain), the ranked lock hierarchy across call chains
+# (lockorder), cancellable kernel loops (ctxflow), copy-on-write snapshot
+# arrays (cowshared), and recover-first goroutine entry points in the
+# service (panicboundary). One command, one flag (-json). See docs/LINTING.md.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
-# Mode-agreement check: the standalone runner and the `go vet -vettool`
-# protocol must produce identical findings on the whole tree. vet runs the
-# tool once per package including test variants, so its output is deduped;
-# both sides are normalised to relative paths before diffing. Also exercises
-# the vetx fact plumbing (cross-package summaries through cmd/go's cache).
-lint-fix-check:
-	$(GO) build -o $(CURDIR)/bin/simlint ./cmd/simlint
-	@standalone=$$($(CURDIR)/bin/simlint ./... 2>&1 | sed 's|$(CURDIR)/||g' | sort -u); \
-	vettool=$$($(GO) vet -vettool=$(CURDIR)/bin/simlint ./... 2>&1 | grep -v '^#' | sort -u); \
-	if [ "$$standalone" != "$$vettool" ]; then \
-		echo "simlint standalone and vettool modes disagree:"; \
-		echo "--- standalone"; echo "$$standalone"; \
-		echo "--- vettool"; echo "$$vettool"; \
-		exit 1; \
-	fi; \
-	echo "lint-fix-check: standalone and vettool agree ($$(echo -n "$$standalone" | grep -c . ) findings)"
+# The packages whose goroutines meet, for the race detector: the shootdown
+# mailbox, the omp join, the parallel harness, npb, where team goroutines
+# run whole kernels on contexts that must share no TLB or cache state, mpi,
+# whose rank goroutines meet on its buffered control channels, and the page
+# table, which every walk reads under its read lock while
+# transparent-huge-page faults (thp, driven from team goroutines by core's
+# tests) write it. `race` and `check` run the same list.
+RACE_PKGS = ./internal/machine/ ./internal/omp/ ./internal/par/ ./internal/bench/ ./internal/cache/ ./internal/scash/ ./internal/profile/ ./internal/npb/ ./internal/mpi/ ./internal/core/ ./internal/thp/ ./internal/pagetable/
 
 # Static and concurrency hygiene for the hot simulator paths: vet, gofmt
 # drift (the gofmt guard walks the whole tree, including the simlint test
-# corpora under internal/lint/*/testdata), simlint, and the race detector
-# over the packages whose goroutines meet: the shootdown mailbox, the omp
-# join, the parallel harness, npb, where team goroutines run whole kernels on
-# contexts that must share no TLB or cache state, mpi, whose rank goroutines
-# meet on its buffered control channels, and the page table, which every
-# walk reads under its read lock while transparent-huge-page faults (thp,
-# driven from team goroutines by core's tests) write it.
+# corpora under internal/lint/*/testdata and cmd/simlint/testdata), simlint,
+# and the race detector over RACE_PKGS in -short mode.
 check: lint
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
-	$(GO) test -race -short -count=1 ./internal/machine/ ./internal/omp/ ./internal/par/ ./internal/bench/ ./internal/cache/ ./internal/scash/ ./internal/profile/ ./internal/npb/ ./internal/mpi/ ./internal/core/ ./internal/thp/ ./internal/pagetable/
+	$(GO) test -race -short -count=1 $(RACE_PKGS)
 
 # Fault-injection soak: 50 seeded, replayable fault plans over CG/MG/SP.
 # Every run must pass NPB verification with fault-free numerics, hold all
@@ -85,7 +73,7 @@ serve-bench:
 	$(GO) test -run '^$$' -bench 'ServiceWarmRestart|ServeHit' ./internal/simsrv/
 
 race:
-	$(GO) test -race ./internal/omp/ ./internal/npb/ ./internal/machine/ ./internal/mpi/ ./internal/par/ ./internal/bench/
+	$(GO) test -race $(RACE_PKGS)
 
 # Perf regression floors, as Go benchmarks in the packages they guard:
 # - internal/machine: the dense, gather and random access patterns must

@@ -214,8 +214,6 @@ func touchOrder(order uint64, w int) uint64 {
 
 // Access looks up lineAddr and reports whether it hit; on a miss it fills
 // the line, evicting the set's LRU way.
-//
-//simlint:hotpath
 func (c *Cache) Access(lineAddr uint64) bool {
 	set := int(lineAddr & c.setMask)
 	bb := set * c.blockWords
@@ -260,6 +258,3 @@ func (c *Cache) Access(lineAddr uint64) bool {
 	c.blocks[bb+1] = valid | 1<<victim
 	return false
 }
-
-// Lines returns total capacity in lines.
-func (c *Cache) Lines() int { return c.sets * c.assoc }

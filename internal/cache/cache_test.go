@@ -76,7 +76,7 @@ func TestBadConfigPanics(t *testing.T) {
 		{SizeBytes: 4 * units.KB, Ways: 4, LineSize: 48}, // odd line size
 	} {
 		if c, err := New(cfg); err == nil {
-			t.Errorf("New(%+v) = %d lines, want an error", cfg, c.Lines())
+			t.Errorf("New(%+v) = %d lines, want an error", cfg, c.sets*c.assoc)
 		}
 	}
 }

@@ -14,15 +14,14 @@ import (
 )
 
 // An Analyzer is one static check: a name, a doc string, and a Run function
-// applied to one package at a time. Analyzers are package-local (no
-// cross-package fact propagation): every simlint rule is checkable from a
-// single package plus its type information.
+// applied to one package at a time. Interprocedural analyzers carry
+// per-function summaries across packages through Pass.Facts.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// "//simlint:ignore <name> <reason>" suppressions.
 	Name string
 
-	// Doc is the one-paragraph description shown by `simlint help`.
+	// Doc is a one-paragraph description of the check.
 	Doc string
 
 	// Run applies the analyzer to one package.
@@ -31,14 +30,13 @@ type Analyzer struct {
 
 // A Pass provides one package's syntax and types to an Analyzer's Run.
 type Pass struct {
-	Analyzer   *Analyzer
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	TypesInfo  *types.Info
-	TypesSizes types.Sizes
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
 
-	// Facts carries serialized cross-package function summaries for the
+	// Facts carries cross-package function summaries for the
 	// interprocedural analyzers: summaries of dependency packages are read
 	// from it and this package's summaries are written back. May be nil
 	// (analysistest), in which case every external function gets its
@@ -52,9 +50,8 @@ type Pass struct {
 
 // A Diagnostic is one finding at a position.
 type Diagnostic struct {
-	Pos      token.Pos
-	Category string // analyzer name; filled by the driver if empty
-	Message  string
+	Pos     token.Pos
+	Message string
 
 	// Trace is the call chain that produces interprocedural findings
 	// (outermost frame first), e.g. the acquisition path of a lock-order

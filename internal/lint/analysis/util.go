@@ -3,7 +3,19 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
+
+// InScope reports whether the package path matches one of pkgs: equal to
+// an entry, or ending in "/" plus it.
+func InScope(pkgs []string, path string) bool {
+	for _, p := range pkgs {
+		if path == p || strings.HasSuffix(path, "/"+p) {
+			return true
+		}
+	}
+	return false
+}
 
 // Callee resolves the *types.Func a call expression invokes (package
 // function, method, or method value), or nil for builtins, conversions,

@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,12 +54,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgname string) {
 
 	var got []analysis.Diagnostic
 	pass.Analyzer = a
-	pass.Report = func(d analysis.Diagnostic) {
-		if d.Category == "" {
-			d.Category = a.Name
-		}
-		got = append(got, d)
-	}
+	pass.Report = func(d analysis.Diagnostic) { got = append(got, d) }
 	if _, err := a.Run(pass); err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
@@ -200,19 +194,12 @@ func Load(testdata, pkgname string) (*analysis.Pass, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	sizes := types.SizesFor("gc", runtime.GOARCH)
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil), Sizes: sizes}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	pkg, err := conf.Check(pkgname, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", pkgname, err)
 	}
-	return &analysis.Pass{
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		TypesInfo:  info,
-		TypesSizes: sizes,
-	}, nil
+	return &analysis.Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
 }
 
 func posn(p token.Position) string {

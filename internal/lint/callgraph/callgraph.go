@@ -1,6 +1,6 @@
 // Package callgraph builds a type-resolved static call graph over one
-// package, the substrate of simlint's interprocedural analyzers (lockorder,
-// dettaint, ctxflow).
+// package, the substrate of simlint's interprocedural analyzers
+// (determinism, lockorder, ctxflow).
 //
 // Resolution is CHA-style (class-hierarchy analysis): direct calls resolve
 // through the type checker to their *types.Func; calls through an interface
@@ -34,10 +34,9 @@ type Node struct {
 
 // An Edge is one resolved call site.
 type Edge struct {
-	Callee *types.Func   // resolved target; may belong to another package
-	Site   *ast.CallExpr // the call expression
-	InLit  bool          // the call occurs inside a func literal of the caller
-	Iface  *types.Func   // the abstract method, when resolved by CHA; else nil
+	Callee *types.Func // resolved target; may belong to another package
+	InLit  bool        // the call occurs inside a func literal of the caller
+	Iface  *types.Func // the abstract method, when resolved by CHA; else nil
 }
 
 // A Graph holds the package's nodes in declaration order.
@@ -96,7 +95,7 @@ func Build(pass *analysis.Pass) *Graph {
 // addCall resolves one call site into zero or more edges.
 func (n *Node) addCall(pass *analysis.Pass, cands []types.Type, call *ast.CallExpr, inLit bool) {
 	for _, target := range ResolveCall(pass, cands, call) {
-		e := Edge{Callee: target.Fn, Site: call, InLit: inLit, Iface: target.Iface}
+		e := Edge{Callee: target.Fn, InLit: inLit, Iface: target.Iface}
 		n.Calls = append(n.Calls, e)
 	}
 }

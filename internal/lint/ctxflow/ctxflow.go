@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"hugeomp/internal/lint/analysis"
@@ -42,12 +43,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // Packages limits reporting to the kernel packages (summaries are computed
-// everywhere). The driver exposes it as -ctxflow.packages.
+// everywhere), matched by analysis.InScope.
 var Packages = []string{"internal/npb"}
 
 // RTType names the runtime type whose methods delimit regions and
 // checkpoints, matched as a "pkg.Type" suffix of the receiver's qualified
-// name. The driver exposes it as -ctxflow.rttype.
+// name.
 var RTType = "omp.RT"
 
 // RegionMethods are the RTType methods that issue simulated parallel work.
@@ -56,22 +57,13 @@ var RegionMethods = "Parallel,ParallelFor,ParallelForReduce"
 // CheckpointMethods are the RTType methods that observe cancellation.
 var CheckpointMethods = "Checkpoint"
 
-func inScope(path string) bool {
-	for _, p := range Packages {
-		if path == p || strings.HasSuffix(path, "/"+p) {
-			return true
-		}
-	}
-	return false
-}
-
 // Summary is the per-function fact.
 type Summary struct {
 	// Region is non-nil when the function may issue an omp region; it holds
 	// the call chain down to the region call.
-	Region []string `json:"region,omitempty"`
+	Region []string
 	// Checkpoint reports whether the function may reach rt.Checkpoint().
-	Checkpoint bool `json:"checkpoint,omitempty"`
+	Checkpoint bool
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -92,30 +84,13 @@ func run(pass *analysis.Pass) (any, error) {
 			return s
 		},
 		Equal: func(a, b Summary) bool {
-			if a.Checkpoint != b.Checkpoint || len(a.Region) != len(b.Region) {
-				return false
-			}
-			for i := range a.Region {
-				if a.Region[i] != b.Region[i] {
-					return false
-				}
-			}
-			return true
+			return a.Checkpoint == b.Checkpoint && slices.Equal(a.Region, b.Region)
 		},
 	}
-	sums := interproc.Solve(pass, g, an)
+	final := interproc.Solve(pass, g, an)
 
-	if !inScope(pass.Pkg.Path()) {
+	if !analysis.InScope(Packages, pass.Pkg.Path()) {
 		return nil, nil
-	}
-
-	final := func(fn *types.Func) Summary {
-		if s, ok := sums[fn]; ok {
-			return s
-		}
-		var s Summary
-		pass.Facts.Get(name, fn.FullName(), &s)
-		return s
 	}
 
 	ncs := directive.NoCheckpoints(pass.Fset, pass.Files)

@@ -1,6 +1,6 @@
 // Package determinism enforces the simulator's bit-determinism contract:
-// same seed → identical counters. In the simulator packages it forbids the
-// three classic sources of run-to-run variation:
+// same seed → identical counters (docs/ROBUSTNESS.md). In the simulator
+// packages it forbids the classic sources of run-to-run variation:
 //
 //  1. wall-clock reads (time.Now and friends) — simulated time comes from
 //     the cost model, never from the host;
@@ -18,9 +18,12 @@
 // "only" perturbs low bits: FP addition does not commute, and the NPB
 // verification thresholds assume bit-identical replays.
 //
-// The source-call table is shared with the interprocedural dettaint
-// analyzer (dettaint.SourceCall): determinism flags the direct call sites,
-// dettaint follows laundered values across functions into the sinks.
+// The direct checks see one call site at a time. The taint solver
+// (taint.go) closes the laundering hole: a wall-clock read stashed in a
+// helper's return value, threaded through a struct field and added to a
+// profile counter three calls later, in any package, is reported where it
+// meets the counter. Both read one source table (sourceCall), so they can
+// never disagree about what a source is.
 package determinism
 
 import (
@@ -28,23 +31,26 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"hugeomp/internal/lint/analysis"
-	"hugeomp/internal/lint/dettaint"
+	"hugeomp/internal/lint/callgraph"
+	"hugeomp/internal/lint/interproc"
 )
 
+const name = "determinism"
+
 var Analyzer = &analysis.Analyzer{
-	Name: "determinism",
-	Doc: "forbid wall-clock reads, global math/rand, and order-sensitive map iteration " +
-		"in the simulator packages (bit-determinism contract)",
+	Name: name,
+	Doc: "forbid wall-clock reads, global math/rand, scheduler queries and order-sensitive map " +
+		"iteration in the simulator packages, and track such values through returns, parameters " +
+		"and struct fields into profile counters and memo keys (bit-determinism contract)",
 	Run: run,
 }
 
-// Packages limits the analyzer to the packages whose determinism the replay
-// and audit machinery depends on. An entry matches a package whose import
-// path equals it or ends with "/"+it. The driver exposes it as
-// -determinism.packages.
+// Packages limits reporting to the packages whose determinism the replay
+// and audit machinery depends on (taint summaries are computed everywhere,
+// so a chain may cross any package). An entry matches a package whose
+// import path equals it or ends with "/"+it.
 var Packages = []string{
 	"internal/cache",
 	"internal/machine",
@@ -55,19 +61,22 @@ var Packages = []string{
 	"internal/stats",
 	"internal/check",
 	"internal/npb",
+	"internal/memo",
 }
 
-func inScope(path string) bool {
-	for _, p := range Packages {
-		if path == p || strings.HasSuffix(path, "/"+p) {
-			return true
-		}
-	}
-	return false
-}
+// SinkTypes is the comma-separated list of named types whose methods are
+// determinism sinks (any tainted argument is a violation).
+var SinkTypes = "Counters,OSCounters"
+
+// SinkFuncs is the comma-separated list of sink functions, matched as
+// "pkg.Func" suffixes of the full name (the memo key functions).
+var SinkFuncs = "memo.KeyOf,npb.RunKey"
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
+	g := callgraph.Build(pass)
+	cands := callgraph.Candidates(pass.Pkg)
+	summaries := interproc.Solve(pass, g, taintAnalysis(pass, cands))
+	if !analysis.InScope(Packages, pass.Pkg.Path()) {
 		return nil, nil
 	}
 	analysis.WithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
@@ -83,7 +92,55 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
+	reportTaint(pass, cands, g, summaries)
 	return nil, nil
+}
+
+// --- source table -------------------------------------------------------------
+
+// wallClockFuncs are the time package functions that read the host clock.
+var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+
+// randConstructors build seeded generators and are deterministic given the
+// seed; only draws from the package-level generator are sources.
+var randConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
+}
+
+// schedFuncs observe scheduler or host state that varies run to run (or
+// machine to machine).
+var schedFuncs = map[string]bool{"NumGoroutine": true, "NumCPU": true, "GOMAXPROCS": true}
+
+// sourceCall reports whether call reads host state. desc names the source
+// in taint chains; msg is the finding for a direct call in scope.
+func sourceCall(info *types.Info, call *ast.CallExpr) (desc, msg string, ok bool) {
+	fn := analysis.Callee(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return "", "", false
+	}
+	if sig, _ := fn.Type().(*types.Signature); sig == nil || sig.Recv() != nil {
+		return "", "", false
+	}
+	name := fn.Name()
+	switch fn.Pkg().Path() {
+	case "time":
+		if wallClockFuncs[name] {
+			return "time." + name + "() (wall clock)", "wall-clock read time." + name +
+				" in a simulator package: simulated time must come from the cost model, not the host clock", true
+		}
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[name] {
+			q := fn.Pkg().Name() + "." + name
+			return q + "() (global math/rand)", "global " + q +
+				" in a simulator package: use a seeded *rand.Rand owned by the run so replays are bit-identical", true
+		}
+	case "runtime":
+		if schedFuncs[name] {
+			return "runtime." + name + "() (scheduler/host state)", "scheduler/host-state read runtime." + name +
+				" in a simulator package: thread counts come from the simulated machine config, not the host", true
+		}
+	}
+	return "", "", false
 }
 
 // enclosingBody returns the body of the innermost function (decl or literal)
@@ -100,25 +157,10 @@ func enclosingBody(stack []ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-// checkCall flags direct source calls in simulator packages, using the
-// source table shared with the interprocedural dettaint analyzer so the two
-// passes can never disagree about what a source is.
+// checkCall flags a direct source call.
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	kind, _, ok := dettaint.SourceCall(pass.TypesInfo, call)
-	if !ok {
-		return
-	}
-	fn := analysis.Callee(pass.TypesInfo, call)
-	switch kind {
-	case dettaint.WallClock:
-		pass.Reportf(call.Pos(),
-			"wall-clock read time.%s in a simulator package: simulated time must come from the cost model, not the host clock", fn.Name())
-	case dettaint.GlobalRand:
-		pass.Reportf(call.Pos(),
-			"global %s.%s in a simulator package: use a seeded *rand.Rand owned by the run so replays are bit-identical", fn.Pkg().Name(), fn.Name())
-	case dettaint.SchedQuery:
-		pass.Reportf(call.Pos(),
-			"scheduler/host-state read runtime.%s in a simulator package: thread counts come from the simulated machine config, not the host", fn.Name())
+	if _, msg, ok := sourceCall(pass.TypesInfo, call); ok {
+		pass.Reportf(call.Pos(), "%s", msg)
 	}
 }
 
@@ -326,7 +368,7 @@ func (ml *mapLoop) assign(s *ast.AssignStmt) {
 		// the collect-then-sort idiom, judged after the loop.
 		if i < len(s.Rhs) {
 			if call, ok := s.Rhs[i].(*ast.CallExpr); ok && isBuiltin(ml.pass.TypesInfo, call, "append") {
-				if obj := ml.objOf(lhs); obj != nil && sameObj(ml.pass.TypesInfo, call.Args[0], obj) {
+				if obj := rootObj(ml.pass.TypesInfo, lhs); obj != nil && sameObj(ml.pass.TypesInfo, call.Args[0], obj) {
 					ml.appends = append(ml.appends, appendTo{target: obj, pos: s.Pos()})
 					continue
 				}
@@ -441,26 +483,8 @@ func (ml *mapLoop) pureCall(call *ast.CallExpr) bool {
 
 // isLocalExpr reports whether the root object of an lvalue is loop-local.
 func (ml *mapLoop) isLocalExpr(e ast.Expr) bool {
-	obj := ml.objOf(e)
+	obj := rootObj(ml.pass.TypesInfo, e)
 	return obj != nil && ml.locals[obj]
-}
-
-// objOf resolves the root object of an lvalue (x, x.f, x[i] → x).
-func (ml *mapLoop) objOf(e ast.Expr) types.Object {
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return ml.pass.TypesInfo.ObjectOf(v)
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
 }
 
 func (ml *mapLoop) isInteger(e ast.Expr) bool {

@@ -1,32 +1,24 @@
-// Package dettaint is the interprocedural determinism-taint analyzer. The
-// simulator's bit-determinism contract (same seed → identical counters,
-// docs/ROBUSTNESS.md) is enforced syntactically by the determinism analyzer;
-// dettaint closes the laundering hole: a wall-clock read stashed in a helper's
-// return value, threaded through a struct field, and finally added to a
-// profile counter three calls later is invisible to any single-function check.
+package determinism
+
+// The interprocedural half of the analyzer: flow-insensitive,
+// object-granular taint.
 //
-// The model is flow-insensitive, object-granular taint:
-//
-//   - Sources are calls that observe host state: time.Now/Since/Until, the
-//     global math/rand generators, runtime scheduling queries
-//     (runtime.NumGoroutine, GOMAXPROCS, NumCPU) — see SourceCall, which the
-//     determinism analyzer shares — plus map-iteration key/value variables
-//     (iteration order is randomized per run).
+//   - Sources are the calls of sourceCall plus map-iteration key/value
+//     variables (iteration order is randomized per run).
 //   - Taint propagates through assignments, struct fields and composite
 //     literals, arithmetic, and calls: each function's summary records
-//     whether its results carry source taint (Ret, with the chain), which
-//     parameters its results derive from (RetParams), and which parameters
-//     reach a sink inside it (Sinks). Summaries are solved bottom-up over
+//     whether its results carry source taint (ret, with the chain), which
+//     parameters its results derive from (retParams), and which parameters
+//     reach a sink inside it (sinks). Summaries are solved bottom-up over
 //     call-graph SCCs and flow across packages as facts. Externals without
 //     summaries conservatively pass argument taint to their results.
-//   - Sinks are the determinism-bearing outputs: methods on the profile
-//     counter types (SinkTypes) and the memoization key builders (SinkFuncs).
-//     Taint meeting a sink is reported with the full source→sink path.
+//   - Sinks are the determinism-bearing outputs: methods on SinkTypes and
+//     the SinkFuncs. Taint meeting a sink is reported with the full
+//     source→sink path.
 //
 // context.Context values are sanitized by type: the service layer's deadline
 // contexts are wall-clock-bearing by design and never feed simulation
 // results, so taint does not flow through them.
-package dettaint
 
 import (
 	"fmt"
@@ -42,125 +34,24 @@ import (
 	"hugeomp/internal/lint/interproc"
 )
 
-const name = "dettaint"
-
-var Analyzer = &analysis.Analyzer{
-	Name: name,
-	Doc: "interprocedural determinism taint: track wall-clock, global math/rand, scheduler-state and " +
-		"map-order values through returns, parameters and struct fields into profile counters and " +
-		"memoization keys, and report the full source→sink path",
-	Run: run,
-}
-
-// Packages limits *reporting* to the packages bound by the determinism
-// contract (summaries are computed everywhere so taint can cross any
-// boundary). Same matching rules as determinism.Packages. The driver exposes
-// it as -dettaint.packages.
-var Packages = []string{
-	"internal/cache",
-	"internal/machine",
-	"internal/tlb",
-	"internal/pagetable",
-	"internal/omp",
-	"internal/profile",
-	"internal/stats",
-	"internal/check",
-	"internal/npb",
-	"internal/memo",
-}
-
-// SinkTypes is the comma-separated list of named types whose methods are
-// determinism-sensitive sinks (any tainted argument is a violation). The
-// driver exposes it as -dettaint.sinktypes.
-var SinkTypes = "Counters,OSCounters"
-
-// SinkFuncs is the comma-separated list of sink functions, matched as
-// "pkg.Func" suffixes of the full name. The driver exposes it as
-// -dettaint.sinkfuncs.
-var SinkFuncs = "memo.KeyOf,npb.RunKey"
-
-func inScope(path string) bool {
-	for _, p := range Packages {
-		if path == p || strings.HasSuffix(path, "/"+p) {
-			return true
-		}
-	}
-	return false
-}
-
-// --- shared source table ----------------------------------------------------
-
-// SourceKind classifies a non-determinism source call.
-type SourceKind int
-
-const (
-	WallClock  SourceKind = iota // time.Now / Since / Until
-	GlobalRand                   // package-level math/rand generator use
-	SchedQuery                   // runtime scheduling / host state queries
-)
-
-// wallClockFuncs are the time package functions that read the host clock.
-var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-// randConstructors build seeded generators and are deterministic given the
-// seed; only draws from the package-level generator are sources.
-var randConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
-}
-
-// schedFuncs observe scheduler or host state that varies run to run (or
-// machine to machine).
-var schedFuncs = map[string]bool{"NumGoroutine": true, "NumCPU": true, "GOMAXPROCS": true}
-
-// SourceCall reports whether call is a non-determinism source, with its kind
-// and a human-readable description. The determinism analyzer shares this
-// table so the two passes can never disagree about what a source is.
-func SourceCall(info *types.Info, call *ast.CallExpr) (SourceKind, string, bool) {
-	fn := analysis.Callee(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return 0, "", false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() != nil {
-		return 0, "", false
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if wallClockFuncs[fn.Name()] {
-			return WallClock, "time." + fn.Name() + "() (wall clock)", true
-		}
-	case "math/rand", "math/rand/v2":
-		if !randConstructors[fn.Name()] {
-			return GlobalRand, fn.Pkg().Name() + "." + fn.Name() + "() (global math/rand)", true
-		}
-	case "runtime":
-		if schedFuncs[fn.Name()] {
-			return SchedQuery, "runtime." + fn.Name() + "() (scheduler/host state)", true
-		}
-	}
-	return 0, "", false
-}
-
-// --- summaries --------------------------------------------------------------
-
-// A ParamSink records that a parameter value reaches a determinism sink
+// A paramSink records that a parameter value reaches a determinism sink
 // inside the function (or below it), so callers passing tainted arguments
 // are reported at their own call sites with the stitched chain.
-type ParamSink struct {
-	Param int      `json:"param"` // 0 = receiver for methods, then positional
-	Sink  string   `json:"sink"`  // the sink's description
-	Chain []string `json:"chain,omitempty"`
+type paramSink struct {
+	param int    // 0 = receiver for methods, then positional
+	sink  string // the sink's description
+	chain []string
 }
 
-// Summary is the per-function fact.
-type Summary struct {
-	// Ret is non-nil when a result may carry source taint independent of the
+// summary is the per-function fact.
+type summary struct {
+	// ret is non-nil when a result may carry source taint independent of the
 	// arguments; it holds the source-first chain.
-	Ret []string `json:"ret,omitempty"`
-	// RetParams is the bitmask of parameters the results may derive from.
-	RetParams uint64 `json:"retParams,omitempty"`
-	// Sinks lists parameters that reach a sink inside the function.
-	Sinks []ParamSink `json:"sinks,omitempty"`
+	ret []string
+	// retParams is the bitmask of parameters the results may derive from.
+	retParams uint64
+	// sinks lists parameters that reach a sink inside the function.
+	sinks []paramSink
 }
 
 // taint is the abstract value of one expression or variable.
@@ -177,41 +68,27 @@ func union(a, b taint) taint {
 	return out
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	g := callgraph.Build(pass)
-	cands := callgraph.Candidates(pass.Pkg)
-
-	an := &interproc.Analysis[Summary]{
+func taintAnalysis(pass *analysis.Pass, cands []types.Type) *interproc.Analysis[summary] {
+	return &interproc.Analysis[summary]{
 		Facts:  name,
-		Bottom: func(*types.Func) Summary { return Summary{} },
+		Bottom: func(*types.Func) summary { return summary{} },
 		// Unknown externals conservatively launder argument taint into their
 		// results (fmt.Sprintf, strconv, time.Time methods, ...).
-		External: func(*types.Func) (Summary, bool) {
-			return Summary{RetParams: ^uint64(0)}, true
+		External: func(*types.Func) (summary, bool) {
+			return summary{retParams: ^uint64(0)}, true
 		},
-		Transfer: func(n *callgraph.Node, lookup func(*types.Func) Summary) Summary {
+		Transfer: func(n *callgraph.Node, lookup func(*types.Func) summary) summary {
 			w := newWalker(pass, cands, lookup, n)
 			w.solveEnv(n.Decl.Body)
 			return w.collect(n.Decl.Body, nil)
 		},
-		Equal: func(a, b Summary) bool { return reflect.DeepEqual(a, b) },
+		Equal: func(a, b summary) bool { return reflect.DeepEqual(a, b) },
 	}
-	sums := interproc.Solve(pass, g, an)
+}
 
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
-
-	final := func(fn *types.Func) Summary {
-		if s, ok := sums[fn]; ok {
-			return s
-		}
-		var s Summary
-		if pass.Facts.Get(name, fn.FullName(), &s) {
-			return s
-		}
-		return Summary{RetParams: ^uint64(0)}
-	}
+// reportTaint re-walks every function against the solved summaries and
+// reports each source→sink path once.
+func reportTaint(pass *analysis.Pass, cands []types.Type, g *callgraph.Graph, summaries func(*types.Func) summary) {
 	seen := map[string]bool{}
 	emit := func(pos token.Pos, sink string, chain []string) {
 		key := pass.Fset.Position(pos).String() + "\x00" + sink + "\x00" + strings.Join(chain, "|")
@@ -228,11 +105,10 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	for _, n := range g.Funcs() {
-		w := newWalker(pass, cands, final, n)
+		w := newWalker(pass, cands, summaries, n)
 		w.solveEnv(n.Decl.Body)
 		w.collect(n.Decl.Body, emit)
 	}
-	return nil, nil
 }
 
 // --- per-function walk ------------------------------------------------------
@@ -240,19 +116,19 @@ func run(pass *analysis.Pass) (any, error) {
 type walker struct {
 	pass    *analysis.Pass
 	cands   []types.Type
-	lookup  func(*types.Func) Summary
+	lookup  func(*types.Func) summary
 	env     map[types.Object]taint
 	nparams int
 	results []types.Object // named result objects, for bare returns
 	ret     taint
-	sinks   map[int]ParamSink
+	sinks   map[int]paramSink
 	// changedEnv is set by set() when the environment grows (fixpoint test).
 	changedEnv bool
 }
 
-func newWalker(pass *analysis.Pass, cands []types.Type, lookup func(*types.Func) Summary, n *callgraph.Node) *walker {
+func newWalker(pass *analysis.Pass, cands []types.Type, lookup func(*types.Func) summary, n *callgraph.Node) *walker {
 	w := &walker{pass: pass, cands: cands, lookup: lookup,
-		env: map[types.Object]taint{}, sinks: map[int]ParamSink{}}
+		env: map[types.Object]taint{}, sinks: map[int]paramSink{}}
 	sig, _ := n.Fn.Type().(*types.Signature)
 	if sig == nil {
 		return w
@@ -335,7 +211,7 @@ func (w *walker) assign(s *ast.AssignStmt) {
 		// Rebuild idiom: `m2[k] = v` where both the key and the value carry
 		// only iteration-order taint copies every entry of a map under its
 		// own key — the resulting container is the same whatever the order,
-		// so the order taint stops here (matching the determinism analyzer's
+		// so the order taint stops here (matching the map-range check's
 		// keyed-write allowance). Restricted to plain assignment: op-assigns
 		// accumulate, and accumulation may not commute.
 		if s.Tok == token.ASSIGN {
@@ -387,7 +263,7 @@ func (w *walker) rangeStmt(rs *ast.RangeStmt) {
 // collect runs the summary/report pass over a solved environment: sink
 // contacts at every call, return taint, and the parameter-sink table. emit
 // is nil while summaries are being solved and non-nil in the reporting pass.
-func (w *walker) collect(body *ast.BlockStmt, emit func(token.Pos, string, []string)) Summary {
+func (w *walker) collect(body *ast.BlockStmt, emit func(token.Pos, string, []string)) summary {
 	ast.Inspect(body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
 		case *ast.CallExpr:
@@ -405,14 +281,14 @@ func (w *walker) collect(body *ast.BlockStmt, emit func(token.Pos, string, []str
 		return true
 	})
 
-	s := Summary{Ret: w.ret.chain, RetParams: w.ret.params}
+	s := summary{ret: w.ret.chain, retParams: w.ret.params}
 	params := make([]int, 0, len(w.sinks))
 	for p := range w.sinks {
 		params = append(params, p)
 	}
 	sort.Ints(params)
 	for _, p := range params {
-		s.Sinks = append(s.Sinks, w.sinks[p])
+		s.sinks = append(s.sinks, w.sinks[p])
 	}
 	return s
 }
@@ -430,16 +306,16 @@ func (w *walker) checkCall(call *ast.CallExpr, emit func(token.Pos, string, []st
 			continue
 		}
 		s := w.lookup(tg.Fn)
-		for _, ps := range s.Sinks {
-			at := w.argTaintForParam(call, tg.Fn, ps.Param)
-			tail := append([]string{w.frame(call, "call "+tg.Fn.FullName())}, ps.Chain...)
-			w.sinkContact(call, emit, ps.Sink, at, tail)
+		for _, ps := range s.sinks {
+			at := w.argTaintForParam(call, tg.Fn, ps.param)
+			tail := append([]string{w.frame(call, "call "+tg.Fn.FullName())}, ps.chain...)
+			w.sinkContact(call, emit, ps.sink, at, tail)
 		}
 	}
 }
 
 // sinkContact handles taint meeting a sink: chain taint is reported, and
-// parameter taint becomes this function's own ParamSink entries.
+// parameter taint becomes this function's own paramSink entries.
 func (w *walker) sinkContact(call *ast.CallExpr, emit func(token.Pos, string, []string), sink string, at taint, tail []string) {
 	if at.chain != nil && emit != nil {
 		emit(call.Pos(), sink, append(append([]string{}, at.chain...), tail...))
@@ -449,7 +325,7 @@ func (w *walker) sinkContact(call *ast.CallExpr, emit func(token.Pos, string, []
 			continue
 		}
 		if _, ok := w.sinks[p]; !ok {
-			w.sinks[p] = ParamSink{Param: p, Sink: sink, Chain: tail}
+			w.sinks[p] = paramSink{param: p, sink: sink, chain: tail}
 		}
 	}
 }
@@ -520,7 +396,7 @@ func (w *walker) evalCall(call *ast.CallExpr) taint {
 			return taint{}
 		}
 	}
-	if _, desc, ok := SourceCall(info, call); ok {
+	if desc, _, ok := sourceCall(info, call); ok {
 		return taint{chain: []string{w.frame(call, desc)}}
 	}
 	targets := callgraph.ResolveCall(w.pass, w.cands, call)
@@ -535,16 +411,16 @@ func (w *walker) evalCall(call *ast.CallExpr) taint {
 	var out taint
 	for _, tg := range targets {
 		s := w.lookup(tg.Fn)
-		if s.Ret != nil {
-			out = union(out, taint{chain: append(append([]string{}, s.Ret...),
+		if s.ret != nil {
+			out = union(out, taint{chain: append(append([]string{}, s.ret...),
 				w.frame(call, "returned by "+tg.Fn.FullName()))})
 		}
-		if s.RetParams == 0 {
+		if s.retParams == 0 {
 			continue
 		}
 		for i, a := range argsFor(call, tg.Fn) {
 			bit := clampParam(tg.Fn, i)
-			if s.RetParams&(1<<uint(bit)) == 0 {
+			if s.retParams&(1<<uint(bit)) == 0 {
 				continue
 			}
 			at := w.eval(a)

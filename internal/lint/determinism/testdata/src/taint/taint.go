@@ -1,6 +1,7 @@
-// Corpus for the dettaint analyzer. The test configures
-// SinkTypes = "Counters" and SinkFuncs = "a.Key".
-package a
+// Corpus for the determinism analyzer's taint solver. The test configures
+// SinkTypes = "Counters" and SinkFuncs = "taint.Key", and puts this package
+// in scope, so every source call here is also reported as a direct read.
+package taint
 
 import (
 	"context"
@@ -49,25 +50,24 @@ func viaContext(c *Counters, ctx context.Context) {
 	c.Add(0)
 }
 
-// Wall clock that stays in diagnostics (no sink contact) is not dettaint's
-// business; the determinism analyzer owns the per-package scope rule.
+// Wall clock that reaches no sink is reported only as a direct read.
 func timedButUnsunk() time.Duration {
-	start := time.Now()
-	return time.Since(start)
+	start := time.Now()      // want `wall-clock read time\.Now`
+	return time.Since(start) // want `wall-clock read time\.Since`
 }
 
 // --- direct source → sink ---------------------------------------------------
 
 func direct(c *Counters) {
-	c.Add(time.Now().UnixNano()) // want `non-deterministic value flows into \(\*a\.Counters\)\.Add.*time\.Now`
+	c.Add(time.Now().UnixNano()) // want `non-deterministic value flows into \(\*taint\.Counters\)\.Add.*time\.Now` `wall-clock read time\.Now`
 }
 
 func schedState(c *Counters) {
-	c.Add(int64(runtime.NumGoroutine())) // want `runtime\.NumGoroutine.*scheduler`
+	c.Add(int64(runtime.NumGoroutine())) // want `runtime\.NumGoroutine.*scheduler` `scheduler/host-state read runtime\.NumGoroutine`
 }
 
 func globalRand(c *Counters) {
-	c.Add(rand.Int63()) // want `global math/rand`
+	c.Add(rand.Int63()) // want `global math/rand` `global rand\.Int63 in a simulator package`
 }
 
 // --- laundering through a helper return value -------------------------------
@@ -75,18 +75,18 @@ func globalRand(c *Counters) {
 // stamp launders the wall clock through a return value; its summary carries
 // the source chain.
 func stamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want `wall-clock read time\.Now`
 }
 
 func laundered(c *Counters) {
-	c.Add(stamp()) // want `flows into \(\*a\.Counters\)\.Add.*time\.Now.*returned by a\.stamp`
+	c.Add(stamp()) // want `flows into \(\*taint\.Counters\)\.Add.*time\.Now.*returned by taint\.stamp`
 }
 
 // Two levels: the chain threads both helpers.
 func restamp() int64 { return stamp() }
 
 func laundered2(c *Counters) {
-	c.Add(restamp()) // want `time\.Now.*returned by a\.restamp`
+	c.Add(restamp()) // want `time\.Now.*returned by taint\.restamp`
 }
 
 // --- laundering through a struct field --------------------------------------
@@ -103,13 +103,13 @@ func fielded(c *Counters) {
 
 // --- parameter sinks: the sink is inside the callee -------------------------
 
-// sinkParam's summary says "param 1 reaches (*a.Counters).Add".
+// sinkParam's summary says "param 1 reaches (*taint.Counters).Add".
 func sinkParam(c *Counters, v int64) {
 	c.Add(v)
 }
 
 func callsSinkParam(c *Counters) {
-	sinkParam(c, stamp()) // want `time\.Now.*call a\.sinkParam`
+	sinkParam(c, stamp()) // want `time\.Now.*call taint\.sinkParam`
 }
 
 // Passing a clean value through the same parameter sink is fine.
@@ -122,7 +122,7 @@ func callsSinkParamClean(c *Counters, v int64) {
 func mapOrder(c *Counters, m map[int]int64) {
 	var last int64
 	for _, v := range m {
-		last = v
+		last = v // want `assignment to last outside the loop`
 	}
 	c.Add(last) // want `map iteration order`
 }
@@ -134,7 +134,7 @@ func goodKey(n int64) int64 {
 }
 
 func badKey() int64 {
-	return Key(time.Now().UnixNano()) // want `flows into a\.Key.*time\.Now`
+	return Key(time.Now().UnixNano()) // want `flows into taint\.Key.*time\.Now` `wall-clock read time\.Now`
 }
 
 // --- keyed map rebuild ------------------------------------------------------
@@ -154,7 +154,7 @@ func rebuild(c *Counters, src map[int]int64) {
 func rebuildStamped(c *Counters, src map[int]int64) {
 	dst := make(map[int]int64, len(src))
 	for k := range src {
-		dst[k] = time.Now().UnixNano()
+		dst[k] = time.Now().UnixNano() // want `wall-clock read time\.Now` `call time\.Now\(\.\.\.\)\.UnixNano inside a map range`
 	}
-	c.Add(dst[0]) // want `non-deterministic value flows into \(\*a\.Counters\)\.Add.*time\.Now`
+	c.Add(dst[0]) // want `non-deterministic value flows into \(\*taint\.Counters\)\.Add.*time\.Now`
 }

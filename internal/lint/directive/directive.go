@@ -1,7 +1,6 @@
 // Package directive parses the //simlint: comment directives that carry the
 // simulator's machine-checked contracts:
 //
-//	//simlint:hotpath                 function may not defer mutex unlocks
 //	//simlint:cowshared               snapshot-shared field; written only in
 //	//                                //simlint:cowbarrier functions
 //	//simlint:cowbarrier              function that clones shared state into
@@ -32,7 +31,7 @@ const prefix = "//simlint:"
 
 // A Directive is one parsed //simlint: comment.
 type Directive struct {
-	Kind string // "hotpath", "cowshared", "ignore", ...
+	Kind string // "cowshared", "ignore", ...
 	Args string // remainder of the line, whitespace-trimmed
 	Pos  token.Pos
 }

@@ -25,8 +25,8 @@ type s struct {
 	plain uint64
 }
 
-//simlint:hotpath
-func hot() {}
+//simlint:cowbarrier
+func barrier() {}
 
 func cold() {}
 
@@ -79,17 +79,17 @@ func TestFieldAndFuncDirectives(t *testing.T) {
 		t.Fatalf("atomic fields = %v, want [word slice]", atomicFields)
 	}
 
-	hot := 0
+	barriers := 0
 	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && directive.Has(directive.Func(fd), "hotpath") {
-			hot++
-			if fd.Name.Name != "hot" {
-				t.Fatalf("hotpath on %s", fd.Name.Name)
+		if fd, ok := d.(*ast.FuncDecl); ok && directive.Has(directive.Func(fd), "cowbarrier") {
+			barriers++
+			if fd.Name.Name != "barrier" {
+				t.Fatalf("cowbarrier on %s", fd.Name.Name)
 			}
 		}
 	}
-	if hot != 1 {
-		t.Fatalf("hotpath count = %d", hot)
+	if barriers != 1 {
+		t.Fatalf("cowbarrier count = %d", barriers)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package interproc is the shared fixpoint engine of simlint's
 // interprocedural analyzers. An analyzer describes a per-function summary
-// domain (any JSON-serializable type) and a transfer function; the engine
+// domain (any value type) and a transfer function; the engine
 // solves the package bottom-up over the strongly connected components of
 // its call graph, iterating each SCC to a fixpoint so mutual recursion
 // converges, and bridges package boundaries through the pass's FactStore:
@@ -49,9 +49,11 @@ type Analysis[S any] struct {
 // tiny, so hitting this indicates a non-monotone transfer function.
 const maxRounds = 64
 
-// Solve computes the summary of every function declared in g and exports
-// each to pass.Facts under a.Facts keyed by the function's FullName.
-func Solve[S any](pass *analysis.Pass, g *callgraph.Graph, a *Analysis[S]) map[*types.Func]S {
+// Solve computes the summary of every function declared in g, exports each
+// to pass.Facts under a.Facts keyed by the function's FullName, and returns
+// the solved lookup: this package's summaries, then dependency facts, then
+// External, then Bottom.
+func Solve[S any](pass *analysis.Pass, g *callgraph.Graph, a *Analysis[S]) func(*types.Func) S {
 	sum := make(map[*types.Func]S, len(g.Funcs()))
 	lookup := func(fn *types.Func) S {
 		if n := g.Node(fn); n != nil {
@@ -62,9 +64,8 @@ func Solve[S any](pass *analysis.Pass, g *callgraph.Graph, a *Analysis[S]) map[*
 			// not-yet-visited mutual-recursion partner): start from bottom.
 			return a.Bottom(fn)
 		}
-		var s S
-		if pass.Facts.Get(a.Facts, fn.FullName(), &s) {
-			return s
+		if s, ok := pass.Facts.Get(a.Facts, fn.FullName()); ok {
+			return s.(S)
 		}
 		if a.External != nil {
 			if s, ok := a.External(fn); ok {
@@ -96,5 +97,5 @@ func Solve[S any](pass *analysis.Pass, g *callgraph.Graph, a *Analysis[S]) map[*
 	for _, n := range g.Funcs() {
 		pass.Facts.Set(a.Facts, n.Fn.FullName(), sum[n.Fn])
 	}
-	return sum
+	return lookup
 }

@@ -43,18 +43,17 @@ func TestSolveFixpointAndFacts(t *testing.T) {
 
 	cycle := []string{"A", "B", "C", "Leaf"}
 	want := map[string][]string{"A": cycle, "B": cycle, "C": cycle, "Entry": cycle, "Leaf": nil}
-	if len(sum) != len(want) {
-		t.Errorf("solved %d summaries, want %d", len(sum), len(want))
+	if len(g.Funcs()) != len(want) {
+		t.Errorf("solved %d summaries, want %d", len(g.Funcs()), len(want))
 	}
 	for _, n := range g.Funcs() {
 		name := n.Fn.Name()
-		if got := sum[n.Fn]; !slices.Equal(got, want[name]) {
+		if got := sum(n.Fn); !slices.Equal(got, want[name]) {
 			t.Errorf("summary of %s = %v, want %v", name, got, want[name])
 		}
-		var fact []string
-		if !pass.Facts.Get("reach", n.Fn.FullName(), &fact) {
+		if fact, ok := pass.Facts.Get("reach", n.Fn.FullName()); !ok {
 			t.Errorf("no fact exported for %s", n.Fn.FullName())
-		} else if !slices.Equal(fact, want[name]) {
+		} else if !slices.Equal(fact.([]string), want[name]) {
 			t.Errorf("fact for %s = %v, want %v", n.Fn.FullName(), fact, want[name])
 		}
 	}

@@ -1,34 +1,28 @@
 // Package lint ties the simlint pieces together: the analyzer registry and
 // the per-package runner that applies analyzers and the //simlint:ignore
-// suppression rules. Both driver modes of cmd/simlint (standalone and
-// `go vet -vettool`) run packages through this code, so suppressions,
-// reason-checking and fact propagation behave identically everywhere.
+// suppression rules.
 package lint
 
 import (
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
-	"strings"
 
 	"hugeomp/internal/lint/analysis"
 	"hugeomp/internal/lint/cowshared"
 	"hugeomp/internal/lint/ctxflow"
 	"hugeomp/internal/lint/determinism"
-	"hugeomp/internal/lint/dettaint"
 	"hugeomp/internal/lint/directive"
+	"hugeomp/internal/lint/load"
 	"hugeomp/internal/lint/lockorder"
 	"hugeomp/internal/lint/panicboundary"
 )
 
 // Analyzers is the simlint suite, in reporting order. The interprocedural
-// analyzers (dettaint, lockorder, ctxflow) read and write facts through
-// Unit.Facts; the rest are single-package.
+// analyzers (determinism, lockorder, ctxflow) read and write facts through
+// Pass.Facts; the rest are single-package.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
-		dettaint.Analyzer,
 		lockorder.Analyzer,
 		ctxflow.Analyzer,
 		cowshared.Analyzer,
@@ -52,54 +46,30 @@ type Diagnostic struct {
 	SuppressReason string
 }
 
-// Unit is the package material the runner needs (a subset of load.Package,
-// shaped so the vettool mode can fill it without the loader).
-type Unit struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-	Sizes types.Sizes
-	// Facts carries per-function summaries across packages for the
-	// interprocedural analyzers. May be nil (single-package mode): analyzers
-	// then assume conservative defaults at package boundaries.
-	Facts *analysis.FactStore
-}
-
-// Run applies the analyzers to one package. Diagnostics suppressed by a
+// Run applies every analyzer to one package, reading and writing
+// cross-package summaries through facts. Diagnostics suppressed by a
 // reasoned //simlint:ignore are returned with Suppressed set; reasonless and
 // stale ignores are reported as findings of the "ignore" pseudo-rule.
 // Diagnostics come back in file/line order.
-//
-// Test files are excluded globally: the simlint contracts bind simulation
-// results, not test diagnostics, and `go vet` (which runs analyzers on test
-// variants) must agree finding-for-finding with the standalone runner.
-func Run(u *Unit, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
-	files := u.Files[:0:0]
-	for _, f := range u.Files {
-		if !strings.HasSuffix(u.Fset.Position(f.Pos()).Filename, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	igs := directive.Ignores(u.Fset, files)
+func Run(p *load.Package, facts *analysis.FactStore) ([]Diagnostic, error) {
+	igs := directive.Ignores(p.Fset, p.Files)
 	var out []Diagnostic
-	for _, a := range analyzers {
+	for _, a := range Analyzers() {
 		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       u.Fset,
-			Files:      files,
-			Pkg:        u.Pkg,
-			TypesInfo:  u.Info,
-			TypesSizes: u.Sizes,
-			Facts:      u.Facts,
+			Analyzer:  a,
+			Fset:      p.Fset,
+			Files:     p.Files,
+			Pkg:       p.Types,
+			TypesInfo: p.Info,
+			Facts:     facts,
 			Report: func(d analysis.Diagnostic) {
 				diag := Diagnostic{
 					Analyzer: a.Name,
-					Pos:      u.Fset.Position(d.Pos),
+					Pos:      p.Fset.Position(d.Pos),
 					Message:  d.Message,
 					Trace:    d.Trace,
 				}
-				if ig := igs.Find(u.Fset, a.Name, d.Pos); ig != nil {
+				if ig := igs.Find(p.Fset, a.Name, d.Pos); ig != nil {
 					diag.Suppressed = true
 					diag.SuppressReason = ig.Reason
 				}
@@ -113,14 +83,14 @@ func Run(u *Unit, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
 	for _, ig := range igs.Invalid() {
 		out = append(out, Diagnostic{
 			Analyzer: "ignore",
-			Pos:      u.Fset.Position(ig.Pos),
+			Pos:      p.Fset.Position(ig.Pos),
 			Message:  "//simlint:ignore needs a rule name and a written reason: every suppression must justify itself",
 		})
 	}
 	for _, ig := range igs.Stale() {
 		out = append(out, Diagnostic{
 			Analyzer: "ignore",
-			Pos:      u.Fset.Position(ig.Pos),
+			Pos:      p.Fset.Position(ig.Pos),
 			Message: "stale //simlint:ignore " + ig.RuleList() + " (" + ig.Reason +
 				"): it no longer suppresses anything; delete it",
 		})

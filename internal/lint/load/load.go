@@ -18,7 +18,6 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 )
 
 // A Package is one type-checked package ready for analysis.
@@ -32,7 +31,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	Sizes types.Sizes
 }
 
 // listItem is the subset of `go list -json` output the loader consumes.
@@ -43,12 +41,13 @@ type listItem struct {
 	GoFiles    []string
 	Imports    []string
 	Standard   bool
+	DepOnly    bool // pulled in by -deps, not matched by a pattern
 }
 
 // goList runs `go list` with the given arguments in dir and decodes the JSON
 // stream.
 func goList(dir string, args ...string) ([]*listItem, error) {
-	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Imports,Standard"}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Imports,Standard,DepOnly"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -88,14 +87,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	roots, err := goList(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	isRoot := make(map[string]bool, len(roots))
-	for _, r := range roots {
-		isRoot[r.ImportPath] = true
-	}
 
 	byPath := make(map[string]*listItem, len(deps))
 	var module []*listItem // non-standard packages, in go list (dependency-first) order
@@ -111,7 +102,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	sizes := types.SizesFor("gc", runtime.GOARCH)
 	std := importer.ForCompiler(fset, "source", nil)
 	checked := make(map[string]*types.Package)
 	imp := &chainImporter{checked: checked, std: std, byPath: byPath}
@@ -134,7 +124,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 			Scopes:     make(map[ast.Node]*types.Scope),
 		}
-		conf := types.Config{Importer: imp, Sizes: sizes}
+		conf := types.Config{Importer: imp}
 		tpkg, err := conf.Check(it.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", it.ImportPath, err)
@@ -143,12 +133,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		out = append(out, &Package{
 			ImportPath: it.ImportPath,
 			Dir:        it.Dir,
-			Root:       isRoot[it.ImportPath],
+			Root:       !it.DepOnly,
 			Fset:       fset,
 			Files:      files,
 			Types:      tpkg,
 			Info:       info,
-			Sizes:      sizes,
 		})
 	}
 	return out, nil

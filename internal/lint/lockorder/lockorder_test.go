@@ -8,20 +8,8 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	defer func(order string, pkgs []string) {
-		lockorder.Order, lockorder.Packages = order, pkgs
-	}(lockorder.Order, lockorder.Packages)
-	lockorder.Order = "L2.mu < Shard < Cache"
-	lockorder.Packages = []string{"a"}
+	defer func(order string) { lockorder.Order = order }(lockorder.Order)
+	lockorder.Order = "L2.mu < Shard, Bank < Cache"
 
 	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "a")
-}
-
-// TestHotpathDefer: deferred unlocks in //simlint:hotpath functions are
-// reported even in a package outside lockorder.Packages.
-func TestHotpathDefer(t *testing.T) {
-	defer func(pkgs []string) { lockorder.Packages = pkgs }(lockorder.Packages)
-	lockorder.Packages = []string{"a"}
-
-	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "hot")
 }

@@ -1,6 +1,6 @@
 // Corpus for the lockorder analyzer. The test configures the three-level
-// order "L2.mu < Shard < Cache", a hierarchy deep enough to exercise every
-// rule.
+// order "L2.mu < Shard, Bank < Cache", a hierarchy deep enough to exercise
+// every rule.
 package a
 
 import "sync"
@@ -8,6 +8,8 @@ import "sync"
 type L2 struct{ mu sync.Mutex }
 
 type Shard struct{ mu sync.Mutex }
+
+type Bank struct{ mu sync.Mutex }
 
 type Cache struct{ mu sync.Mutex }
 
@@ -64,6 +66,14 @@ func twoCaches(c1, c2 *Cache) {
 	c1.mu.Unlock()
 }
 
+// Two classes of one rank level never nest, in either order.
+func shardThenBank(sh *Shard, b *Bank) {
+	sh.mu.Lock()
+	b.mu.Lock() // want `Bank\.mu acquired while Shard\.mu is held: they share a level`
+	b.mu.Unlock()
+	sh.mu.Unlock()
+}
+
 // --- interprocedural rank inversion two calls deep -------------------------
 
 // inner actually takes the shard lock.
@@ -85,27 +95,38 @@ func outer(sh *Shard, c *Cache) {
 	c.mu.Unlock()
 }
 
-// --- foreign (unranked) lock nested over the hierarchy ---------------------
+// --- nestings with an end outside the hierarchy ---------------------------
 
-// A lock outside the order held across a ranked acquisition hides the
-// ordering from review (the old "no mutex held across bus traffic" rule,
-// generalized).
+// A ranked lock under an unranked one: a lock outside the order held across
+// a ranked acquisition hides the ordering from review.
 func foreignOverRanked(f *Foreign, sh *Shard) {
 	f.mu.Lock()
-	lockShard(sh) // want `outside the documented hierarchy`
+	lockShard(sh) // want `lock Shard\.mu acquired while Foreign\.mu is held, but Foreign\.mu is outside the documented hierarchy`
 	f.mu.Unlock()
 }
 
-// An unranked lock acquired *under* a ranked one is allowed on its own
-// (leaf-level private locks); only a conflicting reverse edge elsewhere
-// turns it into a cycle.
+// An unranked lock under a ranked one, two calls deep: every nesting must be
+// ranked, leaf locks included, so no cycle can form among unranked locks.
 type Leaf struct{ mu sync.Mutex }
+
+func lockLeaf(lf *Leaf) {
+	lf.mu.Lock()
+	lf.mu.Unlock()
+}
+
+func viaLeaf(lf *Leaf) {
+	lockLeaf(lf)
+}
 
 func rankedOverLeaf(c *Cache, lf *Leaf) {
 	c.mu.Lock()
-	lf.mu.Lock()
-	lf.mu.Unlock()
+	viaLeaf(lf) // want `lock Leaf\.mu acquired while Cache\.mu is held, but Leaf\.mu is outside the documented hierarchy.*acquisition path:.*call a\.viaLeaf.*call a\.lockLeaf.*lf\.mu\.Lock`
 	c.mu.Unlock()
+}
+
+// An unranked lock taken and released on its own nests with nothing.
+func leafAlone(lf *Leaf) {
+	lockLeaf(lf)
 }
 
 // --- same-lock re-acquisition ---------------------------------------------
@@ -115,29 +136,6 @@ func selfDeadlock(c *Cache) {
 	c.mu.Lock() // want `two Cache-class locks`
 	c.mu.Unlock()
 	c.mu.Unlock()
-}
-
-// --- acquisition cycles among unranked locks -------------------------------
-
-type P struct{ mu sync.Mutex }
-
-type Q struct{ mu sync.Mutex }
-
-// pThenQ and qThenP individually look fine (both locks are outside the
-// documented order), but together they form a cycle; the analyzer unions
-// the acquisition edges and reports the first edge of the cycle it sees.
-func pThenQ(p *P, q *Q) {
-	p.mu.Lock()
-	q.mu.Lock() // want `lock acquisition cycle P\.mu -> Q\.mu -> P\.mu`
-	q.mu.Unlock()
-	p.mu.Unlock()
-}
-
-func qThenP(p *P, q *Q) {
-	q.mu.Lock()
-	p.mu.Lock()
-	p.mu.Unlock()
-	q.mu.Unlock()
 }
 
 // --- function literals -----------------------------------------------------

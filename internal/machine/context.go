@@ -172,8 +172,6 @@ func (c *Context) walk(va units.Addr, write bool) pagetable.WalkResult {
 
 // cacheAccess runs the data-cache hierarchy for one line and returns its
 // cycle cost.
-//
-//simlint:hotpath
 func (c *Context) cacheAccess(line uint64) uint64 {
 	if c.l1.Access(line) {
 		c.Ctr.L1Hits++
@@ -211,8 +209,6 @@ func (c *Context) cacheAccess(line uint64) uint64 {
 
 // dataAccess commits one scalar data access through the full
 // translate→TLB→L1→L2 cascade.
-//
-//simlint:hotpath
 func (c *Context) dataAccess(va units.Addr, write bool) {
 	if write {
 		c.Ctr.Stores++

@@ -349,24 +349,23 @@ func TestSMTInterleavePolicyNoFlush(t *testing.T) {
 
 func TestL2PartitionAcrossChipSharers(t *testing.T) {
 	// Xeon: the chip L2 is shared by 2 cores at 4 threads (half each) and
-	// by 4 contexts at 8 threads (quarter each).
-	m := New(XeonHT())
-	m.AttachProcess(pagetable.New())
-	full := XeonHT().L2.SizeBytes
-	ctxs, _ := m.Configure(4)
-	if got := int64(ctxs[0].l2.Lines()) * units.CacheLineSize; got != full/2 {
-		t.Errorf("4-thread L2 share = %d, want %d", got, full/2)
-	}
-	ctxs, _ = m.Configure(8)
-	if got := int64(ctxs[0].l2.Lines()) * units.CacheLineSize; got != full/4 {
-		t.Errorf("8-thread L2 share = %d, want %d", got, full/4)
-	}
-	// Opteron L2 is private: never partitioned.
-	mo := New(Opteron270())
-	mo.AttachProcess(pagetable.New())
-	ctxs, _ = mo.Configure(4)
-	if got := int64(ctxs[0].l2.Lines()) * units.CacheLineSize; got != Opteron270().L2.SizeBytes {
-		t.Errorf("Opteron L2 share = %d, want private %d", got, Opteron270().L2.SizeBytes)
+	// by 4 contexts at 8 threads (quarter each). Opteron L2 is private:
+	// never partitioned.
+	for _, tc := range []struct {
+		model   Model
+		threads int
+		share   int64
+	}{
+		{XeonHT(), 4, 2},
+		{XeonHT(), 8, 4},
+		{Opteron270(), 4, 1},
+	} {
+		c := newCtx(t, tc.model, tc.threads, units.Size4K, 4*units.MB)[0]
+		lines := int(tc.model.L2.SizeBytes / tc.share / units.CacheLineSize)
+		if !holdsExactly(c, 0, lines, units.CacheLineSize, l2Misses) {
+			t.Errorf("%s at %d threads: the L2 does not hold exactly %d lines (1/%d of it)",
+				tc.model.Name, tc.threads, lines, tc.share)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"hugeomp/internal/pagetable"
-	"hugeomp/internal/tlb"
+	"hugeomp/internal/profile"
 	"hugeomp/internal/units"
 )
 
@@ -27,6 +27,39 @@ func mapRange(t testing.TB, pt *pagetable.Table, base units.Addr, size int64, ps
 		}
 	}
 }
+
+// holds reports whether a structure keeps n units, stride bytes apart from
+// va: whether sweeping them a second time adds nothing to the misses that
+// misses reads. Caches and TLBs index their sets by address modulo the set
+// count and evict LRU within a set, so a structure holds n consecutive units
+// exactly when n is at most its capacity, and a slice's size shows through
+// counters alone.
+func holds(c *Context, va units.Addr, n int, stride int64, fetch bool, misses func(*profile.Counters) uint64) bool {
+	sweep := func() {
+		if fetch {
+			c.FetchRange(va, n, stride)
+		} else {
+			c.AccessRange(va, n, stride, false)
+		}
+	}
+	sweep()
+	before := misses(&c.Ctr)
+	sweep()
+	return misses(&c.Ctr) == before
+}
+
+// holdsExactly reports whether a structure's capacity is exactly n units.
+func holdsExactly(c *Context, va units.Addr, n int, stride int64, misses func(*profile.Counters) uint64) bool {
+	return holds(c, va, n, stride, false, misses) && !holds(c, va, n+1, stride, false, misses)
+}
+
+func l1Misses(p *profile.Counters) uint64     { return p.L1Misses }
+func l2Misses(p *profile.Counters) uint64     { return p.L2Misses }
+func dtlbL1Miss4K(p *profile.Counters) uint64 { return p.DTLBL1Miss4K }
+func dtlbL1Miss2M(p *profile.Counters) uint64 { return p.DTLBL1Miss2M }
+func dtlbWalks4K(p *profile.Counters) uint64  { return p.DTLBWalks4K }
+func dtlbWalks2M(p *profile.Counters) uint64  { return p.DTLBWalks2M }
+func itlbWalks(p *profile.Counters) uint64    { return p.ITLBWalks }
 
 func newCtx(t *testing.T, model Model, threads int, ps units.PageSize, dataBytes int64) []*Context {
 	t.Helper()
@@ -107,19 +140,15 @@ func TestSMTPartitionHalvesTLB(t *testing.T) {
 		{NiagaraT1(), 24, 3},
 		{NiagaraT1(), 32, 4},
 	} {
-		m := New(tc.model)
-		m.AttachProcess(pagetable.New())
-		ctxs, err := m.Configure(tc.threads)
-		if err != nil {
-			t.Fatal(err)
+		c := newCtx(t, tc.model, tc.threads, units.Size4K, units.MB)[0]
+		entries := tc.model.DTLB.L1.E4K.Entries / tc.share
+		if !holdsExactly(c, 0, entries, units.PageSize4K, dtlbL1Miss4K) {
+			t.Errorf("%s at %d threads: the L1 DTLB does not hold exactly %d 4 KB pages",
+				tc.model.Name, tc.threads, entries)
 		}
-		full := tc.model.DTLB.L1.E4K.Entries
-		if got := ctxs[0].DTLB().Spec().L1.E4K.Entries; got != full/tc.share {
-			t.Errorf("%s at %d threads: DTLB entries = %d, want %d",
-				tc.model.Name, tc.threads, got, full/tc.share)
-		}
-		if got, want := ctxs[0].l1.Lines(), int(tc.model.L1D.Partition(tc.share).SizeBytes/units.CacheLineSize); got != want {
-			t.Errorf("%s at %d threads: L1 lines = %d, want %d", tc.model.Name, tc.threads, got, want)
+		lines := int(tc.model.L1D.Partition(tc.share).SizeBytes / units.CacheLineSize)
+		if !holdsExactly(c, 0, lines, units.CacheLineSize, l1Misses) {
+			t.Errorf("%s at %d threads: the L1 does not hold exactly %d lines", tc.model.Name, tc.threads, lines)
 		}
 	}
 }
@@ -282,14 +311,35 @@ func TestTrueSharingMode(t *testing.T) {
 // TestConfigureEveryThreadCount: every built-in model builds its contexts
 // at every thread count its hardware has — sharer counts that do not divide
 // a shared cache's set count (XeonHT's per-chip L2 at 5–7 threads,
-// NiagaraT1's L1 and L2 at most counts) included — every context's caches
-// are valid slices no bigger than their share, and the contexts of one core
-// together never hold more entries of any TLB structure than the model has.
+// NiagaraT1's L1 and L2 at most counts) included — every context's L2 is a
+// slice no bigger than its share and more than half of it, and the contexts
+// of one core together never hold more entries of any TLB structure than
+// the model has. The ITLB counts a miss only when it walks, so its levels
+// are bounded together.
 func TestConfigureEveryThreadCount(t *testing.T) {
+	const hugeVA = units.Addr(4 << 30)
+	pt := pagetable.New()
+	mapRange(t, pt, 0, 4*units.MB, units.Size4K)
+	mapRange(t, pt, hugeVA, 64*units.PageSize2M, units.Size2M)
 	for _, model := range AllModels() {
+		d, i := model.DTLB, model.ITLB
+		tlbs := []struct {
+			va      units.Addr
+			stride  int64
+			fetch   bool
+			entries int
+			misses  func(*profile.Counters) uint64
+		}{
+			{0, units.PageSize4K, false, d.L1.E4K.Entries, dtlbL1Miss4K},
+			{0, units.PageSize4K, false, d.L1.E4K.Entries + d.L2.E4K.Entries, dtlbWalks4K},
+			{hugeVA, units.PageSize2M, false, d.L1.E2M.Entries, dtlbL1Miss2M},
+			{hugeVA, units.PageSize2M, false, d.L1.E2M.Entries + d.L2.E2M.Entries, dtlbWalks2M},
+			{0, units.PageSize4K, true, i.L1.E4K.Entries + i.L2.E4K.Entries, itlbWalks},
+			{hugeVA, units.PageSize2M, true, i.L1.E2M.Entries + i.L2.E2M.Entries, itlbWalks},
+		}
 		for n := 1; n <= model.MaxThreads(); n++ {
 			m := New(model)
-			m.AttachProcess(pagetable.New())
+			m.AttachProcess(pt)
 			ctxs, err := m.Configure(n)
 			if err != nil {
 				t.Errorf("%s at %d threads: %v", model.Name, n, err)
@@ -301,49 +351,29 @@ func TestConfigureEveryThreadCount(t *testing.T) {
 				}
 				return m.CoreOf(c)
 			}
-			perL2 := map[int]int{}
+			perL2, perCore := map[int]int{}, map[int]int{}
 			for _, c := range ctxs {
 				perL2[domain(c)]++
+				perCore[m.CoreOf(c)]++
 			}
+			l2Lines := int(model.L2.SizeBytes / units.CacheLineSize)
 			for _, c := range ctxs {
-				l2Lines := int(model.L2.SizeBytes / units.CacheLineSize)
-				if share := perL2[domain(c)]; c.l2.Lines()*share > l2Lines || c.l2.Lines()*share*2 <= l2Lines {
-					t.Errorf("%s at %d threads: ctx %d L2 slice of %d lines for %d sharers of %d",
-						model.Name, n, c.ID, c.l2.Lines(), share, l2Lines)
+				share := perL2[domain(c)]
+				if holds(c, 0, l2Lines/share+1, units.CacheLineSize, false, l2Misses) ||
+					!holds(c, 0, l2Lines/(2*share)+1, units.CacheLineSize, false, l2Misses) {
+					t.Errorf("%s at %d threads: ctx %d L2 slice is not in (%d, %d] lines for %d sharers of %d",
+						model.Name, n, c.ID, l2Lines/(2*share), l2Lines/share, share, l2Lines)
 				}
-			}
-			held := map[int][8]int{} // per core: entries of each TLB structure
-			for _, c := range ctxs {
-				h := held[m.CoreOf(c)]
-				for i, e := range tlbEntries(c.ITLB().Spec(), c.DTLB().Spec()) {
-					h[i] += e
-				}
-				held[m.CoreOf(c)] = h
-			}
-			hw := tlbEntries(model.ITLB, model.DTLB)
-			for core, h := range held {
-				for i := range h {
-					if h[i] > hw[i] {
-						t.Errorf("%s at %d threads: core %d holds %d entries of TLB structure %d, the hardware has %d",
-							model.Name, n, core, h[i], i, hw[i])
+				k := perCore[m.CoreOf(c)]
+				for j, s := range tlbs {
+					if holds(c, s.va, s.entries/k+1, s.stride, s.fetch, s.misses) {
+						t.Errorf("%s at %d threads: ctx %d holds more than its 1/%d of the %d entries of TLB structure %d",
+							model.Name, n, c.ID, k, s.entries, j)
 					}
 				}
 			}
 		}
 	}
-}
-
-// tlbEntries lists the entry counts of the eight structures of an ITLB and
-// a DTLB stack.
-func tlbEntries(itlb, dtlb tlb.Spec) [8]int {
-	var e [8]int
-	for i, s := range []tlb.Spec{itlb, dtlb} {
-		e[4*i] = s.L1.E4K.Entries
-		e[4*i+1] = s.L1.E2M.Entries
-		e[4*i+2] = s.L2.E4K.Entries
-		e[4*i+3] = s.L2.E2M.Entries
-	}
-	return e
 }
 
 // TestConfigureRejectsBadModels: a coherent model and a cache geometry that

@@ -79,11 +79,19 @@ type pgdEntry struct {
 	shared bool // entry is (or was) aliased by a forked table
 }
 
-type pte struct {
-	present bool
-	pfn     uint64
-	prot    Prot
-}
+// pte is one page table entry, packed as on x86-64: the frame number above
+// bit 12 and the protection bits below it. Every mapping is readable
+// (Map refuses one that is not), so a mapped entry is never zero and the
+// zero value means "not present".
+type pte uint64
+
+const ptePFNShift = units.PageShift4K
+
+func makePTE(pfn uint64, prot Prot) pte { return pte(pfn<<ptePFNShift | uint64(prot)) }
+
+func (p pte) present() bool { return p != 0 }
+func (p pte) pfn() uint64   { return uint64(p) >> ptePFNShift }
+func (p pte) prot() Prot    { return Prot(p & (1<<ptePFNShift - 1)) }
 
 // Table is one process's page table. It is safe for concurrent translation;
 // mapping operations take the write lock.
@@ -156,6 +164,9 @@ func (t *Table) mapAttempt(va units.Addr, size units.PageSize, pfn uint64, prot 
 	if uint64(va)&uint64(size.Mask()) != 0 {
 		return fmt.Errorf("%w: va %#x for %s page", ErrMisaligned, va, size)
 	}
+	if prot&ProtRead == 0 {
+		return fmt.Errorf("%w: unreadable mapping at %#x", ErrProtViolation, va)
+	}
 	key := uint64(va) ^ uint64(size) ^ attempt*0x9e3779b97f4a7c15
 	if t.fault.ShouldKey(faultinject.SitePTMap, key) {
 		return fmt.Errorf("%w: va %#x attempt %d (injected)", ErrTransient, va, attempt)
@@ -182,11 +193,11 @@ func (t *Table) mapAttempt(va units.Addr, size units.PageSize, pfn uint64, prot 
 		return fmt.Errorf("%w: 4KB inside 2MB at %#x", ErrOverlap, va)
 	}
 	pi := pteIndex(va)
-	if e.ptes[pi].present {
+	if e.ptes[pi].present() {
 		return fmt.Errorf("%w: 4KB at %#x", ErrOverlap, va)
 	}
 	e = t.ensureOwned(gi, e)
-	t.writePTE(e, pi, pte{present: true, pfn: pfn, prot: prot})
+	t.writePTE(e, pi, makePTE(pfn, prot))
 	e.used++
 	t.mapped4K.Add(1)
 	return nil
@@ -216,12 +227,12 @@ func (t *Table) Unmap(va units.Addr, size units.PageSize) (Entry, error) {
 	}
 	pi := pteIndex(va)
 	p := e.ptes[pi]
-	if !p.present {
+	if !p.present() {
 		return Entry{}, fmt.Errorf("%w: %#x", ErrNotMapped, va)
 	}
-	ent := Entry{PFN: p.pfn, Size: units.Size4K, Prot: p.prot}
+	ent := Entry{PFN: p.pfn(), Size: units.Size4K, Prot: p.prot()}
 	e = t.ensureOwned(gi, e)
-	t.writePTE(e, pi, pte{})
+	t.writePTE(e, pi, 0)
 	e.used--
 	t.mapped4K.Add(-1)
 	if e.used == 0 {
@@ -318,12 +329,12 @@ func (t *Table) Translate(va units.Addr) (WalkResult, error) {
 		}, nil
 	}
 	p := e.ptes[pteIndex(va)]
-	if !p.present {
+	if !p.present() {
 		return WalkResult{MemRefs: 2}, fmt.Errorf("%w: %#x", ErrNotMapped, va)
 	}
 	return WalkResult{
 		MemRefs: 2,
-		Entry:   Entry{PFN: p.pfn, Size: units.Size4K, Prot: p.prot},
+		Entry:   Entry{PFN: p.pfn(), Size: units.Size4K, Prot: p.prot()},
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hugeomp/internal/faultinject"
 	"hugeomp/internal/units"
@@ -127,6 +128,27 @@ func TestProtectionTrap(t *testing.T) {
 		if _, err := pt.Access(units.Addr(units.PageSize4K+0x10), write); err != nil {
 			t.Errorf("access (write=%v) to a read-write page should succeed: %v", write, err)
 		}
+	}
+}
+
+// TestPTEFrameIsOnePage: a frame of PTEs is the 4 KB page of 8-byte entries
+// the paper's Figure 2 walks, and a packed entry round-trips its frame
+// number and protection. An unreadable mapping, which would pack to the
+// zero "not present" entry, is refused.
+func TestPTEFrameIsOnePage(t *testing.T) {
+	if got := int64(unsafe.Sizeof([ptesPerFrame]pte{})); got != units.PageSize4K {
+		t.Errorf("PTE frame is %d bytes, want %d", got, units.PageSize4K)
+	}
+	const maxPFN = 1<<(64-ptePFNShift) - 1
+	for _, prot := range []Prot{ProtRead, ProtRW} {
+		p := makePTE(maxPFN, prot)
+		if !p.present() || p.pfn() != maxPFN || p.prot() != prot {
+			t.Errorf("makePTE(%#x, %v) unpacks to present=%v pfn=%#x prot=%v",
+				uint64(maxPFN), prot, p.present(), p.pfn(), p.prot())
+		}
+	}
+	if err := New().Map(0, units.Size4K, 0, ProtWrite); !errors.Is(err, ErrProtViolation) {
+		t.Errorf("write-only mapping: err = %v, want ErrProtViolation", err)
 	}
 }
 

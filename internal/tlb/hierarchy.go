@@ -150,14 +150,9 @@ func (h *Hierarchy) unionDel(size units.PageSize, vpn uint64) {
 	}
 }
 
-// Spec returns the hierarchy's configuration.
-func (h *Hierarchy) Spec() Spec { return h.spec }
-
 // Access probes the stack for vpn of the given page-size class. A
 // second-level hit promotes the entry into L1. On a full miss the caller
 // must perform a page walk and then call Fill.
-//
-//simlint:hotpath
 func (h *Hierarchy) Access(vpn uint64, size units.PageSize) Outcome {
 	if f := h.filt[size]; f != nil && f[vpn&h.filtMask[size]] == 0 {
 		// Resident in neither level: one load replaces the full cascade,
@@ -208,8 +203,6 @@ func (h *Hierarchy) demote(size units.PageSize, ev Entry) {
 }
 
 // Fill installs a translation after a page walk.
-//
-//simlint:hotpath
 func (h *Hierarchy) Fill(vpn uint64, size units.PageSize) {
 	ev, evOK, ip := h.l1[size].InsertEx(vpn)
 	if !ip {

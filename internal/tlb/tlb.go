@@ -219,8 +219,6 @@ func (t *TLB) Entries() int {
 }
 
 // Lookup probes for vpn and refreshes its LRU recency on a hit.
-//
-//simlint:hotpath
 func (t *TLB) Lookup(vpn uint64) bool {
 	if t == nil {
 		return false
@@ -254,8 +252,6 @@ type Entry struct {
 // returns the evicted entry, whether an eviction happened, and whether the
 // fill refreshed an already resident vpn in place — the membership
 // information the hierarchy's union filter needs.
-//
-//simlint:hotpath
 func (t *TLB) InsertEx(vpn uint64) (evicted Entry, wasEvicted, inPlace bool) {
 	if t == nil {
 		return Entry{}, false, false
