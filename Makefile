@@ -68,7 +68,9 @@ simd-smoke:
 # single-template baseline by >= 3x. Also run as part of `make bench`; the
 # tier-1 TestServiceWarmRestart checks the same load is answered entirely
 # from cache. BenchmarkServeHit reports ns/op and allocs/op of one /run
-# answered from the memo and from disk, with no floor.
+# answered from the memo (a repeated body, answered without a decode, and a
+# never-seen respelling, decoded and compiled first) and from disk, with no
+# floor.
 serve-bench:
 	$(GO) test -run '^$$' -bench 'ServiceWarmRestart|ServeHit' ./internal/simsrv/
 

@@ -13,9 +13,9 @@
 // matters (documented per analyzer).
 //
 // Calls inside a function literal are attributed to the enclosing declared
-// function (with Edge.InLit set): the simulator's literals are worksharing
-// bodies invoked synchronously by the runtime, so folding them into the
-// parent's summary is the conservative direction for every client analysis.
+// function: the simulator's literals are worksharing bodies invoked
+// synchronously by the runtime, so folding them into the parent's summary is
+// the conservative direction for every client analysis.
 package callgraph
 
 import (
@@ -27,16 +27,12 @@ import (
 
 // A Node is one function declared in the package under analysis.
 type Node struct {
-	Fn    *types.Func
-	Decl  *ast.FuncDecl
-	Calls []Edge
-}
-
-// An Edge is one resolved call site.
-type Edge struct {
-	Callee *types.Func // resolved target; may belong to another package
-	InLit  bool        // the call occurs inside a func literal of the caller
-	Iface  *types.Func // the abstract method, when resolved by CHA; else nil
+	Fn   *types.Func
+	Decl *ast.FuncDecl
+	// Calls holds the resolved targets of every call site in the body,
+	// literals included, in source order; a target may belong to another
+	// package.
+	Calls []*types.Func
 }
 
 // A Graph holds the package's nodes in declaration order.
@@ -68,20 +64,11 @@ func Build(pass *analysis.Pass) *Graph {
 				continue
 			}
 			n := &Node{Fn: fn, Decl: fd}
+			// Calls inside a literal, nested literals included, are the
+			// caller's.
 			ast.Inspect(fd.Body, func(x ast.Node) bool {
-				switch x := x.(type) {
-				case *ast.FuncLit:
-					// Everything inside the literal (including nested
-					// literals) is attributed to the caller with InLit set.
-					ast.Inspect(x.Body, func(y ast.Node) bool {
-						if call, ok := y.(*ast.CallExpr); ok {
-							n.addCall(pass, cands, call, true)
-						}
-						return true
-					})
-					return false
-				case *ast.CallExpr:
-					n.addCall(pass, cands, x, false)
+				if call, ok := x.(*ast.CallExpr); ok {
+					n.Calls = append(n.Calls, ResolveCall(pass, cands, call)...)
 				}
 				return true
 			})
@@ -92,25 +79,11 @@ func Build(pass *analysis.Pass) *Graph {
 	return g
 }
 
-// addCall resolves one call site into zero or more edges.
-func (n *Node) addCall(pass *analysis.Pass, cands []types.Type, call *ast.CallExpr, inLit bool) {
-	for _, target := range ResolveCall(pass, cands, call) {
-		e := Edge{Callee: target.Fn, InLit: inLit, Iface: target.Iface}
-		n.Calls = append(n.Calls, e)
-	}
-}
-
-// A Target is one possible callee of a call site.
-type Target struct {
-	Fn    *types.Func
-	Iface *types.Func // non-nil when Fn was found by CHA under this abstract method
-}
-
 // ResolveCall returns the possible static targets of a call expression:
 // the checked callee for direct calls, or the CHA expansion for interface
 // method calls over the candidate concrete types. Builtins, conversions and
 // function-value calls resolve to nothing.
-func ResolveCall(pass *analysis.Pass, cands []types.Type, call *ast.CallExpr) []Target {
+func ResolveCall(pass *analysis.Pass, cands []types.Type, call *ast.CallExpr) []*types.Func {
 	fn := analysis.Callee(pass.TypesInfo, call)
 	if fn == nil {
 		return nil
@@ -121,14 +94,14 @@ func ResolveCall(pass *analysis.Pass, cands []types.Type, call *ast.CallExpr) []
 	}
 	recv := sig.Recv()
 	if recv == nil || !types.IsInterface(recv.Type()) {
-		return []Target{{Fn: fn}}
+		return []*types.Func{fn}
 	}
 	// Interface method: fan out to every candidate implementation.
 	iface, _ := recv.Type().Underlying().(*types.Interface)
 	if iface == nil {
 		return nil
 	}
-	var out []Target
+	var out []*types.Func
 	for _, t := range cands {
 		impl := t
 		if !types.Implements(impl, iface) {
@@ -139,7 +112,7 @@ func ResolveCall(pass *analysis.Pass, cands []types.Type, call *ast.CallExpr) []
 		}
 		obj, _, _ := types.LookupFieldOrMethod(impl, true, fn.Pkg(), fn.Name())
 		if m, ok := obj.(*types.Func); ok {
-			out = append(out, Target{Fn: m, Iface: fn})
+			out = append(out, m)
 		}
 	}
 	return out
@@ -194,8 +167,8 @@ func (g *Graph) SCCs() [][]*Node {
 		state[n] = st
 		stack = append(stack, n)
 		st.onStack = true
-		for _, e := range n.Calls {
-			m := g.nodes[e.Callee]
+		for _, callee := range n.Calls {
+			m := g.nodes[callee]
 			if m == nil {
 				continue // external callee: not part of this graph
 			}

@@ -124,13 +124,13 @@ func scanCall(pass *analysis.Pass, cands []types.Type, call *ast.CallExpr, looku
 		}
 		return
 	}
-	for _, tg := range callgraph.ResolveCall(pass, cands, call) {
-		cs := lookup(tg.Fn)
+	for _, callee := range callgraph.ResolveCall(pass, cands, call) {
+		cs := lookup(callee)
 		if cs.Checkpoint {
 			s.Checkpoint = true
 		}
 		if cs.Region != nil && s.Region == nil {
-			s.Region = append([]string{frame(pass, call, "call "+tg.Fn.FullName())}, cs.Region...)
+			s.Region = append([]string{frame(pass, call, "call "+callee.FullName())}, cs.Region...)
 		}
 	}
 }

@@ -297,18 +297,18 @@ func (w *walker) collect(body *ast.BlockStmt, emit func(token.Pos, string, []str
 // tainted argument; other callees may declare parameter sinks in their
 // summaries, which stitch onto the argument's taint here.
 func (w *walker) checkCall(call *ast.CallExpr, emit func(token.Pos, string, []string)) {
-	for _, tg := range callgraph.ResolveCall(w.pass, w.cands, call) {
-		if desc, ok := sinkOf(tg.Fn); ok {
+	for _, callee := range callgraph.ResolveCall(w.pass, w.cands, call) {
+		if desc, ok := sinkOf(callee); ok {
 			for _, a := range call.Args { // the receiver is the sink itself
 				w.sinkContact(call, emit, desc, w.eval(a),
 					[]string{w.frame(call, "argument to "+desc)})
 			}
 			continue
 		}
-		s := w.lookup(tg.Fn)
+		s := w.lookup(callee)
 		for _, ps := range s.sinks {
-			at := w.argTaintForParam(call, tg.Fn, ps.param)
-			tail := append([]string{w.frame(call, "call "+tg.Fn.FullName())}, ps.chain...)
+			at := w.argTaintForParam(call, callee, ps.param)
+			tail := append([]string{w.frame(call, "call "+callee.FullName())}, ps.chain...)
 			w.sinkContact(call, emit, ps.sink, at, tail)
 		}
 	}
@@ -409,24 +409,24 @@ func (w *walker) evalCall(call *ast.CallExpr) taint {
 		return t
 	}
 	var out taint
-	for _, tg := range targets {
-		s := w.lookup(tg.Fn)
+	for _, callee := range targets {
+		s := w.lookup(callee)
 		if s.ret != nil {
 			out = union(out, taint{chain: append(append([]string{}, s.ret...),
-				w.frame(call, "returned by "+tg.Fn.FullName()))})
+				w.frame(call, "returned by "+callee.FullName()))})
 		}
 		if s.retParams == 0 {
 			continue
 		}
-		for i, a := range argsFor(call, tg.Fn) {
-			bit := clampParam(tg.Fn, i)
+		for i, a := range argsFor(call, callee) {
+			bit := clampParam(callee, i)
 			if s.retParams&(1<<uint(bit)) == 0 {
 				continue
 			}
 			at := w.eval(a)
 			if at.chain != nil {
 				out = union(out, taint{chain: append(append([]string{}, at.chain...),
-					w.frame(call, "through "+tg.Fn.FullName()))})
+					w.frame(call, "through "+callee.FullName()))})
 			}
 			out.params |= at.params
 		}

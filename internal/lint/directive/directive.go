@@ -102,7 +102,7 @@ type Ignore struct {
 	Line   int
 	Pos    token.Pos
 
-	used bool // set by Match when the ignore suppresses a diagnostic
+	used bool // set by Find when the ignore suppresses a diagnostic
 }
 
 // Covers reports whether the ignore names the rule.
@@ -162,12 +162,6 @@ func Ignores(fset *token.FileSet, files []*ast.File) *IgnoreSet {
 	return s
 }
 
-// Match reports whether a diagnostic of the given rule at pos is suppressed,
-// and marks the matching ignore as used (see Stale).
-func (s *IgnoreSet) Match(fset *token.FileSet, rule string, pos token.Pos) bool {
-	return s.Find(fset, rule, pos) != nil
-}
-
 // Find returns the ignore suppressing a diagnostic of the given rule at pos
 // (or nil), marking it used. Reasonless ignores never match.
 func (s *IgnoreSet) Find(fset *token.FileSet, rule string, pos token.Pos) *Ignore {
@@ -201,7 +195,7 @@ func (s *IgnoreSet) Invalid() []*Ignore {
 
 // Stale returns the well-formed ignores that suppressed nothing in this run:
 // the code they excused has been fixed or moved, so they should be deleted.
-// Only meaningful after every diagnostic has been filtered through Match.
+// Only meaningful after every diagnostic has been filtered through Find.
 func (s *IgnoreSet) Stale() []*Ignore {
 	var out []*Ignore
 	for _, ig := range s.all {

@@ -97,26 +97,31 @@ func TestIgnores(t *testing.T) {
 	fset, f := parse(t)
 	igs := directive.Ignores(fset, []*ast.File{f})
 
-	pos := func(line int) token.Pos {
-		return fset.File(f.Pos()).LineStart(line)
+	// found returns the line of the ignore that Find says suppresses a rule
+	// at line, or 0.
+	found := func(rule string, line int) int {
+		if ig := igs.Find(fset, rule, fset.File(f.Pos()).LineStart(line)); ig != nil {
+			return ig.Line
+		}
+		return 0
 	}
 	// Line 22: trailing ignore for determinism suppresses its own line.
-	if !igs.Match(fset, "determinism", pos(22)) {
-		t.Error("trailing ignore did not match its own line")
+	if got := found("determinism", 22); got != 22 {
+		t.Errorf("determinism on line 22 suppressed by the ignore on line %d, want 22 (its own)", got)
 	}
-	if igs.Match(fset, "atomicfield", pos(22)) {
-		t.Error("ignore matched the wrong rule")
+	if got := found("atomicfield", 22); got != 0 {
+		t.Errorf("atomicfield on line 22 suppressed by the ignore on line %d, which names another rule", got)
 	}
 	// Line 24 holds a standalone ignore: it covers line 25.
-	if !igs.Match(fset, "atomicfield", pos(25)) {
-		t.Error("standalone ignore did not cover the following line")
+	if got := found("atomicfield", 25); got != 24 {
+		t.Errorf("atomicfield on line 25 suppressed by the ignore on line %d, want 24 (standalone, above)", got)
 	}
-	if igs.Match(fset, "atomicfield", pos(27)) {
-		t.Error("ignore leaked past the following line")
+	if got := found("atomicfield", 27); got != 0 {
+		t.Errorf("the ignore on line %d leaked past the following line", got)
 	}
 	// The reasonless ignore on line 27 is invalid: it matches nothing.
-	if igs.Match(fset, "lockdiscipline", pos(27)) {
-		t.Error("reasonless ignore suppressed a diagnostic")
+	if got := found("lockdiscipline", 27); got != 0 {
+		t.Errorf("reasonless ignore on line %d suppressed a diagnostic", got)
 	}
 	inv := igs.Invalid()
 	if len(inv) != 1 || inv[0].RuleList() != "lockdiscipline" {
@@ -124,14 +129,13 @@ func TestIgnores(t *testing.T) {
 	}
 
 	// Line 29: one directive, two comma-separated rules, one shared reason.
-	if !igs.Match(fset, "determinism", pos(29)) {
-		t.Error("multi-rule ignore did not cover its first rule")
+	for _, rule := range []string{"determinism", "lockorder"} {
+		if got := found(rule, 29); got != 29 {
+			t.Errorf("multi-rule ignore did not cover %s (found line %d)", rule, got)
+		}
 	}
-	if !igs.Match(fset, "lockorder", pos(29)) {
-		t.Error("multi-rule ignore did not cover its second rule")
-	}
-	if igs.Match(fset, "ctxflow", pos(29)) {
-		t.Error("multi-rule ignore covered a rule it does not name")
+	if got := found("ctxflow", 29); got != 0 {
+		t.Errorf("multi-rule ignore on line %d covered a rule it does not name", got)
 	}
 
 	// Only the never-matched padding ignore on line 31 is stale; everything

@@ -19,9 +19,9 @@ var reach = &interproc.Analysis[[]string]{
 	Bottom: func(*types.Func) []string { return nil },
 	Transfer: func(n *callgraph.Node, lookup func(*types.Func) []string) []string {
 		var out []string
-		for _, e := range n.Calls {
-			out = append(out, e.Callee.Name())
-			out = append(out, lookup(e.Callee)...)
+		for _, callee := range n.Calls {
+			out = append(out, callee.Name())
+			out = append(out, lookup(callee)...)
 		}
 		slices.Sort(out)
 		return slices.Compact(out)

@@ -2,8 +2,8 @@
 // packages for the simlint analyzers. It is a miniature go/packages: the
 // build list comes from `go list -deps -json`, module packages are
 // type-checked from source in dependency order, and standard-library imports
-// are satisfied by the compiler's source importer — no network, no export
-// data, no x/tools.
+// are read from the compiler's export data, which `go list -export` finds
+// (or builds) in the build cache — no network, no x/tools.
 package load
 
 import (
@@ -16,6 +16,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 )
@@ -41,13 +42,14 @@ type listItem struct {
 	GoFiles    []string
 	Imports    []string
 	Standard   bool
-	DepOnly    bool // pulled in by -deps, not matched by a pattern
+	DepOnly    bool   // pulled in by -deps, not matched by a pattern
+	Export     string // export data file; set only under -export
 }
 
 // goList runs `go list` with the given arguments in dir and decodes the JSON
 // stream.
 func goList(dir string, args ...string) ([]*listItem, error) {
-	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Imports,Standard,DepOnly"}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Imports,Standard,DepOnly,Export"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -102,7 +104,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
+	std, err := stdImporter(fset, dir, order, byPath)
+	if err != nil {
+		return nil, err
+	}
 	checked := make(map[string]*types.Package)
 	imp := &chainImporter{checked: checked, std: std, byPath: byPath}
 
@@ -143,8 +148,41 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
+// stdImporter returns an importer over the export data of the standard
+// packages that module imports directly. It never needs the others: a
+// package's export data carries every type it uses from its dependencies.
+func stdImporter(fset *token.FileSet, dir string, module []*listItem, byPath map[string]*listItem) (types.Importer, error) {
+	seen := make(map[string]bool)
+	var paths []string
+	for _, it := range module {
+		for _, imp := range it.Imports {
+			if dep, ok := byPath[imp]; ok && dep.Standard && !seen[imp] {
+				seen[imp] = true
+				paths = append(paths, imp)
+			}
+		}
+	}
+	exports := make(map[string]string, len(paths))
+	if len(paths) > 0 {
+		items, err := goList(dir, append([]string{"-export"}, paths...)...)
+		if err != nil {
+			return nil, err
+		}
+		for _, it := range items {
+			exports[it.ImportPath] = it.Export
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	}), nil
+}
+
 // chainImporter resolves module packages from the already-checked set and
-// everything else (the standard library) through the source importer.
+// everything else (the standard library) through its export data.
 type chainImporter struct {
 	checked map[string]*types.Package
 	std     types.Importer

@@ -319,15 +319,15 @@ func (w *walker) call(call *ast.CallExpr) {
 		return
 	}
 	targets := callgraph.ResolveCall(w.pass, w.cands, call)
-	for _, t := range targets {
-		s := w.lookup(t.Fn)
+	for _, callee := range targets {
+		s := w.lookup(callee)
 		classes := make([]string, 0, len(s))
 		for c := range s {
 			classes = append(classes, c)
 		}
 		sort.Strings(classes)
 		for _, c := range classes {
-			chain := append([]string{w.frame(call, "call "+t.Fn.FullName())}, s[c]...)
+			chain := append([]string{w.frame(call, "call "+callee.FullName())}, s[c]...)
 			for _, h := range w.held {
 				w.nest(h.class, c, call.Pos(), chain)
 			}

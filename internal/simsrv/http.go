@@ -1,7 +1,9 @@
 package simsrv
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"io"
@@ -25,6 +27,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// handleRun answers one /run request. It reads the body once, bounded by
+// MaxBodyBytes. A body whose exact bytes compiled before, to a key the memo
+// still holds, is answered from the memo at once: no decode, no compile, no
+// RunKey and no deadline. Every other body (first seen, memo-evicted,
+// inject, invalid, oversized) is decoded from the bytes read, with the
+// read's error after them, so the decoder sees the stream it always saw:
+// unknown fields are refused, bytes after the first value are ignored, and
+// a value cut off by the limit is a 413.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.ctr.drained.Add(1)
@@ -33,9 +43,27 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	body, readErr := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	var sum bodySum
+	if readErr == nil {
+		sum = sha256.Sum256(body)
+		if key, ok := s.bodyKeys.get(&sum); ok {
+			if result, ok := s.memo.Lookup(key); ok {
+				s.ctr.requests.Add(1)
+				s.ctr.completed.Add(1)
+				s.ctr.cacheHits.Add(1)
+				writeResult(w, key, true, result)
+				return
+			}
+		}
+	}
+
+	var src io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
 	var req Request
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.ctr.invalid.Add(1)
@@ -53,6 +81,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.ctr.invalid.Add(1)
 		writeError(w, http.StatusBadRequest, kindInvalid, err.Error())
 		return
+	}
+	if req.Inject == "" && readErr == nil {
+		// An inject request must dispatch every time, so its body is never
+		// recorded; neither is a body cut short by the limit.
+		s.bodyKeys.put(&sum, key)
 	}
 
 	// The deadline budget starts at admission: queue wait spends it too, so
@@ -84,6 +117,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	writeResult(w, key, hit, result)
 }
+
+// errReader fails every read with err: the error that ended a body's read,
+// replayed to the decoder after the bytes that came before it.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // writeRunError maps a failed session onto status, typed kind, and counters.
 func (s *Server) writeRunError(w http.ResponseWriter, err error) {

@@ -16,7 +16,10 @@ import (
 // executed under a context that expires at deadline. It returns the
 // result's canonical JSON as the memo stores it — encoded once, by the memo,
 // on the miss that computed it — which the caller must not modify. A hit
-// builds neither the context nor the memo's compute.
+// builds neither the context nor the memo's compute. handleRun answers a
+// repeated body from the memo before it compiles; this Lookup answers the
+// bodies it has not seen, such as a respelling ("cg" for "CG", fields
+// reordered, a deadline added) of a memoized config.
 //
 // The memo collapses concurrent identical requests onto one flight. When
 // that flight's leader is cancelled, its abort error is reported to every

@@ -27,9 +27,10 @@
 //   - Idempotent retries. Results are memoized under the canonical content
 //     key of the simulated configuration (internal/memo), so a client retry
 //     — or a concurrent duplicate, collapsed by the memo's single-flight —
-//     observes bit-identical counters without a second simulation. Every
-//     answer carries the result's stored canonical JSON as it is, never
-//     decoded and re-encoded.
+//     observes bit-identical counters without a second simulation. A
+//     retry that repeats its body byte for byte is answered without even
+//     decoding it. Every answer carries the result's stored canonical JSON
+//     as it is, never decoded and re-encoded.
 //
 // See docs/ROBUSTNESS.md ("Service failure model") for the contract each
 // piece upholds.
@@ -151,6 +152,10 @@ type Server struct {
 	tmpls *tmplPool
 	ctr   counters
 
+	// bodyKeys lets a repeated request body skip decode and compile on a
+	// memo hit; see handleRun.
+	bodyKeys *bodyKeys
+
 	draining atomic.Bool
 }
 
@@ -175,6 +180,8 @@ func NewServer(cfg Config) (*Server, error) {
 		sched: newSched(cfg.Workers, cfg.MemBudget, cfg.Queue),
 		memo:  memo.NewBounded(cfg.MemoCapacity),
 		tmpls: newTmplPool(cfg.TemplateBudget),
+
+		bodyKeys: newBodyKeys(cfg.MemoCapacity),
 	}
 	if cfg.CacheDir != "" {
 		disk, err := diskcache.Open(cfg.CacheDir)

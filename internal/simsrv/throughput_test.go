@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -198,10 +199,13 @@ func BenchmarkServiceWarmRestart(b *testing.B) {
 // BenchmarkServeHit times one /run request answered from a cache layer,
 // in-process through Handler() (the httptest request and recorder count
 // towards each op's time and allocations): memo-hit repeats one answered
-// request; disk-hit alternates two configurations on a server whose memo
-// holds one result, over a disk cache holding both, so every request misses
-// the memo and is served from disk. It reports ns/op and allocs/op and
-// enforces no floor.
+// body, which the server answers without decoding it; memo-hit-respelled
+// sends a body the server has never seen for the same config (the kernel
+// spelled "cg" and a deadline_ms unique to the op), so every op decodes,
+// compiles and keys its request before the memo answers it; disk-hit
+// alternates two configurations on a server whose memo holds one result,
+// over a disk cache holding both, so every request misses the memo and is
+// served from disk. It reports ns/op and allocs/op and enforces no floor.
 func BenchmarkServeHit(b *testing.B) {
 	grid, _ := serviceGrid(1)
 	bodies := make([][]byte, 2)
@@ -234,6 +238,38 @@ func BenchmarkServeHit(b *testing.B) {
 		defer s.Close()
 		driveService(b, s, grid[:1])
 		serve(b, s, 1)
+		if ctr := s.Counters(); ctr.CacheHits != uint64(b.N) {
+			b.Fatalf("%d of %d requests answered from the memo", ctr.CacheHits, b.N)
+		}
+	})
+	b.Run("memo-hit-respelled", func(b *testing.B) {
+		s, err := NewServer(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		driveService(b, s, grid[:1])
+		respelled := grid[0]
+		respelled.Kernel = "cg"
+		respelled.DeadlineMS = 1
+		prefix, err := json.Marshal(respelled)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prefix = bytes.TrimSuffix(prefix, []byte("1}"))
+		h := s.Handler()
+		var body []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body = append(strconv.AppendInt(append(body[:0], prefix...), int64(1000+i), 10), '}')
+			r := httptest.NewRequest("POST", "/run", bytes.NewReader(body))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			if w.Code != 200 {
+				b.Fatalf("service answered %d: %s", w.Code, w.Body.String())
+			}
+		}
 		if ctr := s.Counters(); ctr.CacheHits != uint64(b.N) {
 			b.Fatalf("%d of %d requests answered from the memo", ctr.CacheHits, b.N)
 		}
