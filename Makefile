@@ -87,9 +87,11 @@ race:
 #   with fewer than 4 procs, where a time-sliced team cannot speed up);
 # - internal/simsrv: the serve-bench floor, and the memo- and disk-hit
 #   request cost without one.
-# internal/npb's BenchmarkRunKey reports the cost of one run key and
+# internal/machine's BenchmarkTranslate{L1Hit,L2Hit,Walk} report the ns per
+# access of a 4 KB page-stride run whose every element has that DTLB
+# outcome, internal/npb's BenchmarkRunKey the cost of one run key and
 # BenchmarkSetup/<kernel> each kernel's class-S Setup (ns/op, B/op,
-# allocs/op), both without a floor.
+# allocs/op), all without a floor.
 # End-to-end throughput is perfbench's (see BENCHMARK.json).
 bench:
 	$(GO) test -v -run '^$$' -bench . ./internal/machine/ ./internal/npb/ ./internal/simsrv/
@@ -113,6 +115,7 @@ examples:
 fuzz:
 	$(GO) test -fuzz FuzzHierarchy -fuzztime 30s ./internal/tlb/
 	$(GO) test -fuzz FuzzLinkedLRUEquivalence -fuzztime 30s ./internal/tlb/
+	$(GO) test -fuzz FuzzHierarchyReference -fuzztime 30s ./internal/tlb/
 	$(GO) test -fuzz FuzzLinkedLRUEquivalence -fuzztime 30s ./internal/cache/
 	$(GO) test -fuzz FuzzAllocator -fuzztime 30s ./internal/scash/
 	$(GO) test -fuzz FuzzGatherRange -fuzztime 30s ./internal/machine/

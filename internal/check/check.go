@@ -26,7 +26,10 @@ import (
 //   - every L1 miss is exactly one L2 outcome: L2Hits+L2Misses == L1Misses
 //   - every first-level DTLB miss is resolved once: DTLBL1Misses == DTLBL2Hit+DTLBWalks
 //   - the DTLB cannot miss more often than it is probed: DTLBL1Misses <= Loads+Stores
-//   - every ITLB miss walks: ITLBL1Miss == ITLBWalks
+//   - every ITLB miss walks: ITLBL1Miss == ITLBWalks. The ITLB has one
+//     level, since machine.Configure refuses a model whose ITLB declares a
+//     second (no counter would record that level's hits), so a first-level
+//     ITLB miss is a walk.
 //   - attributed cycles are a part of, never more than, the busy clock:
 //     WalkCyc+MemCyc+BarrierCyc+FlushCycles <= Busy
 func Counters(c profile.Counters) error {
@@ -59,7 +62,9 @@ func Counters(c profile.Counters) error {
 
 // TLBs audits one context's resident TLB entries against the live page table:
 // every valid entry must correspond to a current mapping of the same page-size
-// class. Queued shootdowns are delivered first (the
+// class, and no page may be resident in both levels of one size class (the
+// levels are exclusive; see tlb.Hierarchy). Queued shootdowns are delivered
+// first (the
 // mailbox contract makes undelivered invalidations legal until the next
 // access, so the audit observes the post-delivery state). Call only while the
 // context is quiescent.
@@ -68,7 +73,19 @@ func TLBs(ctx *machine.Context) error {
 	pt := ctx.PageTable()
 	var errs []error
 	audit := func(name string, h *tlb.Hierarchy) {
+		var inL1 [units.NumPageSizes]map[uint64]bool
 		h.VisitEntries(func(level int, size units.PageSize, e tlb.Entry) {
+			// VisitEntries lists a size class's L1 entries before its L2.
+			if level == 1 {
+				if inL1[size] == nil {
+					inL1[size] = make(map[uint64]bool)
+				}
+				inL1[size][e.VPN] = true
+			} else if inL1[size][e.VPN] {
+				errs = append(errs, fmt.Errorf(
+					"check: ctx %d %s: %s vpn %#x resident in both L1 and L2 (the levels are exclusive)",
+					ctx.ID, name, size, e.VPN))
+			}
 			va := units.Addr(e.VPN) << size.Shift()
 			wr, err := pt.Translate(va)
 			if err != nil {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
 	"hugeomp/internal/machine"
@@ -95,6 +96,22 @@ func TestTLBAuditCatchesMissedUnmapShootdown(t *testing.T) {
 	c.InvalidatePage(3*4096, units.Size4K)
 	if err := TLBs(c); err != nil {
 		t.Fatalf("TLB state after shootdown delivery flagged: %v", err)
+	}
+}
+
+// TestTLBAuditCatchesPageInBothLevels: a fill of a page already demoted
+// to L2 breaks the levels' exclusivity, and the audit names the page.
+func TestTLBAuditCatchesPageInBothLevels(t *testing.T) {
+	_, ctxs := newMachine(t, machine.Opteron270(), 1, 64, units.Size4K)
+	c := ctxs[0]
+	c.AccessRange(0, 33, units.PageSize4K, false) // page 0 falls to L2
+	if err := TLBs(c); err != nil {
+		t.Fatalf("clean TLB state flagged: %v", err)
+	}
+	c.DTLB().Fill(0, units.Size4K) // a fill without a miss: page 0 in both levels
+	err := TLBs(c)
+	if err == nil || !strings.Contains(err.Error(), "vpn 0x0 resident in both L1 and L2") {
+		t.Fatalf("page resident in both levels: audit = %v", err)
 	}
 }
 

@@ -11,14 +11,14 @@
 // expression that must match the message of a distinct diagnostic reported
 // on that line. Lines without a want comment must produce no diagnostics.
 // Corpus packages live under testdata/src/<name>/ and may import only the
-// standard library (resolved by the compiler's source importer, so the
-// harness works offline).
+// standard library, which is read from the compiler's export data in the
+// build cache, as simlint reads it (internal/lint/load), so the harness
+// works offline.
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -31,6 +31,7 @@ import (
 	"testing"
 
 	"hugeomp/internal/lint/analysis"
+	"hugeomp/internal/lint/load"
 )
 
 // TestData returns the absolute path of the calling test's testdata
@@ -194,12 +195,36 @@ func Load(testdata, pkgname string) (*analysis.Pass, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	imp, err := stdImporter(fset, files)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(pkgname, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", pkgname, err)
 	}
 	return &analysis.Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
+}
+
+// stdImporter returns an importer over the export data of the standard
+// packages files import.
+func stdImporter(fset *token.FileSet, files []*ast.File) (types.Importer, error) {
+	var paths []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return nil, err
+			}
+			paths = append(paths, path)
+		}
+	}
+	exports, err := load.ExportFiles("", paths)
+	if err != nil {
+		return nil, err
+	}
+	return load.ExportImporter(fset, exports), nil
 }
 
 func posn(p token.Position) string {

@@ -149,8 +149,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // stdImporter returns an importer over the export data of the standard
-// packages that module imports directly. It never needs the others: a
-// package's export data carries every type it uses from its dependencies.
+// packages that module imports directly.
 func stdImporter(fset *token.FileSet, dir string, module []*listItem, byPath map[string]*listItem) (types.Importer, error) {
 	seen := make(map[string]bool)
 	var paths []string
@@ -162,23 +161,43 @@ func stdImporter(fset *token.FileSet, dir string, module []*listItem, byPath map
 			}
 		}
 	}
-	exports := make(map[string]string, len(paths))
-	if len(paths) > 0 {
-		items, err := goList(dir, append([]string{"-export"}, paths...)...)
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range items {
-			exports[it.ImportPath] = it.Export
-		}
+	exports, err := ExportFiles(dir, paths)
+	if err != nil {
+		return nil, err
 	}
+	return ExportImporter(fset, exports), nil
+}
+
+// ExportFiles maps each of the standard packages paths to its export data
+// file, which `go list -export`, run in dir, finds (or builds) in the build
+// cache.
+func ExportFiles(dir string, paths []string) (map[string]string, error) {
+	exports := make(map[string]string, len(paths))
+	if len(paths) == 0 {
+		return exports, nil
+	}
+	items, err := goList(dir, append([]string{"-export"}, paths...)...)
+	if err != nil {
+		return nil, err
+	}
+	for _, it := range items {
+		exports[it.ImportPath] = it.Export
+	}
+	return exports, nil
+}
+
+// ExportImporter returns an importer that reads each package from the
+// export data file exports names for it. exports need name only the
+// packages imported directly: a package's export data carries every type
+// it uses from its dependencies.
+func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file := exports[path]
 		if file == "" {
 			return nil, fmt.Errorf("no export data for %s", path)
 		}
 		return os.Open(file)
-	}), nil
+	})
 }
 
 // chainImporter resolves module packages from the already-checked set and

@@ -1,11 +1,14 @@
 package machine
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hugeomp/internal/pagetable"
+	"hugeomp/internal/tlb"
 	"hugeomp/internal/units"
 )
 
@@ -108,5 +111,46 @@ func TestLoadModelErrors(t *testing.T) {
 	_ = os.WriteFile(path, []byte("{not json"), 0o644)
 	if _, err := LoadModel(path); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+}
+
+// TestConfigureRefusesITLBSecondLevel: no counter records an ITLB
+// second-level hit, so a model whose ITLB declares a second level, built in
+// Go or loaded from JSON, is refused with an *UnsupportedModelError at
+// Configure, as a coherent model is.
+func TestConfigureRefusesITLBSecondLevel(t *testing.T) {
+	withL2 := Opteron270()
+	withL2.ITLB.L2.E4K = tlb.Config{Entries: 512, Ways: 4}
+	large := Opteron270()
+	large.ITLB.L2.E2M = tlb.Config{Entries: 8}
+	coherent := Opteron270()
+	coherent.Coherent = true
+	path := filepath.Join(t.TempDir(), "chip.json")
+	withL2JSON := strings.Replace(sampleConfig, `"itlb": {"l1": {"e4k": {"entries": 32}, "e2m": {"entries": 4}}}`,
+		`"itlb": {"l1": {"e4k": {"entries": 32}, "e2m": {"entries": 4}}, "l2": {"e4k": {"entries": 64, "ways": 4}}}`, 1)
+	if err := os.WriteFile(path, []byte(withL2JSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		model  Model
+		reason string
+	}{
+		{withL2, "an ITLB with a second level"},
+		{large, "an ITLB with a second level"},
+		{fromJSON, "an ITLB with a second level"},
+		{coherent, "coherent models are not supported"},
+	} {
+		m := New(c.model)
+		m.AttachProcess(pagetable.New())
+		_, err := m.Configure(1)
+		var unsupported *UnsupportedModelError
+		if !errors.As(err, &unsupported) || unsupported.Model != c.model.Name ||
+			!strings.HasPrefix(unsupported.Reason, c.reason) {
+			t.Errorf("%s: Configure = %v, want an *UnsupportedModelError: %s", c.model.Name, err, c.reason)
+		}
 	}
 }

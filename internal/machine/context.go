@@ -489,18 +489,16 @@ func (c *Context) countingSort(s []int64) bool {
 }
 
 // translateFetch resolves va through the ITLB stack, refreshing the fetch
-// micro-TLB, and returns the cycle cost beyond a first-level hit.
+// micro-TLB, and returns the cycle cost beyond a first-level hit. The ITLB
+// has one level (Configure refuses a second), so a probe either hits or
+// walks.
 func (c *Context) translateFetch(va units.Addr) uint64 {
 	var cyc uint64
 	order := [2]units.PageSize{c.fetchHint, c.fetchHint ^ 1}
 	resolved := false
 	var size units.PageSize
 	for _, s := range order {
-		vpn := s.VPN(va)
-		if o := c.itlb.Access(vpn, s); o != tlb.Miss {
-			if o == tlb.HitL2 {
-				cyc += c.costs.TLBL2Cyc
-			}
+		if c.itlb.Access(s.VPN(va), s) == tlb.HitL1 {
 			size, resolved = s, true
 			break
 		}
@@ -510,9 +508,8 @@ func (c *Context) translateFetch(va units.Addr) uint64 {
 		size = wr.Entry.Size
 		c.Ctr.ITLBL1Miss++
 		c.Ctr.ITLBWalks++
-		w := uint64(wr.MemRefs) * c.costs.WalkRefCyc
-		c.Ctr.WalkCyc += w
-		cyc += w
+		cyc = uint64(wr.MemRefs) * c.costs.WalkRefCyc
+		c.Ctr.WalkCyc += cyc
 		c.itlb.Fill(size.VPN(va), size)
 	}
 	c.fetchHint = size

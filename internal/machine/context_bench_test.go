@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hugeomp/internal/pagetable"
+	"hugeomp/internal/tlb"
 	"hugeomp/internal/units"
 )
 
@@ -96,6 +97,41 @@ func BenchmarkAccessRangeStrided(b *testing.B) {
 		c.AccessRange(0, count, 8192, false)
 	}
 }
+
+// Translation outcomes: a 4 KB page-stride run, one element per page, over
+// few enough pages that every element hits the 32-entry L1 DTLB once warm,
+// over more than L1 holds but fewer than L1 plus the 512-entry L2 (every
+// element an L2 hit that promotes), and over more than both hold (every
+// element walks). They time translation inside one access, with no floor,
+// and fail if a timed element has another outcome than want.
+func benchPageStride(b *testing.B, pages int, want tlb.Outcome) {
+	c := perfCtx(b)
+	c.AccessRange(0, pages, units.PageSize4K, false) // warm the TLBs
+	l2Hits, walks := c.Ctr.DTLBL2Hit, c.Ctr.DTLBWalks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var elems uint64
+	for elems < uint64(b.N) {
+		c.AccessRange(0, pages, units.PageSize4K, false)
+		elems += uint64(pages)
+	}
+	b.StopTimer()
+	got := [2]uint64{c.Ctr.DTLBL2Hit - l2Hits, c.Ctr.DTLBWalks() - walks}
+	var wantN [2]uint64 // L2 hits, walks
+	switch want {
+	case tlb.HitL2:
+		wantN[0] = elems
+	case tlb.Miss:
+		wantN[1] = elems
+	}
+	if got != wantN {
+		b.Fatalf("%d elements over %d pages: %d L2 hits and %d walks, want every one %v", elems, pages, got[0], got[1], want)
+	}
+}
+
+func BenchmarkTranslateL1Hit(b *testing.B) { benchPageStride(b, 24, tlb.HitL1) }
+func BenchmarkTranslateL2Hit(b *testing.B) { benchPageStride(b, 300, tlb.HitL2) }
+func BenchmarkTranslateWalk(b *testing.B)  { benchPageStride(b, 4000, tlb.Miss) }
 
 // Gather: a reused pseudo-random list of 131072 indices over a 1 MB vector —
 // the simulated L2 capacity, the stress end of CG's gather — with 256 pages

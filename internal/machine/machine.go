@@ -57,6 +57,17 @@ func (m *Machine) placement(n int) ([]slot, error) {
 	return slots[:n], nil
 }
 
+// UnsupportedModelError reports a Model setting that Configure refuses
+// rather than simulate wrongly or ignore.
+type UnsupportedModelError struct {
+	Model  string // the model's name
+	Reason string
+}
+
+func (e *UnsupportedModelError) Error() string {
+	return "machine: " + e.Model + ": " + e.Reason
+}
+
 // Configure builds the hardware contexts for an n-thread run. Every context
 // owns private TLBs and caches: co-scheduled contexts statically partition
 // the structures they share in hardware ("the effective number of TLB
@@ -64,14 +75,22 @@ func (m *Machine) placement(n int) ([]slot, error) {
 // of a core slicing its TLBs (tlb.Spec.Partition) and its L1 by their
 // count, the sharers of a per-chip L2 slicing it (cache.Config.Partition).
 // Configure must be called after
-// AttachProcess; it reports a coherent model, or a geometry that cannot be
-// built, as an error.
+// AttachProcess; it reports a coherent model or an ITLB with a second level
+// as an *UnsupportedModelError, and a geometry that cannot be built as an
+// error.
 func (m *Machine) Configure(n int) ([]*Context, error) {
 	if m.pt == nil {
 		return nil, fmt.Errorf("machine: Configure before AttachProcess")
 	}
 	if m.Model.Coherent {
-		return nil, fmt.Errorf("machine: %s: coherent models are not supported (every context owns private caches)", m.Model.Name)
+		return nil, &UnsupportedModelError{Model: m.Model.Name,
+			Reason: "coherent models are not supported (every context owns private caches)"}
+	}
+	if l2 := m.Model.ITLB.L2; l2.E4K.Entries != 0 || l2.E2M.Entries != 0 {
+		// No counter records an ITLB second-level hit, so its first-level
+		// misses would go uncounted.
+		return nil, &UnsupportedModelError{Model: m.Model.Name,
+			Reason: "an ITLB with a second level is not supported (no counter records its hits)"}
 	}
 	slots, err := m.placement(n)
 	if err != nil {

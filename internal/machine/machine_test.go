@@ -314,8 +314,8 @@ func TestTrueSharingMode(t *testing.T) {
 // NiagaraT1's L1 and L2 at most counts) included — every context's L2 is a
 // slice no bigger than its share and more than half of it, and the contexts
 // of one core together never hold more entries of any TLB structure than
-// the model has. The ITLB counts a miss only when it walks, so its levels
-// are bounded together.
+// the model has. The ITLB has one level (Configure refuses a second) and
+// counts a miss only when it walks.
 func TestConfigureEveryThreadCount(t *testing.T) {
 	const hugeVA = units.Addr(4 << 30)
 	pt := pagetable.New()
@@ -334,8 +334,8 @@ func TestConfigureEveryThreadCount(t *testing.T) {
 			{0, units.PageSize4K, false, d.L1.E4K.Entries + d.L2.E4K.Entries, dtlbWalks4K},
 			{hugeVA, units.PageSize2M, false, d.L1.E2M.Entries, dtlbL1Miss2M},
 			{hugeVA, units.PageSize2M, false, d.L1.E2M.Entries + d.L2.E2M.Entries, dtlbWalks2M},
-			{0, units.PageSize4K, true, i.L1.E4K.Entries + i.L2.E4K.Entries, itlbWalks},
-			{hugeVA, units.PageSize2M, true, i.L1.E2M.Entries + i.L2.E2M.Entries, itlbWalks},
+			{0, units.PageSize4K, true, i.L1.E4K.Entries, itlbWalks},
+			{hugeVA, units.PageSize2M, true, i.L1.E2M.Entries, itlbWalks},
 		}
 		for n := 1; n <= model.MaxThreads(); n++ {
 			m := New(model)

@@ -90,6 +90,16 @@ func (o Outcome) String() string {
 // Hierarchy is an instantiated two-level split-size TLB stack for one
 // context (one ITLB or one DTLB).
 //
+// The two levels of a size class are exclusive: a VPN is resident in at
+// most one of them. A second-level hit moves the entry up (removing it from
+// L2 in the probe that found it) and the first-level victim moves down; a
+// fill installs a VPN that has just missed in both levels, and its
+// first-level victim moves down. Each move therefore installs a VPN that
+// its destination cannot hold, so no fill searches for a resident copy,
+// and a shootdown stops at the first level that held the page.
+// check.TLBs audits the invariant. Callers must Fill only a VPN whose
+// Access returned Miss, with no Fill of it since.
+//
 // A per-size-class union presence filter counts the valid entries of both
 // levels per hash slot, so a full-stack miss — the expensive outcome that
 // otherwise probes up to two structures before walking — is answered with a
@@ -163,62 +173,48 @@ func (h *Hierarchy) Access(vpn uint64, size units.PageSize) Outcome {
 	if h.l1[size].Lookup(vpn) {
 		return HitL1
 	}
-	if h.l2[size].Lookup(vpn) {
+	if h.l2[size].Invalidate(vpn) {
 		// Promote to L1 exclusively: the entry moves up and the L1 victim
 		// falls back to L2, so the stack's effective capacity is L1+L2 —
 		// how the Opteron's two-level DTLB behaves in aggregate. The vpn
-		// itself moves between levels (count-neutral net of the two
-		// adjustments); only collateral evictions leave the stack.
-		h.l2[size].Invalidate(vpn)
-		h.unionDel(size, vpn)
-		ev, evOK, ip := h.l1[size].InsertEx(vpn)
-		if !ip {
-			h.unionAdd(size, vpn)
-		}
-		if evOK {
-			h.demote(size, ev)
-		}
+		// itself stays in the stack; only collateral evictions leave it.
+		h.install(vpn, size)
 		return HitL2
 	}
 	return Miss
 }
 
-// demote pushes an L1 evictee down into L2, keeping the union filter exact:
-// the entry's own move is count-neutral unless L2 already held a copy, and
-// whatever its insertion evicts from L2 leaves the stack.
-func (h *Hierarchy) demote(size units.PageSize, ev Entry) {
+// install puts vpn, resident in neither level, into L1 and pushes the L1
+// evictee down into L2, keeping the union filter exact: the evictee's move
+// is count-neutral, and whatever its insertion evicts from L2 leaves the
+// stack.
+func (h *Hierarchy) install(vpn uint64, size units.PageSize) {
+	ev, ok := h.l1[size].insert(vpn)
+	if !ok {
+		return
+	}
 	if h.l2[size] == nil {
 		// No second level (e.g. the Opteron's 2 MB class): the evictee
 		// leaves the stack entirely.
-		h.unionDel(size, ev.VPN)
+		h.unionDel(size, ev)
 		return
 	}
-	ev2, ev2OK, ip2 := h.l2[size].InsertEx(ev.VPN)
-	if ip2 {
-		h.unionDel(size, ev.VPN)
-	}
-	if ev2OK {
-		h.unionDel(size, ev2.VPN)
+	if ev2, ok := h.l2[size].insert(ev); ok {
+		h.unionDel(size, ev2)
 	}
 }
 
-// Fill installs a translation after a page walk.
+// Fill installs a translation after a page walk. vpn must have missed in
+// Access (see Hierarchy).
 func (h *Hierarchy) Fill(vpn uint64, size units.PageSize) {
-	ev, evOK, ip := h.l1[size].InsertEx(vpn)
-	if !ip {
-		h.unionAdd(size, vpn)
-	}
-	if evOK {
-		h.demote(size, ev)
-	}
+	h.unionAdd(size, vpn)
+	h.install(vpn, size)
 }
 
-// Invalidate performs a shootdown of vpn in every level of its size class.
+// Invalidate performs a shootdown of vpn in its size class. The levels are
+// exclusive, so an L1 hit leaves L2 unprobed.
 func (h *Hierarchy) Invalidate(vpn uint64, size units.PageSize) {
-	if h.l1[size].Invalidate(vpn) {
-		h.unionDel(size, vpn)
-	}
-	if h.l2[size].Invalidate(vpn) {
+	if h.l1[size].Invalidate(vpn) || h.l2[size].Invalidate(vpn) {
 		h.unionDel(size, vpn)
 	}
 }

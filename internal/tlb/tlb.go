@@ -28,10 +28,19 @@
 //     resident counts) answers "definitely not resident" with one load. It
 //     is exact — no false negatives — so a filtered miss is byte-identical
 //     to a scanned miss, and a miss never perturbs recency state, so
-//     skipping the scan is invisible. (The hierarchy layer keeps a second,
-//     union filter across both levels that answers full-stack misses before
-//     any structure is probed; the per-structure filter here is what spares
-//     the fully associative scans when the probe cascade does run.)
+//     skipping the scan is invisible. Each filter slot also records the way
+//     its hash last filled, so a hit is one VPN compare; the scan runs only
+//     when that way has since been refilled with another VPN. (The
+//     hierarchy layer keeps a second, union filter across both levels that
+//     answers full-stack misses before any structure is probed; the
+//     per-structure filter here is what spares the fully associative scans
+//     when the probe cascade does run.)
+//
+//   - The two levels of one size class are exclusive: a VPN is resident in
+//     at most one of them (see Hierarchy). So a hierarchy fill never asks
+//     whether the VPN it installs is already resident, a second-level hit
+//     removes its entry in the probe that found it, and a shootdown stops
+//     at the first level that held the page.
 package tlb
 
 import (
@@ -95,11 +104,15 @@ type TLB struct {
 	ow    int      // order words per set: (assoc+7)/8
 	live  []uint16 // valid ways per set
 
-	// Counting presence filter: filt[vpn&filtMask] counts resident VPNs
-	// hashing to the slot. Zero means vpn is definitely absent. Nil for
+	// Counting presence filter: the low 16 bits of filt[vpn&filtMask] count
+	// resident VPNs hashing to the slot, and the high 16 bits hold the way
+	// (an index into vpns) that a VPN hashing to the slot last filled. A
+	// zero count means vpn is definitely absent; otherwise vpn is most
+	// likely in the recorded way, which one compare confirms. Nil for
 	// narrow structures (assoc <= 8), whose set scan is already one load
-	// wide — see New.
-	filt     []uint16
+	// wide — see New. A slot's count never exceeds assoc (its VPNs share a
+	// set) and a way index is below 1<<16 (see geometry).
+	filt     []uint32
 	filtMask uint64
 
 	assoc   int
@@ -141,7 +154,7 @@ func New(cfg Config) (*TLB, error) {
 		setMask: uint64(sets - 1),
 	}
 	if filtSlots > 0 {
-		t.filt = make([]uint16, filtSlots)
+		t.filt = make([]uint32, filtSlots)
 		t.filtMask = uint64(filtSlots - 1)
 	}
 	t.resetOrder()
@@ -218,121 +231,117 @@ func (t *TLB) Entries() int {
 	return len(t.vpns)
 }
 
+// filtCount masks a filter slot's resident count; the bits above it hold
+// the way the slot last filled.
+const filtCount = 1<<16 - 1
+
+// find returns the index in vpns of the way holding vpn, or -1. It touches
+// no recency state.
+func (t *TLB) find(vpn uint64) int {
+	set := vpn & t.setMask
+	base := int(set) * t.assoc
+	if t.filt != nil {
+		f := t.filt[vpn&t.filtMask]
+		if f&filtCount == 0 {
+			return -1
+		}
+		if w := int(f >> 16); t.vpns[w] == vpn && t.valid[w] {
+			return w
+		}
+	} else if h := base + t.headWay(int(set)*t.ow); t.vpns[h] == vpn && t.valid[h] {
+		// MRU fast path: spatial locality makes consecutive accesses to
+		// the same page the common case.
+		return h
+	}
+	for i := base; i < base+t.assoc; i++ {
+		if t.vpns[i] == vpn && t.valid[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 // Lookup probes for vpn and refreshes its LRU recency on a hit.
 func (t *TLB) Lookup(vpn uint64) bool {
 	if t == nil {
 		return false
 	}
-	if t.filt != nil && t.filt[vpn&t.filtMask] == 0 {
+	w := t.find(vpn)
+	if w < 0 {
 		return false
 	}
+	// An MRU hit, the common case under spatial locality, is already at
+	// the front of the recency vector.
 	set := vpn & t.setMask
-	base := int(set) * t.assoc
-	// MRU fast path: spatial locality makes consecutive accesses to the
-	// same page the common case, and the MRU way is by definition already
-	// at the front of the recency vector.
-	if h := base + t.headWay(int(set)*t.ow); t.vpns[h] == vpn && t.valid[h] {
-		return true
+	if li := w - int(set)*t.assoc; t.headWay(int(set)*t.ow) != li {
+		t.touchWay(set, li)
 	}
-	for i := base; i < base+t.assoc; i++ {
-		if t.vpns[i] == vpn && t.valid[i] {
-			t.touchWay(set, i-base)
-			return true
-		}
-	}
-	return false
+	return true
 }
 
-// Entry is a TLB entry as seen by eviction handling.
+// Entry is a TLB entry as seen by VisitEntries.
 type Entry struct {
 	VPN uint64
 }
 
-// InsertEx fills vpn, evicting the LRU way of its set if necessary. It
-// returns the evicted entry, whether an eviction happened, and whether the
-// fill refreshed an already resident vpn in place — the membership
-// information the hierarchy's union filter needs.
-func (t *TLB) InsertEx(vpn uint64) (evicted Entry, wasEvicted, inPlace bool) {
+// insert fills vpn, which must not be resident, into the lowest-indexed
+// invalid way of its set, or over the set's LRU way when the set is full,
+// and returns the VPN that fill evicted, if any.
+func (t *TLB) insert(vpn uint64) (evicted uint64, wasEvicted bool) {
 	if t == nil {
-		return Entry{}, false, false
+		return 0, false
 	}
 	set := vpn & t.setMask
 	base := int(set) * t.assoc
 	ob := int(set) * t.ow
-	victim := -1
-	if t.filt == nil || t.filt[vpn&t.filtMask] != 0 {
-		for i := base; i < base+t.assoc; i++ {
-			if t.vpns[i] == vpn && t.valid[i] {
-				victim, inPlace = i, true
-				break
-			}
+	victim := base
+	if int(t.live[set]) < t.assoc {
+		// The set has room: fill the lowest-indexed invalid way, the same
+		// way the stamp-scan victim search picked it.
+		for t.valid[victim] {
+			victim++
 		}
-	}
-	tailVictim := false
-	if victim < 0 {
-		if int(t.live[set]) < t.assoc {
-			// The set has room: fill the lowest-indexed invalid way, the
-			// same way the stamp-scan victim search picked it.
-			for i := base; i < base+t.assoc; i++ {
-				if !t.valid[i] {
-					victim = i
-					break
-				}
-			}
-		} else {
-			// A full set always evicts the LRU tail, whose recency
-			// position is known — the move-to-front below needs no search.
-			victim = base + t.tailWay(ob)
-			tailVictim = true
-		}
-	}
-	wasEvicted = !inPlace && t.valid[victim]
-	evicted = Entry{VPN: t.vpns[victim]}
-	if !inPlace {
-		if !wasEvicted {
-			t.live[set]++
-		}
+		t.live[set]++
+		t.valid[victim] = true
+		t.touchWay(set, victim-base)
+	} else {
+		// A full set always evicts the LRU tail, whose recency position is
+		// known — the move-to-front needs no search.
+		victim += t.tailWay(ob)
+		evicted, wasEvicted = t.vpns[victim], true
 		if t.filt != nil {
-			if wasEvicted {
-				t.filt[t.vpns[victim]&t.filtMask]--
-			}
-			t.filt[vpn&t.filtMask]++
+			t.filt[evicted&t.filtMask]--
 		}
+		t.touchPos(ob, t.assoc-1, victim-base)
 	}
 	t.vpns[victim] = vpn
-	t.valid[victim] = true
-	if tailVictim {
-		t.touchPos(ob, t.assoc-1, victim-base)
-	} else {
-		t.touchWay(set, victim-base)
+	if t.filt != nil {
+		f := &t.filt[vpn&t.filtMask]
+		*f = (*f&filtCount + 1) | uint32(victim)<<16
 	}
-	return evicted, wasEvicted, inPlace
+	return evicted, wasEvicted
 }
 
-// Invalidate removes vpn if present (a TLB shootdown), reporting whether an
-// entry was dropped. The way stays in its set's recency vector; replacement
-// prefers invalid ways by index before consulting the list tail, matching
-// the stamp scheme's victim order.
+// Invalidate removes vpn if present (a TLB shootdown, or a second-level
+// hit leaving for the first level), reporting whether an entry was
+// dropped. It touches no recency state: the way keeps its place in its
+// set's recency vector, and since a fill prefers invalid ways by index and
+// moves the way it fills to the front, an invalid way's place is never
+// observed.
 func (t *TLB) Invalidate(vpn uint64) bool {
 	if t == nil {
 		return false
 	}
-	if t.filt != nil && t.filt[vpn&t.filtMask] == 0 {
+	w := t.find(vpn)
+	if w < 0 {
 		return false
 	}
-	set := vpn & t.setMask
-	base := int(set) * t.assoc
-	for i := base; i < base+t.assoc; i++ {
-		if t.vpns[i] == vpn && t.valid[i] {
-			t.valid[i] = false
-			t.live[set]--
-			if t.filt != nil {
-				t.filt[vpn&t.filtMask]--
-			}
-			return true
-		}
+	t.valid[w] = false
+	t.live[vpn&t.setMask]--
+	if t.filt != nil {
+		t.filt[vpn&t.filtMask]--
 	}
-	return false
+	return true
 }
 
 // Visit calls f for every valid entry (nil-safe). The post-run consistency

@@ -21,11 +21,18 @@ func driveEquiv(t *testing.T, cfg Config, ops []byte) {
 			if _, rok := r.lookupEntry(vpn); nok != rok {
 				t.Fatalf("op %d: lookup(%d) = %v want %v", k, vpn, nok, rok)
 			}
-		case 1: // insert
-			nev, nwas, _ := n.InsertEx(vpn)
+		case 1: // insert after a missed lookup, as the hierarchy does
+			nok := n.Lookup(vpn)
+			if _, rok := r.lookupEntry(vpn); nok != rok {
+				t.Fatalf("op %d: lookup(%d) = %v want %v", k, vpn, nok, rok)
+			}
+			if nok {
+				break
+			}
+			nev, nwas := n.insert(vpn)
 			rev, rwas := r.insert(vpn)
-			if nwas != rwas || (nwas && nev != rev) {
-				t.Fatalf("op %d: insert(%d) evicted %v,%v want %v,%v", k, vpn, nev, nwas, rev, rwas)
+			if nwas != rwas || (nwas && nev != rev.VPN) {
+				t.Fatalf("op %d: insert(%d) evicted %v,%v want %v,%v", k, vpn, nev, nwas, rev.VPN, rwas)
 			}
 		case 2: // invalidate
 			if ni, ri := n.Invalidate(vpn), r.invalidate(vpn); ni != ri {

@@ -27,6 +27,16 @@ func (t *TLB) Live() int {
 	return n
 }
 
+// fill installs vpn as a hierarchy does: an insert only after a missed
+// Lookup, so a resident vpn is refreshed in place by the Lookup. It returns
+// the insert's eviction.
+func fill(tl *TLB, vpn uint64) (evicted uint64, wasEvicted bool) {
+	if tl.Lookup(vpn) {
+		return 0, false
+	}
+	return tl.insert(vpn)
+}
+
 // mustHierarchy builds a TLB stack whose geometry the test knows to be valid.
 func mustHierarchy(t testing.TB, spec Spec) *Hierarchy {
 	t.Helper()
@@ -45,7 +55,7 @@ func TestNilTLBNeverHits(t *testing.T) {
 	if nilTLB.Lookup(5) {
 		t.Error("nil TLB hit")
 	}
-	nilTLB.InsertEx(5) // must not panic
+	nilTLB.insert(5) // must not panic
 	nilTLB.Invalidate(5)
 	if nilTLB.Entries() != 0 || nilTLB.Live() != 0 {
 		t.Error("nil TLB reports capacity")
@@ -57,7 +67,7 @@ func TestHitAfterInsert(t *testing.T) {
 	if tl.Lookup(100) {
 		t.Error("hit on empty TLB")
 	}
-	tl.InsertEx(100)
+	fill(tl, 100)
 	if !tl.Lookup(100) {
 		t.Error("miss after insert")
 	}
@@ -66,14 +76,14 @@ func TestHitAfterInsert(t *testing.T) {
 func TestLRUEvictionFullyAssociative(t *testing.T) {
 	tl := mustNew(t, Config{Entries: 4})
 	for vpn := uint64(0); vpn < 4; vpn++ {
-		tl.InsertEx(vpn)
+		fill(tl, vpn)
 	}
 	// Touch 0 so 1 becomes LRU.
 	if !tl.Lookup(0) {
 		t.Fatal("0 should be resident")
 	}
-	ev, was, _ := tl.InsertEx(99)
-	if !was || ev.VPN != 1 {
+	ev, was := fill(tl, 99)
+	if !was || ev != 1 {
 		t.Errorf("evicted %+v (evict=%v), want vpn 1", ev, was)
 	}
 	if tl.Lookup(1) {
@@ -89,9 +99,9 @@ func TestLRUEvictionFullyAssociative(t *testing.T) {
 func TestSetAssociativeConflicts(t *testing.T) {
 	// 8 entries, 2 ways -> 4 sets. VPNs congruent mod 4 conflict.
 	tl := mustNew(t, Config{Entries: 8, Ways: 2})
-	tl.InsertEx(0)
-	tl.InsertEx(4)
-	tl.InsertEx(8) // evicts 0 (LRU in set 0)
+	fill(tl, 0)
+	fill(tl, 4)
+	fill(tl, 8) // evicts 0 (LRU in set 0)
 	if tl.Lookup(0) {
 		t.Error("0 should be evicted by set conflict")
 	}
@@ -99,7 +109,7 @@ func TestSetAssociativeConflicts(t *testing.T) {
 		t.Error("4 and 8 should be resident")
 	}
 	// A different set is unaffected.
-	tl.InsertEx(1)
+	fill(tl, 1)
 	if !tl.Lookup(1) {
 		t.Error("1 should be resident")
 	}
@@ -107,7 +117,7 @@ func TestSetAssociativeConflicts(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	tl := mustNew(t, Config{Entries: 4})
-	tl.InsertEx(7)
+	fill(tl, 7)
 	if !tl.Invalidate(7) {
 		t.Error("invalidate should find 7")
 	}
@@ -123,7 +133,7 @@ func TestLiveNeverExceedsCapacity(t *testing.T) {
 	f := func(vpns []uint16) bool {
 		tl := mustNew(t, Config{Entries: 16, Ways: 4})
 		for _, v := range vpns {
-			tl.InsertEx(uint64(v))
+			fill(tl, uint64(v))
 			if tl.Live() > 16 {
 				return false
 			}
@@ -142,7 +152,7 @@ func TestInsertThenLookupHits(t *testing.T) {
 	f := func(vpns []uint16) bool {
 		tl := mustNew(t, Config{Entries: 8, Ways: 2})
 		for _, v := range vpns {
-			tl.InsertEx(uint64(v))
+			fill(tl, uint64(v))
 			if !tl.Lookup(uint64(v)) {
 				return false
 			}
@@ -161,7 +171,7 @@ func TestLRUStackProperty(t *testing.T) {
 		tl := mustNew(t, Config{Entries: 8}) // fully associative
 		hot := []uint64{1000, 1001, 1002, 1003}
 		for _, h := range hot {
-			tl.InsertEx(h)
+			fill(tl, h)
 		}
 		miss := 0
 		for _, a := range accesses {
@@ -169,7 +179,7 @@ func TestLRUStackProperty(t *testing.T) {
 			// of 4 + 1 in-flight cold page <= 8 entries, so hot never
 			// misses.
 			cold := uint64(2000 + int(a))
-			tl.InsertEx(cold)
+			fill(tl, cold)
 			for _, h := range hot {
 				if !tl.Lookup(h) {
 					miss++
