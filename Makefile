@@ -57,9 +57,10 @@ serve-soak:
 
 # Short race-mode smoke over the simd service stack (the CI leg): the
 # full simsrv suite exercises cancellation, panic quarantine, the admission
-# scheduler (worker slots and footprint budget), the template pool, and
-# cross-process single-flight on the shared disk cache — all under the race
-# detector. internal/par is batch-harness code; check and race cover it.
+# scheduler (worker slots and footprint budget), the template pool, the
+# memo's single-flight and two uncoordinated handles publishing to one
+# shared disk cache — all under the race detector. internal/par is
+# batch-harness code; check and race cover it.
 simd-smoke:
 	$(GO) test -race -count=1 ./internal/simsrv/ ./internal/memo/...
 
@@ -89,9 +90,8 @@ race:
 #   request cost without one.
 # internal/machine's BenchmarkTranslate{L1Hit,L2Hit,Walk} report the ns per
 # access of a 4 KB page-stride run whose every element has that DTLB
-# outcome, internal/npb's BenchmarkRunKey the cost of one run key and
-# BenchmarkSetup/<kernel> each kernel's class-S Setup (ns/op, B/op,
-# allocs/op), all without a floor.
+# outcome, and internal/npb's BenchmarkSetup/<kernel> each kernel's class-S
+# Setup (ns/op, B/op, allocs/op), all without a floor.
 # End-to-end throughput is perfbench's (see BENCHMARK.json).
 bench:
 	$(GO) test -v -run '^$$' -bench . ./internal/machine/ ./internal/npb/ ./internal/simsrv/
@@ -122,7 +122,6 @@ fuzz:
 	$(GO) test -fuzz FuzzScalarFastPath -fuzztime 30s ./internal/machine/
 	$(GO) test -fuzz FuzzCounters -fuzztime 30s ./internal/check/
 	$(GO) test -fuzz FuzzForkEquivalence -fuzztime 30s ./internal/machine/
-	$(GO) test -fuzz FuzzRunKey -fuzztime 30s ./internal/npb/
 
 clean:
 	$(GO) clean ./...

@@ -15,13 +15,11 @@
 // key (memo.SchemaVersion is folded into the hash), so a stale entry can
 // never decode as fresh even if its header survives.
 //
-// Concurrent processes coordinate through advisory per-key lock files:
-// GetOrCompute lets exactly one process compute a missing entry while the
-// others poll for the published result. A leader that fails releases its lock
-// without publishing, so a waiter promotes itself and retries; a leader that
-// dies without cleaning up is timed out (the lock's mtime exceeds the TTL)
-// and its lock is stolen — waiters can stall for at most the TTL, never
-// deadlock.
+// Processes do not coordinate. internal/memo's per-key flight asks the store
+// with Get and, on a miss, computes and publishes with Put; two processes
+// that miss one key at once both compute it and both rename the same bytes
+// into place, so a reader still sees a whole, correct entry or none, and no
+// process ever waits on another.
 package diskcache
 
 import (
@@ -30,11 +28,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 )
 
 // FormatVersion is the on-disk entry format generation. A reader that finds
@@ -48,11 +44,6 @@ var magic = [4]byte{'H', 'O', 'M', 'C'}
 // SHA-256 checksum.
 const headerSize = 4 + 4 + 8 + sha256.Size
 
-const (
-	defaultLockTTL = 2 * time.Minute
-	defaultPoll    = 5 * time.Millisecond
-)
-
 // storeStats counts the store's outcomes.
 type storeStats struct {
 	hits        atomic.Uint64
@@ -60,15 +51,12 @@ type storeStats struct {
 	writes      atomic.Uint64
 	corrupt     atomic.Uint64
 	stale       atomic.Uint64
-	waits       atomic.Uint64
-	steals      atomic.Uint64
 	writeErrors atomic.Uint64
 }
 
 // Stats is a snapshot of the store's lifetime counts.
 type Stats struct {
-	// Hits and Misses count Get outcomes (GetOrCompute calls Get under the
-	// hood, so its lookups are included).
+	// Hits and Misses count Get outcomes.
 	Hits, Misses uint64
 	// Writes counts entries atomically published.
 	Writes uint64
@@ -78,11 +66,8 @@ type Stats struct {
 	// StaleVersions counts entries read as misses because their format
 	// version was not FormatVersion — and deleted.
 	StaleVersions uint64
-	// Waits counts GetOrCompute calls that found another process computing
-	// and polled; Steals counts locks broken after the TTL.
-	Waits, Steals uint64
-	// WriteErrors counts computed results that could not be persisted (the
-	// caller still gets the result; the cache just stays cold for that key).
+	// WriteErrors counts Puts that failed (a memo flight still answers with
+	// the result it computed; the cache just stays cold for that key).
 	WriteErrors uint64
 }
 
@@ -90,10 +75,8 @@ type Stats struct {
 // concurrent use, and any number of handles — in any number of processes —
 // may share a directory.
 type Store struct {
-	dir     string
-	lockTTL time.Duration
-	poll    time.Duration
-	stats   storeStats
+	dir   string
+	stats storeStats
 }
 
 // Open creates (if needed) and opens the cache directory at dir.
@@ -101,11 +84,8 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
 	}
-	return &Store{dir: dir, lockTTL: defaultLockTTL, poll: defaultPoll}, nil
+	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Stats returns a snapshot of the store's lifetime counts.
 func (s *Store) Stats() Stats {
@@ -115,8 +95,6 @@ func (s *Store) Stats() Stats {
 		Writes:        s.stats.writes.Load(),
 		CorruptSkips:  s.stats.corrupt.Load(),
 		StaleVersions: s.stats.stale.Load(),
-		Waits:         s.stats.waits.Load(),
-		Steals:        s.stats.steals.Load(),
 		WriteErrors:   s.stats.writeErrors.Load(),
 	}
 }
@@ -128,11 +106,6 @@ func (s *Store) Stats() Stats {
 func (s *Store) entryPath(key string) string {
 	key = safeKey(key)
 	return filepath.Join(s.dir, key[:2], key+".e")
-}
-
-func (s *Store) lockPath(key string) string {
-	key = safeKey(key)
-	return filepath.Join(s.dir, key[:2], key+".lock")
 }
 
 func safeKey(key string) string {
@@ -157,22 +130,10 @@ func isHex(s string) bool {
 // garbage-collected, never errors: the disk layer can only ever cost a
 // recomputation, not correctness.
 func (s *Store) Get(key string) ([]byte, bool) {
-	payload, ok := s.read(key)
-	if ok {
-		s.stats.hits.Add(1)
-	} else {
-		s.stats.misses.Add(1)
-	}
-	return payload, ok
-}
-
-// read is Get without the hit/miss accounting (corrupt and stale entries are
-// still counted and collected): GetOrCompute's under-lock double-check uses
-// it so one caller-visible lookup never counts as two.
-func (s *Store) read(key string) ([]byte, bool) {
 	path := s.entryPath(key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
+		s.stats.misses.Add(1)
 		return nil, false
 	}
 	payload, err := decodeEntry(raw)
@@ -183,8 +144,10 @@ func (s *Store) read(key string) ([]byte, bool) {
 			s.stats.corrupt.Add(1)
 		}
 		_ = os.Remove(path) // lazy GC: miss now, gone next time
+		s.stats.misses.Add(1)
 		return nil, false
 	}
+	s.stats.hits.Add(1)
 	return payload, true
 }
 
@@ -226,36 +189,44 @@ func encodeEntry(payload []byte) []byte {
 	return raw
 }
 
-// Put publishes payload under key: written to a temporary file in the entry's
-// directory, fsynced, and atomically renamed into place, so no reader —
-// in this process or any other — can observe a partial entry.
-func (s *Store) Put(key string, payload []byte) error {
+// Put publishes payload under key: written to a temporary file in the
+// entry's directory, fsynced, and atomically renamed into place, so no
+// reader — in this process or any other — can observe a partial entry. Two
+// Puts of one key each rename a whole entry; the last one stays. A failed
+// Put is counted in WriteErrors and leaves no temporary file behind.
+func (s *Store) Put(key string, payload []byte) (err error) {
+	defer func() {
+		if err != nil {
+			s.stats.writeErrors.Add(1)
+			err = fmt.Errorf("diskcache: %w", err)
+		} else {
+			s.stats.writes.Add(1)
+		}
+	}()
 	path := s.entryPath(key)
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("diskcache: %w", err)
+		return err
 	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
+		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(encodeEntry(payload)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("diskcache: %w", err)
+	_, err = tmp.Write(encodeEntry(payload))
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("diskcache: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("diskcache: %w", err)
+	if err != nil {
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("diskcache: %w", err)
+		return err
 	}
 	syncDir(dir)
-	s.stats.writes.Add(1)
 	return nil
 }
 
@@ -268,102 +239,4 @@ func syncDir(dir string) {
 	}
 	_ = d.Sync()
 	_ = d.Close()
-}
-
-// GetOrCompute returns the payload stored under key, computing and publishing
-// it on first use — across processes. Exactly one process computes a missing
-// key at a time: the first to create the key's advisory lock file leads,
-// every other polls until the entry appears or the lock is released (a failed
-// leader) or goes stale past the TTL (a dead one). A compute error is
-// returned to the leader's caller and publishes nothing, so the key stays
-// retryable. A computed result that cannot be persisted is still returned —
-// persistence failures cost future hits, never the present answer.
-func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, error) {
-	for {
-		if payload, ok := s.Get(key); ok {
-			return payload, nil
-		}
-		locked, err := s.tryLock(key)
-		if err != nil {
-			// The directory itself is unusable (permissions, disk full):
-			// degrade to computing without coordination.
-			payload, cerr := compute()
-			if cerr != nil {
-				return nil, cerr
-			}
-			s.stats.writeErrors.Add(1)
-			return payload, nil
-		}
-		if !locked {
-			s.stats.waits.Add(1)
-			s.waitFor(key)
-			continue
-		}
-		// Leader. Double-check under the lock: the previous leader may have
-		// published between our miss and our acquisition.
-		if payload, ok := s.read(key); ok {
-			s.stats.hits.Add(1)
-			s.unlock(key)
-			return payload, nil
-		}
-		payload, cerr := func() ([]byte, error) {
-			defer s.unlock(key)
-			payload, cerr := compute()
-			if cerr != nil {
-				return nil, cerr
-			}
-			if werr := s.Put(key, payload); werr != nil {
-				s.stats.writeErrors.Add(1)
-			}
-			return payload, nil
-		}()
-		return payload, cerr
-	}
-}
-
-// tryLock attempts to create the key's advisory lock file. (true, nil) means
-// this process leads; (false, nil) means another holds it; an error means the
-// directory cannot host lock files at all.
-func (s *Store) tryLock(key string) (bool, error) {
-	path := s.lockPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return false, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		if errors.Is(err, fs.ErrExist) {
-			return false, nil
-		}
-		return false, err
-	}
-	fmt.Fprintf(f, "%d\n", os.Getpid())
-	_ = f.Close()
-	return true, nil
-}
-
-func (s *Store) unlock(key string) {
-	_ = os.Remove(s.lockPath(key))
-}
-
-// waitFor polls until the key's entry exists, its lock is released, or the
-// lock goes stale past the TTL (in which case it is stolen). It never waits
-// longer than the TTL, so a crashed leader cannot deadlock its waiters.
-func (s *Store) waitFor(key string) {
-	lock := s.lockPath(key)
-	entry := s.entryPath(key)
-	for {
-		time.Sleep(s.poll)
-		if _, err := os.Stat(entry); err == nil {
-			return
-		}
-		fi, err := os.Stat(lock)
-		if err != nil {
-			return // lock released: retry acquisition
-		}
-		if time.Since(fi.ModTime()) > s.lockTTL {
-			_ = os.Remove(lock)
-			s.stats.steals.Add(1)
-			return
-		}
-	}
 }

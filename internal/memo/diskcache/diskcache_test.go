@@ -3,8 +3,10 @@ package diskcache
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,20 +17,21 @@ import (
 	"hugeomp/internal/memo"
 )
 
-func openTest(t *testing.T) *Store {
+// openTest opens a store on a fresh directory and returns both.
+func openTest(t *testing.T) (*Store, string) {
 	t.Helper()
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.poll = time.Millisecond
-	return s
+	return s, dir
 }
 
 const key = "0f1e2d3c4b5a69788796a5b4c3d2e1f00f1e2d3c4b5a69788796a5b4c3d2e1f0"
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s := openTest(t)
+	s, dir := openTest(t)
 	payload := []byte(`{"cycles":12345}`)
 	if _, ok := s.Get(key); ok {
 		t.Fatal("hit on empty store")
@@ -41,7 +44,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("Get = %q, %v; want %q, true", got, ok, payload)
 	}
 	// A second handle on the same directory — another process — sees it.
-	s2, err := Open(s.Dir())
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestCorruptEntriesReadAsMisses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := openTest(t)
+			s, _ := openTest(t)
 			if err := s.Put(key, payload); err != nil {
 				t.Fatal(err)
 			}
@@ -118,133 +121,9 @@ func TestCorruptEntriesReadAsMisses(t *testing.T) {
 	}
 }
 
-// TestGetOrComputeSingleFlightAcrossHandles: two handles on one directory —
-// standing in for two processes — running many concurrent GetOrCompute calls
-// over a shared key space compute each key exactly once.
-func TestGetOrComputeSingleFlightAcrossHandles(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.poll, b.poll = time.Millisecond, time.Millisecond
-
-	const keys = 4
-	const callers = 8
-	var computes [keys]atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		s := a
-		if c%2 == 1 {
-			s = b
-		}
-		wg.Add(1)
-		go func(s *Store, c int) {
-			defer wg.Done()
-			for k := 0; k < keys; k++ {
-				want := fmt.Sprintf(`{"k":%d}`, k)
-				got, err := s.GetOrCompute(testKey(k), func() ([]byte, error) {
-					computes[k].Add(1)
-					time.Sleep(2 * time.Millisecond) // widen the race window
-					return []byte(want), nil
-				})
-				if err != nil {
-					t.Errorf("caller %d key %d: %v", c, k, err)
-					return
-				}
-				if string(got) != want {
-					t.Errorf("caller %d key %d: got %q want %q", c, k, got, want)
-				}
-			}
-		}(s, c)
-	}
-	wg.Wait()
-	for k := 0; k < keys; k++ {
-		if n := computes[k].Load(); n != 1 {
-			t.Errorf("key %d computed %d times, want exactly 1", k, n)
-		}
-	}
-}
-
-// TestLeaderAbortDoesNotDeadlock: a leader whose compute fails releases its
-// lock without publishing, a concurrent waiter on another handle promotes
-// itself and computes, and the key ends up cached — no deadlock, no lost
-// result.
-func TestLeaderAbortDoesNotDeadlock(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.poll, b.poll = time.Millisecond, time.Millisecond
-
-	leaderIn := make(chan struct{})
-	aborted := errors.New("leader aborted")
-	done := make(chan error, 1)
-	go func() {
-		_, err := a.GetOrCompute(key, func() ([]byte, error) {
-			close(leaderIn)
-			time.Sleep(5 * time.Millisecond) // hold the lock while the waiter arrives
-			return nil, aborted
-		})
-		done <- err
-	}()
-	<-leaderIn
-	got, err := b.GetOrCompute(key, func() ([]byte, error) {
-		return []byte("from-waiter"), nil
-	})
-	if err != nil {
-		t.Fatalf("waiter: %v", err)
-	}
-	if string(got) != "from-waiter" {
-		t.Fatalf("waiter got %q", got)
-	}
-	if err := <-done; !errors.Is(err, aborted) {
-		t.Fatalf("leader error = %v, want its own abort", err)
-	}
-	// The waiter published, so a third read hits.
-	if cached, ok := a.Get(key); !ok || string(cached) != "from-waiter" {
-		t.Fatalf("after abort+retry: Get = %q, %v", cached, ok)
-	}
-	if _, err := os.Stat(a.lockPath(key)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("lock file leaked")
-	}
-}
-
-// TestStaleLockIsStolen: a lock whose holder died (mtime past the TTL) is
-// broken by a waiter instead of deadlocking it.
-func TestStaleLockIsStolen(t *testing.T) {
-	s := openTest(t)
-	s.lockTTL = 10 * time.Millisecond
-	// Fake a dead leader: create the lock by hand and never release it.
-	if ok, err := s.tryLock(key); err != nil || !ok {
-		t.Fatalf("tryLock = %v, %v", ok, err)
-	}
-	old := time.Now().Add(-time.Second)
-	if err := os.Chtimes(s.lockPath(key), old, old); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.GetOrCompute(key, func() ([]byte, error) {
-		return []byte("stolen"), nil
-	})
-	if err != nil || string(got) != "stolen" {
-		t.Fatalf("GetOrCompute after steal = %q, %v", got, err)
-	}
-	if st := s.Stats(); st.Steals != 1 {
-		t.Errorf("steals = %d, want 1 (%+v)", st.Steals, st)
-	}
-}
-
 // TestUnusableDirectoryDegrades: a store whose directory cannot host files
-// still answers — compute runs uncoordinated and the failure is counted.
+// still answers through the memo — the flight misses, computes, and its
+// failed Put is counted — and a repeat is served from memory.
 func TestUnusableDirectoryDegrades(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "gone")
 	s, err := Open(dir)
@@ -258,21 +137,29 @@ func TestUnusableDirectoryDegrades(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetOrCompute(key, func() ([]byte, error) {
-		return []byte("computed"), nil
-	})
-	if err != nil || string(got) != "computed" {
-		t.Fatalf("GetOrCompute = %q, %v", got, err)
+	c := memo.New()
+	c.SetBacking(s)
+	for i, wantHit := range []bool{false, true} {
+		got, hit, err := c.GetOrComputeBytes(key, func() (any, error) { return "computed", nil })
+		if err != nil || hit != wantHit || string(got) != `"computed"` {
+			t.Fatalf("call %d: %s hit=%v err=%v, want the computed answer, hit=%v", i, got, hit, err, wantHit)
+		}
 	}
-	if st := s.Stats(); st.WriteErrors == 0 {
-		t.Errorf("write errors = 0, want > 0 (%+v)", st)
+	if st := s.Stats(); st.WriteErrors != 1 || st.Misses != 1 || st.Writes != 0 {
+		t.Errorf("stats = %+v, want 1 write error, 1 miss, 0 writes", st)
+	}
+	if err := s.Put(key, []byte("v")); err == nil {
+		t.Error("Put into a file succeeded")
+	}
+	if st := s.Stats(); st.WriteErrors != 2 {
+		t.Errorf("a failed direct Put is not counted: %+v", st)
 	}
 }
 
 // TestHostileKeysStayInside: keys that are not canonical hex are re-hashed,
 // so they cannot traverse outside the cache directory.
 func TestHostileKeysStayInside(t *testing.T) {
-	s := openTest(t)
+	s, dir := openTest(t)
 	for _, k := range []string{"../../etc/passwd", "a/b", "", "UPPER", "short"} {
 		if err := s.Put(k, []byte("v")); err != nil {
 			t.Fatalf("Put(%q): %v", k, err)
@@ -281,7 +168,7 @@ func TestHostileKeysStayInside(t *testing.T) {
 		if !ok || string(got) != "v" {
 			t.Fatalf("Get(%q) = %q, %v", k, got, ok)
 		}
-		rel, err := filepath.Rel(s.Dir(), s.entryPath(k))
+		rel, err := filepath.Rel(dir, s.entryPath(k))
 		if err != nil || rel == ".." || filepath.IsAbs(rel) || len(rel) > 0 && rel[0] == '.' && rel[1] == '.' {
 			t.Fatalf("entryPath(%q) escapes: %q", k, s.entryPath(k))
 		}
@@ -290,6 +177,101 @@ func TestHostileKeysStayInside(t *testing.T) {
 
 func testKey(k int) string {
 	return fmt.Sprintf("%064x", 0xabc0+k)
+}
+
+// TestTwoProcessesPublishOneEntry: two handles on one directory, each under
+// its own memo.Cache, stand in for two processes sharing a cache directory
+// without coordinating. Eight goroutines per cache request the same 16 keys:
+// every answer for a key is byte-identical, each cache computes each key at
+// most once, and each key ends as exactly one valid entry with no temporary
+// file left behind.
+func TestTwoProcessesPublishOneEntry(t *testing.T) {
+	const keys, callers = 16, 8
+	type value struct {
+		Key    int
+		Cycles uint64
+	}
+	dir := t.TempDir()
+	var caches [2]*memo.Cache
+	var computes [2][keys]atomic.Int64
+	for p := range caches {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[p] = memo.New()
+		caches[p].SetBacking(s)
+	}
+	var got [2][callers][keys][]byte
+	var wg sync.WaitGroup
+	for p := range caches {
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(p, c int) {
+				defer wg.Done()
+				for j := 0; j < keys; j++ {
+					k := (j + c) % keys
+					data, _, err := caches[p].GetOrComputeBytes(testKey(k), func() (any, error) {
+						computes[p][k].Add(1)
+						time.Sleep(time.Millisecond) // let the other process miss too
+						return value{Key: k, Cycles: uint64(1000 + k)}, nil
+					})
+					if err != nil {
+						t.Errorf("process %d caller %d key %d: %v", p, c, k, err)
+					}
+					got[p][c][k] = data
+				}
+			}(p, c)
+		}
+	}
+	wg.Wait()
+
+	reader, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for k := 0; k < keys; k++ {
+		total += int(computes[0][k].Load() + computes[1][k].Load())
+	}
+	t.Logf("%d computes for %d keys: %d keys simulated by both processes", total, keys, total-keys)
+	for k := 0; k < keys; k++ {
+		want, err := json.Marshal(value{Key: k, Cycles: uint64(1000 + k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range caches {
+			if n := computes[p][k].Load(); n > 1 {
+				t.Errorf("process %d computed key %d %d times", p, k, n)
+			}
+			for c := 0; c < callers; c++ {
+				if !bytes.Equal(got[p][c][k], want) {
+					t.Errorf("process %d caller %d key %d: got %s, want %s", p, c, k, got[p][c][k], want)
+				}
+			}
+		}
+		if entry, ok := reader.Get(testKey(k)); !ok || !bytes.Equal(entry, want) {
+			t.Errorf("key %d: stored entry %s (found %v), want %s", k, entry, ok, want)
+		}
+	}
+	var files []string
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, d.Name())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if filepath.Ext(name) != ".e" {
+			t.Errorf("stray file %s left in the cache directory", name)
+		}
+	}
+	if len(files) != keys {
+		t.Errorf("%d files in the cache directory, want one entry per key (%d)", len(files), keys)
+	}
 }
 
 // TestLayeredWarmRestart pairs the real memo.Cache with the disk layer: a

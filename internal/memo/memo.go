@@ -5,9 +5,9 @@
 // drivers that revisit a (config, seed) grid point get counters back
 // without simulating.
 //
-// KeyOf hashes any JSON-encodable parts. npb.RunKey writes the same bytes
-// for a run config by hand, without reflection, and its tests hold it equal
-// to KeyOf; cmd/chaos keys its baselines with KeyOf directly.
+// KeyOf hashes any JSON-encodable parts. npb.RunKey is KeyOf over
+// ("npb/run", kernel, config); cmd/chaos keys its baselines with KeyOf
+// directly.
 //
 // Results are stored as their canonical JSON encoding (content-addressed
 // bytes), and any JSON-encodable result type works. GetOrComputeBytes hands
@@ -23,6 +23,12 @@
 // next request for the key retries: error values are not content-addressed
 // facts — a cancelled or deadline-expired run says something about the
 // request that carried it, not about the (config, seed) point.
+//
+// A Backing store (internal/memo/diskcache) shares results across
+// processes. The cache's own per-key flight is the only single-flight: it
+// asks the store first, and on a miss computes and publishes. Processes do
+// not coordinate, so two that miss one key at once both compute it and
+// publish the same bytes.
 package memo
 
 import (
@@ -92,11 +98,13 @@ type entry struct {
 
 // Backing is an optional second-level store consulted when the in-memory
 // layer misses: typically internal/memo/diskcache, shared across processes.
-// GetOrCompute must return the bytes stored under key, running compute — at
-// most once per key across every cooperating process — only when the store
-// has none, and must not store anything when compute fails.
+// Get returns the bytes stored under key, if any; Put publishes the bytes of
+// a successful compute. A Put that fails costs later hits only: the flight
+// still answers with the bytes it computed, and the store counts its own
+// failures.
 type Backing interface {
-	GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, error)
+	Get(key string) ([]byte, bool)
+	Put(key string, data []byte) error
 }
 
 // cacheStats counts the cache's hits, misses and evictions.
@@ -137,12 +145,12 @@ func NewBounded(capacity int) *Cache {
 	return c
 }
 
-// SetBacking layers a second-level store under the in-memory cache: misses
-// consult it before computing, computed results are published to it, and a
-// backing hit counts as cached for the caller (the returned bool) without
-// touching the in-memory hit/miss stats, which stay a statement about this
-// process. Call before the cache is shared; not safe concurrently with
-// GetOrCompute.
+// SetBacking layers a second-level store under the in-memory cache: a
+// flight consults it before computing, a computed result is published to
+// it, and a backing hit counts as cached for the caller (the returned bool)
+// without touching the in-memory hit/miss stats, which stay a statement
+// about this process. Call before the cache is shared; not safe
+// concurrently with GetOrCompute.
 func (c *Cache) SetBacking(b Backing) { c.backing = b }
 
 // GetOrComputeBytes returns the canonical JSON stored under key, computing
@@ -159,7 +167,7 @@ func (c *Cache) SetBacking(b Backing) { c.backing = b }
 // store on failure either, so the key stays retryable across processes. A
 // compute that panics fails the same way: the panic goes on to the caller
 // whose compute raised it, and the callers collapsed onto its flight get an
-// error.
+// error. A backing Put that fails does not fail the flight.
 func (c *Cache) GetOrComputeBytes(key string, compute func() (any, error)) ([]byte, bool, error) {
 	c.mu.Lock()
 	e, hit := c.entries[key]
@@ -187,28 +195,35 @@ func (c *Cache) GetOrComputeBytes(key string, compute func() (any, error)) ([]by
 				c.forget(e)
 			}
 		}()
-		if c.backing != nil {
-			computed := false
-			e.data, e.err = c.backing.GetOrCompute(e.key, func() ([]byte, error) {
-				computed = true
-				v, err := compute()
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(v)
-			})
-			e.backed = e.err == nil && !computed
-		} else if v, err := compute(); err != nil {
-			e.err = err
-		} else {
-			e.data, e.err = json.Marshal(v)
-		}
+		e.data, e.backed, e.err = c.fill(e.key, compute)
 		e.done.Store(e.err == nil)
 	})
 	if e.err != nil {
 		return nil, hit, e.err
 	}
 	return e.data, hit || e.backed, nil
+}
+
+// fill produces the bytes of one flight: the backing store's entry when it
+// has one (backed), else compute's result, encoded once and published to the
+// store. A failed Put still answers with the computed bytes.
+func (c *Cache) fill(key string, compute func() (any, error)) (data []byte, backed bool, err error) {
+	if c.backing != nil {
+		if data, ok := c.backing.Get(key); ok {
+			return data, true, nil
+		}
+	}
+	v, err := compute()
+	if err != nil {
+		return nil, false, err
+	}
+	if data, err = json.Marshal(v); err != nil {
+		return nil, false, err
+	}
+	if c.backing != nil {
+		_ = c.backing.Put(key, data) // the store counts its own failures
+	}
+	return data, false, nil
 }
 
 // Lookup returns the bytes stored under key when a flight for it has
@@ -245,8 +260,8 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error), out any) (
 }
 
 // evictLocked trims the cache back to capacity, oldest insertion first. Order
-// slots whose entry was already forgotten (errored computes, explicit
-// Forget) are skipped without counting as evictions. Callers hold c.mu.
+// slots whose entry was already forgotten (failed or panicked computes) are
+// skipped without counting as evictions. Callers hold c.mu.
 func (c *Cache) evictLocked() {
 	for len(c.entries) > c.capacity && len(c.order) > 0 {
 		victim := c.order[0]
@@ -267,15 +282,6 @@ func (c *Cache) forget(e *entry) {
 	if c.entries[e.key] == e {
 		delete(c.entries, e.key)
 	}
-	c.mu.Unlock()
-}
-
-// Forget removes key from the cache if present, so the next GetOrCompute
-// recomputes it. In-flight computations for the key are unaffected: their
-// waiters still observe the flight's outcome.
-func (c *Cache) Forget(key string) {
-	c.mu.Lock()
-	delete(c.entries, key)
 	c.mu.Unlock()
 }
 

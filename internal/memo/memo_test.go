@@ -191,22 +191,6 @@ func TestGetOrComputeDecodeError(t *testing.T) {
 	}
 }
 
-func TestForget(t *testing.T) {
-	c := New()
-	calls := 0
-	compute := func() (any, error) { calls++; return calls, nil }
-	var out int
-	for _, want := range []int{1, 1} {
-		if _, err := c.GetOrCompute("k", compute, &out); err != nil || out != want {
-			t.Fatalf("out = %d (err %v), want %d", out, err, want)
-		}
-	}
-	c.Forget("k")
-	if _, err := c.GetOrCompute("k", compute, &out); err != nil || out != 2 {
-		t.Fatalf("after Forget: out = %d (err %v), want recompute = 2", out, err)
-	}
-}
-
 // TestBoundedEviction: the capacity bound evicts in insertion order — the
 // deterministic order a replayed request sequence reproduces — and counts
 // every eviction.
@@ -245,8 +229,8 @@ func TestBoundedEviction(t *testing.T) {
 	}
 }
 
-// TestBoundedEvictionSkipsForgotten: order slots whose entry errored (and was
-// dropped) or was explicitly forgotten are skipped without counting.
+// TestBoundedEvictionSkipsForgotten: an order slot whose compute failed, and
+// whose entry was therefore dropped, is skipped without counting.
 func TestBoundedEvictionSkipsForgotten(t *testing.T) {
 	c := NewBounded(2)
 	var out int
@@ -419,33 +403,39 @@ func TestLookupRacesFlight(t *testing.T) {
 	}
 }
 
-// fakeBacking is an in-memory stand-in for the disk layer.
+// fakeBacking is an in-memory stand-in for the disk layer. It counts its
+// Gets, hits and Puts, and with failPut set refuses every Put.
 type fakeBacking struct {
 	mu      sync.Mutex
 	entries map[string][]byte
+	gets    int
 	hits    int
+	puts    int
+	failPut bool
 }
 
 func newFakeBacking() *fakeBacking { return &fakeBacking{entries: map[string][]byte{}} }
 
-func (f *fakeBacking) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, error) {
+func (f *fakeBacking) Get(key string) ([]byte, bool) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.gets++
 	data, ok := f.entries[key]
 	if ok {
 		f.hits++
 	}
-	f.mu.Unlock()
-	if ok {
-		return data, nil
-	}
-	data, err := compute()
-	if err != nil {
-		return nil, err
-	}
+	return data, ok
+}
+
+func (f *fakeBacking) Put(key string, data []byte) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.puts++
+	if f.failPut {
+		return errors.New("fake: disk full")
+	}
 	f.entries[key] = data
-	f.mu.Unlock()
-	return data, nil
+	return nil
 }
 
 // TestSchemaVersionFolded pins the key recipe: the schema-version line is
@@ -493,8 +483,8 @@ func TestBackingServesCrossProcessHits(t *testing.T) {
 	if v != 7 {
 		t.Errorf("decoded %d from backing, want 7", v)
 	}
-	if b.hits != 1 {
-		t.Errorf("backing hits = %d, want 1", b.hits)
+	if b.hits != 1 || b.puts != 1 {
+		t.Errorf("backing hits = %d and puts = %d, want 1 and 1: a backing hit publishes nothing", b.hits, b.puts)
 	}
 	// A second call on c2 is a pure memory hit: the backing is not touched.
 	if hit, _ = c2.GetOrCompute("k", func() (any, error) { return 0, nil }, &v); !hit || b.hits != 1 {
@@ -516,8 +506,8 @@ func TestBackingServesCrossProcessHits(t *testing.T) {
 	}
 }
 
-// TestBackingErrorNotPublished: a failed compute publishes nothing to the
-// backing store and stays retryable.
+// TestBackingErrorNotPublished: a compute that fails or panics publishes
+// nothing to the backing store, and the key stays retryable.
 func TestBackingErrorNotPublished(t *testing.T) {
 	b := newFakeBacking()
 	c := New()
@@ -527,14 +517,82 @@ func TestBackingErrorNotPublished(t *testing.T) {
 	if _, err := c.GetOrCompute("k", func() (any, error) { return nil, boom }, &v); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if len(b.entries) != 0 {
-		t.Error("failed compute reached the backing store")
+	func() {
+		defer func() {
+			if p := recover(); p != "compute blew up" {
+				t.Errorf("recovered %v, want the compute's panic", p)
+			}
+		}()
+		c.GetOrComputeBytes("k", func() (any, error) { panic("compute blew up") })
+	}()
+	if b.puts != 0 || len(b.entries) != 0 {
+		t.Errorf("failed computes reached the backing store: %d puts", b.puts)
 	}
 	hit, err := c.GetOrCompute("k", func() (any, error) { return 5, nil }, &v)
 	if err != nil || hit || v != 5 {
 		t.Errorf("retry after failure: hit=%v v=%d err=%v", hit, v, err)
 	}
-	if len(b.entries) != 1 {
-		t.Error("successful retry not published")
+	if b.puts != 1 || len(b.entries) != 1 {
+		t.Errorf("successful retry: %d puts, %d entries, want 1 and 1", b.puts, len(b.entries))
+	}
+}
+
+// TestBackingMissSingleFlight: concurrent callers of a key the backing store
+// lacks collapse onto one flight, which asks the store once, computes once
+// and publishes once; every caller gets the published bytes.
+func TestBackingMissSingleFlight(t *testing.T) {
+	b := newFakeBacking()
+	c := New()
+	c.SetBacking(b)
+	var calls atomic.Int64
+	const workers = 16
+	got := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			data, _, err := c.GetOrComputeBytes("k", func() (any, error) {
+				calls.Add(1)
+				return []string{"cg.matvec"}, nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = data
+		}(i)
+	}
+	wg.Wait()
+	if calls.Load() != 1 || b.gets != 1 || b.puts != 1 {
+		t.Errorf("%d computes, %d backing gets, %d puts; want one of each", calls.Load(), b.gets, b.puts)
+	}
+	for i, data := range got {
+		if !bytes.Equal(data, b.entries["k"]) {
+			t.Errorf("caller %d got %s, the store holds %s", i, data, b.entries["k"])
+		}
+	}
+}
+
+// TestBackingPutFailureStillAnswers: a Put the store refuses costs later
+// processes their hit, not this answer: the flight returns the computed
+// bytes, and this process's memory keeps them.
+func TestBackingPutFailureStillAnswers(t *testing.T) {
+	b := newFakeBacking()
+	b.failPut = true
+	c := New()
+	c.SetBacking(b)
+	data, hit, err := c.GetOrComputeBytes("k", func() (any, error) { return 7, nil })
+	if err != nil || hit || string(data) != "7" {
+		t.Fatalf("failed Put: %s hit=%v err=%v, want 7 computed", data, hit, err)
+	}
+	if b.puts != 1 || len(b.entries) != 0 {
+		t.Errorf("%d puts, %d entries; want the one refused Put", b.puts, len(b.entries))
+	}
+	data, hit, err = c.GetOrComputeBytes("k", func() (any, error) {
+		t.Error("compute ran again after a failed Put")
+		return 0, nil
+	})
+	if err != nil || !hit || string(data) != "7" {
+		t.Errorf("repeat: %s hit=%v err=%v, want 7 from memory", data, hit, err)
 	}
 }

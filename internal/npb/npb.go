@@ -33,6 +33,7 @@ import (
 
 	"hugeomp/internal/core"
 	"hugeomp/internal/faultinject"
+	"hugeomp/internal/hugetlbfs"
 	"hugeomp/internal/machine"
 	"hugeomp/internal/omp"
 	"hugeomp/internal/profile"
@@ -145,7 +146,7 @@ type RunConfig struct {
 	Iterations int                 // 0 = kernel default
 	Sharing    machine.SharingMode // must be SharePartition; kept only because RunKey encodes every field (see machine.SharingMode)
 	Barrier    omp.BarrierAlgo
-	Hugetlb    int // hugetlbfs mode; 0 = preallocate
+	Hugetlb    int // forwards to core.Config.Hugetlb as a hugetlbfs.Mode: 0 preallocates, 1 reserves on demand
 
 	// HugePages forwards to core.Config.HugePages: 0 sizes the pool to the
 	// shared region, core.NoHugePages forces the 4 KB degraded path.
@@ -202,6 +203,7 @@ func RunOn(k Kernel, cfg RunConfig) (Result, *core.System, *omp.RT, error) {
 		Barrier:     cfg.Barrier,
 		SharedBytes: shared,
 		PhysBytes:   4 * shared,
+		Hugetlb:     hugetlbfs.Mode(cfg.Hugetlb),
 		HugePages:   cfg.HugePages,
 		Fault:       cfg.Fault,
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hugeomp/internal/core"
+	"hugeomp/internal/hugetlbfs"
 	"hugeomp/internal/omp"
 	"hugeomp/internal/units"
 )
@@ -51,6 +52,7 @@ func NewWarm(name string, cfg RunConfig) (*Warm, error) {
 		Barrier:     cfg.Barrier,
 		SharedBytes: shared,
 		PhysBytes:   4 * shared,
+		Hugetlb:     hugetlbfs.Mode(cfg.Hugetlb),
 		HugePages:   cfg.HugePages,
 	})
 	if err != nil {

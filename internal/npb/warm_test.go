@@ -1,6 +1,8 @@
 package npb
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"sync"
@@ -8,6 +10,7 @@ import (
 
 	"hugeomp/internal/core"
 	"hugeomp/internal/faultinject"
+	"hugeomp/internal/hugetlbfs"
 	"hugeomp/internal/machine"
 )
 
@@ -217,5 +220,47 @@ func TestWarmRejectsIncompatibleConfigs(t *testing.T) {
 	}
 	if _, err := NewWarm("sp", bad); err == nil {
 		t.Error("fault plan accepted by warm template")
+	}
+}
+
+// TestHugetlbModeReachesSystem: RunConfig.Hugetlb selects the hugetlbfs
+// allocation strategy of the system a cold run and a warm fork assemble,
+// and under either strategy the fork answers byte-identically to the cold
+// run.
+func TestHugetlbModeReachesSystem(t *testing.T) {
+	for _, mode := range []hugetlbfs.Mode{hugetlbfs.Preallocate, hugetlbfs.OnDemand} {
+		cfg := RunConfig{
+			Model: machine.Opteron270(), Threads: 2, Policy: core.Policy2M, Class: ClassT,
+			Hugetlb: int(mode),
+		}
+		cold, sys, _, err := RunOn(NewCG(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWarm("CG", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, wsys, _, err := w.RunOn(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.FS.Mode(); got != mode {
+			t.Errorf("Hugetlb %d: cold system mounted mode %d", mode, got)
+		}
+		if got := wsys.FS.Mode(); got != mode {
+			t.Errorf("Hugetlb %d: warm fork mounted mode %d", mode, got)
+		}
+		cj, err := json.Marshal(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, err := json.Marshal(warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cj, wj) {
+			t.Errorf("Hugetlb %d: warm fork differs from the cold run:\ncold: %s\nwarm: %s", mode, cj, wj)
+		}
 	}
 }

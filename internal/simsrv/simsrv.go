@@ -280,14 +280,15 @@ type Gauges struct {
 	TemplateBuilds      uint64 `json:"template_builds"`
 	// Shared disk cache (zero-valued with DiskEnabled=false when no
 	// -cache-dir was given). With it on, DiskMisses counts the simulations
-	// started, aborted ones included.
+	// started, aborted ones included, and DiskWriteErrors the results that
+	// could not be published.
 	DiskEnabled       bool   `json:"disk_enabled"`
 	DiskHits          uint64 `json:"disk_hits"`
 	DiskMisses        uint64 `json:"disk_misses"`
 	DiskWrites        uint64 `json:"disk_writes"`
 	DiskCorruptSkips  uint64 `json:"disk_corrupt_skips"`
 	DiskStaleVersions uint64 `json:"disk_stale_versions"`
-	DiskWaits         uint64 `json:"disk_waits"`
+	DiskWriteErrors   uint64 `json:"disk_write_errors"`
 }
 
 // Gauges snapshots the point-in-time readings.
@@ -315,7 +316,7 @@ func (s *Server) Gauges() Gauges {
 		g.DiskWrites = st.Writes
 		g.DiskCorruptSkips = st.CorruptSkips
 		g.DiskStaleVersions = st.StaleVersions
-		g.DiskWaits = st.Waits
+		g.DiskWriteErrors = st.WriteErrors
 	}
 	return g
 }

@@ -3,7 +3,6 @@ package tlb
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"hugeomp/internal/units"
 )
@@ -107,9 +106,8 @@ func (o Outcome) String() string {
 // shootdown adjusts it), so a filtered miss is byte-identical to the probed
 // cascade it skips.
 type Hierarchy struct {
-	spec Spec
-	l1   [units.NumPageSizes]*TLB
-	l2   [units.NumPageSizes]*TLB
+	l1 [units.NumPageSizes]*TLB
+	l2 [units.NumPageSizes]*TLB
 
 	filt     [units.NumPageSizes][]uint16
 	filtMask [units.NumPageSizes]uint64
@@ -118,7 +116,7 @@ type Hierarchy struct {
 // NewHierarchy instantiates spec, or reports the first structure whose
 // geometry is invalid.
 func NewHierarchy(spec Spec) (*Hierarchy, error) {
-	h := &Hierarchy{spec: spec}
+	h := &Hierarchy{}
 	for _, s := range []struct {
 		at  **TLB
 		cfg Config
@@ -228,18 +226,4 @@ func (h *Hierarchy) VisitEntries(f func(level int, size units.PageSize, e Entry)
 		h.l1[sz].Visit(func(e Entry) { f(1, sz, e) })
 		h.l2[sz].Visit(func(e Entry) { f(2, sz, e) })
 	}
-}
-
-// String summarises the stack.
-func (h *Hierarchy) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: L1[4K %d/%dw, 2M %d/%dw]",
-		h.spec.Name, h.spec.L1.E4K.Entries, h.spec.L1.E4K.Ways,
-		h.spec.L1.E2M.Entries, h.spec.L1.E2M.Ways)
-	if h.spec.L2.E4K.Entries > 0 || h.spec.L2.E2M.Entries > 0 {
-		fmt.Fprintf(&b, " L2[4K %d/%dw, 2M %d/%dw]",
-			h.spec.L2.E4K.Entries, h.spec.L2.E4K.Ways,
-			h.spec.L2.E2M.Entries, h.spec.L2.E2M.Ways)
-	}
-	return b.String()
 }
