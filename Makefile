@@ -17,9 +17,9 @@ test:
 # clocks, global rand, scheduler queries or order-sensitive map iteration
 # in the simulator packages, and no such value reaching the counters or memo
 # keys through any call chain), the ranked lock hierarchy across call chains
-# (lockorder), cancellable kernel loops (ctxflow), copy-on-write snapshot
-# arrays (cowshared), and recover-first goroutine entry points in the
-# service (panicboundary). One command, one flag (-json). See docs/LINTING.md.
+# (lockorder), cancellable kernel loops (ctxflow), and recover-first
+# goroutine entry points in the service (panicboundary). One command, one
+# flag (-json). See docs/LINTING.md.
 lint:
 	$(GO) run ./cmd/simlint ./...
 

@@ -266,14 +266,16 @@ func serveSoak(ops int, seed uint64, verbose bool, cacheDir string) error {
 		nRuns, nDups, nDrops, nBad, nBig, nPanics, nDeadlines)
 	fmt.Printf("chaos -serve: counters %+v\n", ctr)
 	if cacheDir == "" {
-		fmt.Printf("chaos -serve: %d/%d simulations were fresh (memo capacity %d forced re-runs); every recomputation matched\n",
+		fmt.Printf("chaos -serve: %d/%d requests started a simulation, aborted ones included (memo capacity %d forced re-runs); every recomputation matched\n",
 			ctr.MemoMisses, ctr.Requests, 4)
 	} else {
 		// With the shared disk layer, a memo miss refills from disk when the
 		// key was ever published — by this soak or by any earlier process on
-		// the same directory. Disk misses are the actual simulations.
+		// the same directory. Every disk miss starts a simulation, but only
+		// a completed one publishes: the disconnect and starved-deadline runs
+		// abort, so misses exceed writes even over a full directory.
 		ds := srv.DiskStats()
-		fmt.Printf("chaos -serve: shared cache %s: %d disk hits (cross-process or post-eviction), %d disk misses (fresh simulations), %d writes, %d corrupt entries skipped\n",
+		fmt.Printf("chaos -serve: shared cache %s: %d disk hits (cross-process or post-eviction), %d disk misses (simulations started, aborted ones included), %d writes (results published), %d corrupt entries skipped\n",
 			cacheDir, ds.Hits, ds.Misses, ds.Writes, ds.CorruptSkips)
 	}
 	return nil

@@ -4,9 +4,7 @@
 // value reaching profile counters or memo keys through any call chain),
 // lockorder (every nested lock acquisition follows the documented
 // hierarchy), ctxflow (loops issuing omp regions must reach rt.Checkpoint
-// or carry //simlint:nocheckpoint), cowshared (//simlint:cowshared
-// snapshot-shared arrays only written inside //simlint:cowbarrier functions
-// — the copy-on-write write barrier) and panicboundary (every goroutine of a
+// or carry //simlint:nocheckpoint) and panicboundary (every goroutine of a
 // service package starts inside a //simlint:panicboundary function that
 // installs recover).
 //

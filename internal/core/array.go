@@ -86,8 +86,8 @@ func (a *Array) Gather(c *machine.Context, idx []int64) {
 // Fork returns a privately writable copy of the array for a forked run: the
 // simulated placement (Name, Base) is preserved and Data is deep-copied.
 // Arrays a kernel only reads during Run don't need forking — forked runs
-// share them read-only (the copy-on-write discipline of the snapshot layer:
-// static inputs alias, mutable state privatizes).
+// share them read-only with the template (static inputs alias, mutable
+// state privatizes).
 func (a *Array) Fork() *Array {
 	if a == nil {
 		return nil

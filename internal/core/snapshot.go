@@ -1,21 +1,16 @@
 package core
 
-import (
-	"sync"
-
-	"hugeomp/internal/machine"
-)
+import "hugeomp/internal/machine"
 
 // Fork returns an independent copy of the assembled system: physical memory,
-// page table (copy-on-write — PGD entries are aliased and privatized on
-// first mutation, so the fork is O(metadata), not O(mapped pages)), the
-// hugetlbfs mount, both SCASH spaces and the THP manager, on a machine of
-// the same model with no hardware contexts yet. The fork is the
-// warm-construction replacement for NewSystem + kernel Setup: calling NewRT
-// on it configures fresh (cold) hardware contexts exactly as a cold-built
-// system would, so a forked run's counters are bit-identical to a cold
-// run's while skipping the expensive address-space construction. A fork
-// carries no hardware state: TLBs, caches and counters start cold in NewRT.
+// page table (every PGD entry and PTE frame copied), the hugetlbfs mount,
+// both SCASH spaces and the THP manager, on a machine of the same model with
+// no hardware contexts yet. The fork is the warm-construction replacement
+// for NewSystem + kernel Setup: calling NewRT on it configures fresh (cold)
+// hardware contexts exactly as a cold-built system would, so a forked run's
+// counters are bit-identical to a cold run's while skipping the expensive
+// address-space construction. A fork carries no hardware state: TLBs, caches
+// and counters start cold in NewRT.
 //
 // Fault plans are not re-armed on the fork: injected faults fire during
 // construction (hugetlbfs reservation, page mapping), which the fork skips
@@ -53,9 +48,9 @@ func (s *System) Fork() *System {
 // immutable template. The capture forks once, so the parent may keep running
 // or be discarded; the frozen copy itself is never simulated on. Fork then
 // stamps out independent systems, safely from concurrent goroutines (the
-// sweep driver forks under internal/par).
+// sweep driver forks under internal/par): each subsystem's Fork copies its
+// source under that source's own lock and writes nothing shared.
 type Snapshot struct {
-	mu     sync.Mutex
 	frozen *System
 }
 
@@ -66,8 +61,4 @@ func (s *System) Snapshot() *Snapshot {
 }
 
 // Fork stamps out an independent system from the frozen template.
-func (sn *Snapshot) Fork() *System {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	return sn.frozen.Fork()
-}
+func (sn *Snapshot) Fork() *System { return sn.frozen.Fork() }

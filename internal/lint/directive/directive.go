@@ -1,10 +1,6 @@
 // Package directive parses the //simlint: comment directives that carry the
 // simulator's machine-checked contracts:
 //
-//	//simlint:cowshared               snapshot-shared field; written only in
-//	//                                //simlint:cowbarrier functions
-//	//simlint:cowbarrier              function that clones shared state into
-//	//                                the writer before writing it
 //	//simlint:panicboundary           function that installs recover as its
 //	//                                first deferred work; goroutines start in one
 //	//simlint:ignore <rules> <why>    suppress one or more rules (comma-
@@ -31,7 +27,7 @@ const prefix = "//simlint:"
 
 // A Directive is one parsed //simlint: comment.
 type Directive struct {
-	Kind string // "cowshared", "ignore", ...
+	Kind string // "panicboundary", "ignore", ...
 	Args string // remainder of the line, whitespace-trimmed
 	Pos  token.Pos
 }
@@ -60,28 +56,19 @@ func parse(c *ast.Comment) (Directive, bool) {
 	return Directive{Kind: kind, Args: args, Pos: c.Pos()}, true
 }
 
-// fromGroups collects directives from any of the comment groups.
-func fromGroups(groups ...*ast.CommentGroup) []Directive {
+// Func returns the directives in a function's doc comment.
+func Func(fd *ast.FuncDecl) []Directive {
+	if fd.Doc == nil {
+		return nil
+	}
 	var out []Directive
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if d, ok := parse(c); ok {
-				out = append(out, d)
-			}
+	for _, c := range fd.Doc.List {
+		if d, ok := parse(c); ok {
+			out = append(out, d)
 		}
 	}
 	return out
 }
-
-// Field returns the directives attached to a struct field (doc comment above
-// or line comment after).
-func Field(f *ast.Field) []Directive { return fromGroups(f.Doc, f.Comment) }
-
-// Func returns the directives in a function's doc comment.
-func Func(fd *ast.FuncDecl) []Directive { return fromGroups(fd.Doc) }
 
 // Has reports whether ds contains a directive of the given kind.
 func Has(ds []Directive, kind string) bool {

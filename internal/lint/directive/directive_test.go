@@ -12,23 +12,10 @@ import (
 
 const src = `package p
 
-import "sync"
+//simlint:panicboundary
+func boundary() {}
 
-type s struct {
-	mu sync.Mutex
-
-	// doc directive
-	//simlint:atomic
-	word uint32
-
-	slice []uint32 //simlint:atomic
-	plain uint64
-}
-
-//simlint:cowbarrier
-func barrier() {}
-
-func cold() {}
+func plain() {}
 
 func body() {
 	x := 1 //simlint:ignore determinism trailing: same-line suppression
@@ -60,36 +47,19 @@ func parse(t *testing.T) (*token.FileSet, *ast.File) {
 	return parseSrc(t, "p.go", src)
 }
 
-func TestFieldAndFuncDirectives(t *testing.T) {
+func TestFuncDirectives(t *testing.T) {
 	_, f := parse(t)
-	var atomicFields []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		st, ok := n.(*ast.StructType)
-		if !ok {
-			return true
-		}
-		for _, fld := range st.Fields.List {
-			if directive.Has(directive.Field(fld), "atomic") {
-				atomicFields = append(atomicFields, fld.Names[0].Name)
-			}
-		}
-		return true
-	})
-	if len(atomicFields) != 2 || atomicFields[0] != "word" || atomicFields[1] != "slice" {
-		t.Fatalf("atomic fields = %v, want [word slice]", atomicFields)
-	}
-
-	barriers := 0
+	boundaries := 0
 	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && directive.Has(directive.Func(fd), "cowbarrier") {
-			barriers++
-			if fd.Name.Name != "barrier" {
-				t.Fatalf("cowbarrier on %s", fd.Name.Name)
+		if fd, ok := d.(*ast.FuncDecl); ok && directive.Has(directive.Func(fd), "panicboundary") {
+			boundaries++
+			if fd.Name.Name != "boundary" {
+				t.Fatalf("panicboundary on %s", fd.Name.Name)
 			}
 		}
 	}
-	if barriers != 1 {
-		t.Fatalf("cowbarrier count = %d", barriers)
+	if boundaries != 1 {
+		t.Fatalf("panicboundary count = %d", boundaries)
 	}
 }
 
@@ -105,22 +75,22 @@ func TestIgnores(t *testing.T) {
 		}
 		return 0
 	}
-	// Line 22: trailing ignore for determinism suppresses its own line.
-	if got := found("determinism", 22); got != 22 {
-		t.Errorf("determinism on line 22 suppressed by the ignore on line %d, want 22 (its own)", got)
+	// Line 9: trailing ignore for determinism suppresses its own line.
+	if got := found("determinism", 9); got != 9 {
+		t.Errorf("determinism on line 9 suppressed by the ignore on line %d, want 9 (its own)", got)
 	}
-	if got := found("atomicfield", 22); got != 0 {
-		t.Errorf("atomicfield on line 22 suppressed by the ignore on line %d, which names another rule", got)
+	if got := found("atomicfield", 9); got != 0 {
+		t.Errorf("atomicfield on line 9 suppressed by the ignore on line %d, which names another rule", got)
 	}
-	// Line 24 holds a standalone ignore: it covers line 25.
-	if got := found("atomicfield", 25); got != 24 {
-		t.Errorf("atomicfield on line 25 suppressed by the ignore on line %d, want 24 (standalone, above)", got)
+	// Line 11 holds a standalone ignore: it covers line 12.
+	if got := found("atomicfield", 12); got != 11 {
+		t.Errorf("atomicfield on line 12 suppressed by the ignore on line %d, want 11 (standalone, above)", got)
 	}
-	if got := found("atomicfield", 27); got != 0 {
+	if got := found("atomicfield", 14); got != 0 {
 		t.Errorf("the ignore on line %d leaked past the following line", got)
 	}
-	// The reasonless ignore on line 27 is invalid: it matches nothing.
-	if got := found("lockdiscipline", 27); got != 0 {
+	// The reasonless ignore on line 14 is invalid: it matches nothing.
+	if got := found("lockdiscipline", 14); got != 0 {
 		t.Errorf("reasonless ignore on line %d suppressed a diagnostic", got)
 	}
 	inv := igs.Invalid()
@@ -128,20 +98,20 @@ func TestIgnores(t *testing.T) {
 		t.Fatalf("Invalid() = %+v, want the one reasonless lockdiscipline ignore", inv)
 	}
 
-	// Line 29: one directive, two comma-separated rules, one shared reason.
+	// Line 16: one directive, two comma-separated rules, one shared reason.
 	for _, rule := range []string{"determinism", "lockorder"} {
-		if got := found(rule, 29); got != 29 {
+		if got := found(rule, 16); got != 16 {
 			t.Errorf("multi-rule ignore did not cover %s (found line %d)", rule, got)
 		}
 	}
-	if got := found("ctxflow", 29); got != 0 {
+	if got := found("ctxflow", 16); got != 0 {
 		t.Errorf("multi-rule ignore on line %d covered a rule it does not name", got)
 	}
 
-	// Only the never-matched padding ignore on line 31 is stale; everything
+	// Only the never-matched padding ignore on line 18 is stale; everything
 	// else either matched above or is invalid.
 	st := igs.Stale()
-	if len(st) != 1 || st[0].RuleList() != "padding" || st[0].Line != 31 {
+	if len(st) != 1 || st[0].RuleList() != "padding" || st[0].Line != 18 {
 		t.Fatalf("Stale() = %+v, want the one unmatched padding ignore", st)
 	}
 }

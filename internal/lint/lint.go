@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"hugeomp/internal/lint/analysis"
-	"hugeomp/internal/lint/cowshared"
 	"hugeomp/internal/lint/ctxflow"
 	"hugeomp/internal/lint/determinism"
 	"hugeomp/internal/lint/directive"
@@ -19,13 +18,12 @@ import (
 
 // Analyzers is the simlint suite, in reporting order. The interprocedural
 // analyzers (determinism, lockorder, ctxflow) read and write facts through
-// Pass.Facts; the rest are single-package.
+// Pass.Facts; panicboundary is single-package.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
 		lockorder.Analyzer,
 		ctxflow.Analyzer,
-		cowshared.Analyzer,
 		panicboundary.Analyzer,
 	}
 }

@@ -19,7 +19,7 @@
 //
 // The lock identity model matches the simulator's: a lock's class is
 // "OwnerType.field" for a mutex stored in a named struct (Context.shootMu,
-// Snapshot.mu), and rank lookup falls back from the qualified name to the
+// Manager.mu), and rank lookup falls back from the qualified name to the
 // bare owner type, so Order may rank whole types or single fields.
 //
 // Held-set tracking inside a function is a source-order walk (exactly
@@ -61,11 +61,10 @@ var Analyzer = &analysis.Analyzer{
 // Order is the documented lock hierarchy, outermost first: "<" separates
 // rank levels, "," separates classes sharing a level (which never nest). A
 // class is either a qualified mutex field ("Context.shootMu") or a bare
-// owner type ("Snapshot", matching any mutex field it owns). The fork
-// template (core.Snapshot) forks the whole system under its lock; the THP
-// manager, the hugetlbfs file system and the SCASH space call into the page
-// table, physical memory and the space's allocator under theirs.
-var Order = "Snapshot < Manager, FS, Space < Allocator, Table, PhysMem"
+// owner type ("Manager", matching any mutex field it owns). The THP manager,
+// the hugetlbfs file system and the SCASH space call into the page table,
+// physical memory and the space's allocator under their locks.
+var Order = "Manager, FS, Space < Allocator, Table, PhysMem"
 
 // summary is the per-function fact: the lock classes the function may
 // acquire during its execution, each with one representative chain from the

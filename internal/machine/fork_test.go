@@ -9,8 +9,8 @@ import (
 
 // applyForkOp decodes and applies one fuzz op to world w through the
 // committed engines — the op set of FuzzScalarFastPath plus a page-fault op
-// that maps a fresh page after the fork point (so post-fork mutations travel
-// through the page table's COW write barrier) and an abort marker (op%11 ==
+// that maps a fresh page after the fork point (so post-fork mutations write
+// the fork's own copy of the page table) and an abort marker (op%11 ==
 // 10) that is a no-op here: abandoning a run touches no machine state, and
 // FuzzForkEquivalence decodes it at the driver level to abandon the fork
 // mid-stream. The return value is the demote outcome (always true for other
@@ -81,7 +81,7 @@ func applyForkOp(t testing.TB, w fuzzWorld, op byte, a1, a2 int64) bool {
 // untouched, which a second control that neither forks nor swaps contexts
 // checks. The op stream mixes scalar loads/stores, ranges, gathers, page
 // and whole-chunk shootdowns, 2MB→4KB demotions and page faults (post-fork,
-// both go through the page table's copy-on-write barrier), and an abort op
+// both write the fork's own copy of the page table), and an abort op
 // (op%11 == 10): the first abort after the fork point abandons the forked
 // world mid-stream — exactly what a cancelled service request does — then
 // forks a *sibling* from the same frozen table, replays the post-fork
@@ -177,10 +177,10 @@ func FuzzForkEquivalence(f *testing.F) {
 // op stream, interleaved with the other's, and must stay byte-identical at
 // every step to a control that ran the shared prefix on its own table, got
 // a fresh context there, and then ran only its fork's stream — any
-// cross-fork leak through the shared page table would knock a fork off its
+// cross-fork leak through the frozen page table would knock a fork off its
 // control. The prefix faults in a page above the pre-mapped span, so that
-// page's PTE frame is shared at the fork and the other forks' later faults
-// beside it must pass the copy-on-write barrier; at the end every page of
+// page's PTE frame exists at the fork and the other forks' later faults
+// beside it must land in their own copies of it; at the end every page of
 // each fork's table must translate exactly as its control's, which shows a
 // leaked mapping that no access of the other fork touched.
 func TestSnapshotForksIsolated(t *testing.T) {

@@ -20,9 +20,9 @@ import (
 const floorMinWall = 250 * time.Millisecond
 
 // minSnapshotForkSpeedup is the floor on the repeated sweep: fork+memo must
-// beat cold construction by this factor, or the fork stopped being
-// O(metadata) (e.g. a fork method started deep-copying page frames) or the
-// memo stopped hitting.
+// beat cold construction by this factor, or a fork stopped skipping
+// construction (it rebuilds the address space or re-runs a kernel's Setup)
+// or the memo stopped hitting.
 const minSnapshotForkSpeedup = 3.0
 
 // snapshotForkConfig is one cell of the repeated sweep: CG at class T on 2

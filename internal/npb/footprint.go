@@ -14,9 +14,10 @@ func TemplateBytes(c Class) int64 {
 // ForkBytes estimates the transient host footprint of one forked session for
 // class c: kernels fork only their mutable arrays (roughly a quarter of the
 // shared region; read-only statics such as CG's sparse matrix stay shared
-// with the template through the COW snapshot) plus runtime metadata — forked
-// page-table nodes, per-context TLBs and caches, profile counters. Like
-// TemplateBytes, a deliberate estimate for budget charging, not an account.
+// with the template) plus runtime metadata — the fork's copied page table
+// (its PTE frames come to at most about 400 KB at class A), per-context TLBs
+// and caches, profile counters. Like TemplateBytes, a deliberate estimate
+// for budget charging, not an account.
 func ForkBytes(c Class) int64 {
 	return sharedBytesFor(c)/4 + 2*units.MB
 }

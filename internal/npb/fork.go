@@ -7,8 +7,8 @@ import "hugeomp/internal/core"
 // Run are privatized (deep-copied), while the big static inputs written only
 // at Setup time — CG's CSR matrix, BT's forcing field, SP's rho field, FT's
 // pristine reference, MG's input charges — are shared read-only between every
-// fork (the copy-on-write discipline of the snapshot layer). Code regions are
-// immutable descriptors and are always shared.
+// fork and the template. Code regions are immutable descriptors and are
+// always shared.
 //
 // The read-only/mutable split below is part of each kernel's Run contract:
 // a kernel that starts writing a shared array must move it to the privatized
@@ -17,15 +17,9 @@ import "hugeomp/internal/core"
 
 type forker interface{ fork() Kernel }
 
-// forkKernel clones k's post-Setup state, reporting false for kernel types
-// without warm-fork support.
-func forkKernel(k Kernel) (Kernel, bool) {
-	f, ok := k.(forker)
-	if !ok {
-		return nil, false
-	}
-	return f.fork(), true
-}
+// forkKernel clones k's post-Setup state. Every kernel New builds has a fork
+// method.
+func forkKernel(k Kernel) Kernel { return k.(forker).fork() }
 
 func (k *CG) fork() Kernel {
 	n := *k

@@ -195,6 +195,16 @@ func Run(k Kernel, cfg RunConfig) (Result, error) {
 // runtime are returned alongside the error so the caller can post-mortem the
 // abandoned state (an aborted run must still pass check.All).
 func RunOn(k Kernel, cfg RunConfig) (Result, *core.System, *omp.RT, error) {
+	sys, err := build(k, cfg)
+	if err != nil {
+		return Result{}, nil, nil, err
+	}
+	return runSealed(k, sys, cfg)
+}
+
+// build assembles the system cfg describes, sets k up on it and seals it:
+// the construction a cold run pays every time and a warm template once.
+func build(k Kernel, cfg RunConfig) (*core.System, error) {
 	shared := sharedBytesFor(cfg.Class)
 	sys, err := core.NewSystem(core.Config{
 		Model:       cfg.Model,
@@ -208,12 +218,20 @@ func RunOn(k Kernel, cfg RunConfig) (Result, *core.System, *omp.RT, error) {
 		Fault:       cfg.Fault,
 	})
 	if err != nil {
-		return Result{}, nil, nil, fmt.Errorf("npb: system: %w", err)
+		return nil, fmt.Errorf("npb: system: %w", err)
 	}
 	if err := k.Setup(sys, cfg.Class); err != nil {
-		return Result{}, nil, nil, fmt.Errorf("npb: setup %s: %w", k.Name(), err)
+		return nil, fmt.Errorf("npb: setup %s: %w", k.Name(), err)
 	}
 	sys.Seal()
+	return sys, nil
+}
+
+// runSealed runs k, set up on the sealed sys, under cfg's threads, context
+// and iterations, verifies it and collects the Result: the one run path of a
+// cold run and a warm fork. A failed Run or Verify returns sys and the
+// runtime with the error; a failed NewRT returns neither.
+func runSealed(k Kernel, sys *core.System, cfg RunConfig) (Result, *core.System, *omp.RT, error) {
 	rt, err := sys.NewRT(cfg.Threads)
 	if err != nil {
 		return Result{}, nil, nil, err

